@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Run every verification suite on the default problem and summarize.
+"""Run every shipped suite config and summarize.
 
-Writes one output directory per suite under --out and prints a one-line
-verdict per metric.  Exit code 0 iff every suite passes.
+Each ``configs/*.json`` is loaded with ``ExperimentConfig.from_file``,
+exactly as ``hybridmp run --config`` loads it, and written to
+``--out/<suite>``.  Prints a one-line verdict per metric.  Exit code 0
+iff every suite passes.  Comparing the ``manifest.json`` files of two
+runs checks that a change left every artifact byte-identical.
 """
 
 from __future__ import annotations
@@ -13,33 +16,25 @@ import sys
 import time
 from pathlib import Path
 
-from hybridmp.harness import SUITES, ExperimentConfig, run_suite
-from hybridmp.model import LQSpec
+from hybridmp.harness import ExperimentConfig, run_suite
 
-SCALES = {
-    "filter-check": {"n_steps": 1000, "n_paths": 2000},
-    "mp-check": {"n_steps": 200, "n_paths": 2048},
-    "lq-solve": {"n_steps": 400, "n_paths": 4096},
-    "convergence-sweep": {"n_steps": 2000, "n_paths": 2000},
-}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--spec", default=str(Path(__file__).resolve().parents[1]
-                                              / "specs" / "default_lq.json"))
     parser.add_argument("--out", default="results")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override every config's seed")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="override every config's worker count")
     args = parser.parse_args(argv)
 
-    spec = LQSpec.from_json(json.loads(Path(args.spec).read_text()))
     worst = 0
-    for suite in SUITES:
-        cfg = ExperimentConfig(
-            suite=suite, spec=spec, seed=args.seed, workers=args.workers,
-            out_dir=str(Path(args.out) / suite), **SCALES[suite],
-        )
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = ExperimentConfig.from_file(str(path), seed=args.seed,
+                                         workers=args.workers, out=args.out)
+        cfg.out_dir = str(Path(args.out) / cfg.suite)
         start = time.time()
         code = run_suite(cfg)
         worst = max(worst, code)
@@ -48,9 +43,9 @@ def main(argv: list[str] | None = None) -> int:
             doc = json.loads(results.read_text())
             for name, rec in sorted(doc["metrics"].items()):
                 flag = "pass" if rec["pass"] else "FAIL"
-                print(f"{suite:18s} {name:22s} {rec['value']:12.6g} "
+                print(f"{cfg.suite:18s} {name:22s} {rec['value']:12.6g} "
                       f"{rec['comparator']:>2s} {rec['tolerance']:<10.6g} {flag}")
-        print(f"{suite:18s} done in {time.time() - start:.1f}s (exit {code})")
+        print(f"{cfg.suite:18s} done in {time.time() - start:.1f}s (exit {code})")
     return worst
 
 

@@ -58,10 +58,8 @@ from .pathsim import (
 )
 from .wonham import (
     CoupledPath,
-    FilterFunctional,
     FilterPath,
     InnovationPath,
-    apply_generator,
     coupled_forward,
     discrete_bayes_oracle,
     innovation_forward,
@@ -77,11 +75,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointPath", "CompactCoeffs", "ConfigError", "CostEstimate",
     "CoupledPath", "DomainError", "ExperimentConfig", "FeedbackPolicy",
-    "FilterFunctional", "FilterPath", "GeneratorSpec", "HybridMPError",
+    "FilterPath", "GeneratorSpec", "HybridMPError",
     "InnovationPath", "LQSolution", "LQSpec", "NonConvergence",
     "NumericalError", "PathBundle", "PiecewisePolyPolicy", "PolyBasis",
     "ProblemSpec", "Regime", "RegressionError", "TimeGrid",
-    "apply_generator", "chain_marginal", "constant_policy",
+    "chain_marginal", "constant_policy",
     "cost_from_paths", "coupled_forward", "default_spec",
     "discrete_bayes_oracle", "estimate_cost", "eval_h",
     "full_observation_baseline", "gateaux_derivative", "hamiltonian",

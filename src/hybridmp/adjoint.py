@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, RegressionError
-from .model import FD_STEP_REL, ProblemSpec
+from .model import ProblemSpec, central_diff
 from .pathsim import TimeGrid
 from .wonham import InnovationPath
 
@@ -30,11 +29,6 @@ logger = logging.getLogger(__name__)
 # Regression needs this many paths per basis function before the normal
 # equations are trustworthy.
 MIN_PATHS_PER_TERM = 10
-
-
-def _fd(fn: Callable[[Array], Array], z: Array) -> Array:
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(z))
-    return (np.asarray(fn(z + h)) - np.asarray(fn(z - h))) / (2.0 * h)
 
 
 class CompactCoeffs:
@@ -108,8 +102,8 @@ class CompactCoeffs:
             a = self.spec.lq.a
             out[:, 0, 0] = a[0] * p + a[1] * (1.0 - p)
         else:
-            bx1 = _fd(lambda z: self._b(t, z, u, 1), x)
-            bx2 = _fd(lambda z: self._b(t, z, u, 2), x)
+            bx1 = central_diff(lambda z: self._b(t, z, u, 1), x)
+            bx2 = central_diff(lambda z: self._b(t, z, u, 2), x)
             out[:, 0, 0] = bx1 * p + bx2 * (1.0 - p)
         out[:, 0, 1] = self._b(t, x, u, 1) - self._b(t, x, u, 2)
         out[:, 1, 1] = -q.lambda1 - q.lambda2
@@ -121,8 +115,8 @@ class CompactCoeffs:
             b = self.spec.lq.b
             out[:, 0] = b[0] * p + b[1] * (1.0 - p)
         else:
-            bv1 = _fd(lambda z: self._b(t, x, z, 1), u)
-            bv2 = _fd(lambda z: self._b(t, x, z, 2), u)
+            bv1 = central_diff(lambda z: self._b(t, x, z, 1), u)
+            bv2 = central_diff(lambda z: self._b(t, x, z, 2), u)
             out[:, 0] = bv1 * p + bv2 * (1.0 - p)
         return out
 
@@ -133,9 +127,9 @@ class CompactCoeffs:
             hx_diff = (lq.a[0] - lq.a[1]) / lq.sigma
             out[:, 1, 0] = hx_diff * p * (1.0 - p)
         else:
-            out[:, 0, 0] = _fd(lambda z: self._sig(t, z, u), x)
-            hx1 = _fd(lambda z: self._h(t, z, u, 1), x)
-            hx2 = _fd(lambda z: self._h(t, z, u, 2), x)
+            out[:, 0, 0] = central_diff(lambda z: self._sig(t, z, u), x)
+            hx1 = central_diff(lambda z: self._h(t, z, u, 1), x)
+            hx2 = central_diff(lambda z: self._h(t, z, u, 2), x)
             out[:, 1, 0] = (hx1 - hx2) * p * (1.0 - p)
         out[:, 1, 1] = (self._h(t, x, u, 1) - self._h(t, x, u, 2)) * (1.0 - 2.0 * p)
         return out
@@ -147,9 +141,9 @@ class CompactCoeffs:
             hv_diff = (lq.b[0] - lq.b[1]) / lq.sigma
             out[:, 1] = hv_diff * p * (1.0 - p)
         else:
-            out[:, 0] = _fd(lambda z: self._sig(t, x, z), u)
-            hv1 = _fd(lambda z: self._h(t, x, z, 1), u)
-            hv2 = _fd(lambda z: self._h(t, x, z, 2), u)
+            out[:, 0] = central_diff(lambda z: self._sig(t, x, z), u)
+            hv1 = central_diff(lambda z: self._h(t, x, z, 1), u)
+            hv2 = central_diff(lambda z: self._h(t, x, z, 2), u)
             out[:, 1] = (hv1 - hv2) * p * (1.0 - p)
         return out
 
@@ -159,8 +153,8 @@ class CompactCoeffs:
             Q = self.spec.lq.Q
             out[:, 0] = (Q[0] * p + Q[1] * (1.0 - p)) * x
         else:
-            fx1 = _fd(lambda z: self._f(t, z, u, 1), x)
-            fx2 = _fd(lambda z: self._f(t, z, u, 2), x)
+            fx1 = central_diff(lambda z: self._f(t, z, u, 1), x)
+            fx2 = central_diff(lambda z: self._f(t, z, u, 2), x)
             out[:, 0] = fx1 * p + fx2 * (1.0 - p)
         out[:, 1] = self._f(t, x, u, 1) - self._f(t, x, u, 2)
         return out
@@ -169,8 +163,8 @@ class CompactCoeffs:
         if self.analytic:
             R = self.spec.lq.R
             return (R[0] * p + R[1] * (1.0 - p)) * u
-        fv1 = _fd(lambda z: self._f(t, x, z, 1), u)
-        fv2 = _fd(lambda z: self._f(t, x, z, 2), u)
+        fv1 = central_diff(lambda z: self._f(t, x, z, 1), u)
+        fv2 = central_diff(lambda z: self._f(t, x, z, 2), u)
         return fv1 * p + fv2 * (1.0 - p)
 
     def G_theta(self, x, p) -> Array:
@@ -179,8 +173,8 @@ class CompactCoeffs:
             G = self.spec.lq.G
             out[:, 0] = (G[0] * p + G[1] * (1.0 - p)) * x
         else:
-            gx1 = _fd(lambda z: self._g(z, 1), x)
-            gx2 = _fd(lambda z: self._g(z, 2), x)
+            gx1 = central_diff(lambda z: self._g(z, 1), x)
+            gx2 = central_diff(lambda z: self._g(z, 2), x)
             out[:, 0] = gx1 * p + gx2 * (1.0 - p)
         out[:, 1] = self._g(x, 1) - self._g(x, 2)
         return out

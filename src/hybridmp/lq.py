@@ -30,19 +30,13 @@ from .adjoint import (
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
-from .pathsim import (
-    TAG_NOISE,
-    CostEstimate,
-    TimeGrid,
-    draw_normals,
-    simulate_chain,
-)
+from .pathsim import CostEstimate, TimeGrid, draw_drivers, euler_step
 from .parallel import RunningMoments, run_blocks
 from .wonham import (
     InnovationPath,
     coupled_forward,
     innovation_forward,
-    transformed_cost_paths,
+    transformed_cost,
 )
 
 Array = NDArray[np.float64]
@@ -203,6 +197,8 @@ def _forward(spec, grid, n_paths, seed, policy, mode) -> InnovationPath:
             controls=cp.bundle.controls,
             dnu=cp.filter_path.nu_increments,
             seed=seed,
+            clamp_events=cp.filter_path.clamp_events,
+            max_excursion=cp.filter_path.max_excursion,
         )
     raise ConfigError(f"forward mode must be 'innovation' or 'physical', got {mode!r}")
 
@@ -320,11 +316,11 @@ def solve_lq(
             grid, policy, candidate, path.states, path.probs)
         scale = max(1.0, u_scale)
 
-        cost_paths = transformed_cost_paths(spec, grid, path.states, path.probs, u_prev)
+        cost = transformed_cost(spec, grid, path.states, path.probs, u_prev)
         trace.append({
             "iteration": it,
-            "cost": float(np.mean(cost_paths)),
-            "cost_se": float(np.std(cost_paths, ddof=1) / np.sqrt(len(cost_paths))),
+            "cost": cost.mean,
+            "cost_se": cost.std_error,
             "sup_change": change,
             "residual": float(np.sqrt(residual_sq)),
             "fit_residual": candidate.fit_max_residual,
@@ -341,12 +337,7 @@ def solve_lq(
     path = _forward(spec, grid, n_paths, seed, policy, forward_mode)
     adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
     report = stationarity_report(spec, path, adj, coeffs=coeffs)
-    cost_paths = transformed_cost_paths(spec, grid, path.states, path.probs, path.controls)
-    cost = CostEstimate(
-        mean=float(np.mean(cost_paths)),
-        std_error=float(np.std(cost_paths, ddof=1) / np.sqrt(len(cost_paths))),
-        n_paths=n_paths,
-    )
+    cost = transformed_cost(spec, grid, path.states, path.probs, path.controls)
     solution = LQSolution(
         policy=policy, cost=cost, residual=report, iterations=iterations,
         converged=converged, trace=trace,
@@ -425,7 +416,8 @@ def full_observation_baseline(
     analytic value it should match.
 
     The policy u = -b_i K_i(t) X / R_i needs the realized regime, so this
-    runs its own Euler loop rather than any observable-feedback path.
+    runs its own feedback loop on the shared drivers and Euler step
+    rather than any observable-feedback path.
     Agreement of the two returned numbers validates simulation, cost
     quadrature and the Riccati integration against each other; the
     analytic value is also the natural lower bound for any
@@ -438,26 +430,19 @@ def full_observation_baseline(
     R = np.asarray(lq.R)
     gain = K * b[None, :] / R[None, :]
     dt = grid.dt
-    sqdt = np.sqrt(dt)
     times = grid.times
 
     def run_block(offset: int, count: int) -> RunningMoments:
-        alpha = simulate_chain(spec.generator, grid, count, seed,
-                               pi0=spec.pi0, path_offset=offset)
-        dW = draw_normals(seed, range(offset, offset + count), TAG_NOISE,
-                          grid.n_steps) * sqdt
+        alpha, dW = draw_drivers(spec, grid, count, seed, path_offset=offset)
         x = np.full(count, lq.x0)
         cost = np.zeros(count)
         for k in range(grid.n_steps):
             idx = alpha[:, k] - 1
-            u = -gain[k, idx] * x
-            u = np.clip(u, *lq.control_domain)
+            u = spec.clamp_control(-gain[k, idx] * x)
             ai = np.asarray(lq.a)[idx]
             bi = b[idx]
             cost += 0.5 * dt * (np.asarray(lq.Q)[idx] * x**2 + R[idx] * u**2)
-            x = x + (ai * x + bi * u) * dt + lq.sigma * dW[:, k]
-            if not np.all(np.isfinite(x)) or np.any(np.abs(x) > 1e8):
-                raise NumericalError(f"state blow-up at t={times[k + 1]:.4g}")
+            x = euler_step(x, ai * x + bi * u, lq.sigma, dW[:, k], dt, times[k + 1])
         cost += 0.5 * np.asarray(lq.G)[alpha[:, -1] - 1] * x**2
         m = RunningMoments()
         m.add(cost)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -302,8 +302,6 @@ class ProblemSpec:
         b(t, x, i, v), sigma(t, x, v), f(t, x, i, v), g(x, i).
     control_domain : (float, float)
         Closed interval of admissible control values; infinite ends allowed.
-    lipschitz_bound : float
-        Declared Lipschitz constant for admissible feedback policies.
     sigma_min : float
         Volatility floor; h = b/sigma raises ``DomainError`` below it.
     lq : LQSpec, optional
@@ -321,7 +319,6 @@ class ProblemSpec:
     running_cost: Callable
     terminal_cost: Callable
     control_domain: tuple[float, float] = (-math.inf, math.inf)
-    lipschitz_bound: float = 10.0
     sigma_min: float = 1e-8
     lq: LQSpec | None = None
 
@@ -330,8 +327,6 @@ class ProblemSpec:
             raise ConfigError("horizon must be positive")
         if self.sigma_min <= 0:
             raise ConfigError("sigma_min must be positive")
-        if self.lipschitz_bound <= 0:
-            raise ConfigError("lipschitz_bound must be positive")
         pi0 = np.asarray(self.pi0, dtype=np.float64)
         if pi0.ndim != 1 or len(pi0) != self.generator.n_states:
             raise ConfigError("pi0 length must match the number of regimes")
@@ -477,12 +472,13 @@ class FeedbackPolicy:
 
     ``pi`` is the filtered probability of regime 1, which is adapted to
     the observation filtration, so feedback in (t, x, pi) stays
-    admissible.  ``func`` must broadcast over arrays in x and pi.
+    admissible.  ``func`` must broadcast over arrays in x and pi.  Passes
+    that run no filter (``simulate_state``, ``estimate_cost``) call it
+    with ``pi=None``.
     """
 
     func: Callable
     control_domain: tuple[float, float] = (-math.inf, math.inf)
-    lipschitz_bound: float = 10.0
     name: str = ""
 
     def __call__(self, t, x, pi):
@@ -490,28 +486,11 @@ class FeedbackPolicy:
         lo, hi = self.control_domain
         return np.clip(u, lo, hi)
 
-    def check_lipschitz(
-        self,
-        rng: np.random.Generator,
-        n_samples: int = 10_000,
-        x_range: tuple[float, float] = (-10.0, 10.0),
-        horizon: float = 1.0,
-    ) -> float:
-        """Largest sampled ratio |u(t,x,pi)-u(t,y,rho)| / (|x-y| + |pi-rho|)."""
-        t = rng.uniform(0.0, horizon, n_samples)
-        x = rng.uniform(*x_range, size=(2, n_samples))
-        p = rng.uniform(0.0, 1.0, size=(2, n_samples))
-        num = np.abs(self(t, x[0], p[0]) - self(t, x[1], p[1]))
-        den = np.abs(x[0] - x[1]) + np.abs(p[0] - p[1])
-        mask = den > 1e-12
-        return float(np.max(num[mask] / den[mask]))
-
 
 def constant_policy(value: float, control_domain=(-math.inf, math.inf)) -> FeedbackPolicy:
     return FeedbackPolicy(
         func=lambda t, x, pi: np.full_like(np.asarray(x, dtype=np.float64), value),
         control_domain=control_domain,
-        lipschitz_bound=1e-12,
         name=f"constant({value})",
     )
 

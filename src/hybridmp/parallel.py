@@ -80,13 +80,3 @@ def run_blocks(fn, n_total: int, block_size: int = DEFAULT_BLOCK_SIZE, workers: 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, offset, count) for offset, count in ranges]
         return [f.result() for f in futures]
-
-
-def blocked_moments(fn, n_total: int, block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1) -> RunningMoments:
-    """Accumulate moments of per-path scalars produced block by block."""
-    moments = RunningMoments()
-    for values in run_blocks(fn, n_total, block_size, workers):
-        block = RunningMoments()
-        block.add(values)
-        moments.merge(block)
-    return moments

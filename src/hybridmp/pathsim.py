@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NumericalError
-from .model import GeneratorSpec, ProblemSpec
+from .errors import ConfigError, DomainError, NumericalError
+from .model import GeneratorSpec, ProblemSpec, eval_sigma
 from .parallel import RunningMoments, run_blocks
 
 Array = NDArray[np.float64]
@@ -191,12 +191,96 @@ def chain_marginal(spec: ProblemSpec, t: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# State simulation
+# Step kernel shared by every forward pass
 # ---------------------------------------------------------------------------
 
 
-def _controls_from_policy(policy, t, x, pi):
-    return np.asarray(policy(t, x, pi), dtype=np.float64)
+def check_override(name: str, value, shape: tuple[int, ...], dtype=np.float64):
+    """``value`` as an array of the given shape, or ``ConfigError``."""
+    value = np.asarray(value, dtype=dtype)
+    if value.shape != shape:
+        raise ConfigError(f"{name} override must have shape {shape}, got {value.shape}")
+    return value
+
+
+def brownian_increments(seed: int, grid: TimeGrid, n_paths: int, tag: int,
+                        path_offset: int = 0, override=None, name: str = "dW") -> Array:
+    """Increments of the path streams ``tag``, shape (n_paths, N), or the checked override."""
+    if override is not None:
+        return check_override(name, override, (n_paths, grid.n_steps))
+    indices = range(path_offset, path_offset + n_paths)
+    return draw_normals(seed, indices, tag, grid.n_steps) * np.sqrt(grid.dt)
+
+
+def draw_drivers(spec: ProblemSpec, grid: TimeGrid, n_paths: int, seed: int,
+                 path_offset: int = 0, alpha=None, dW=None):
+    """Hidden chain (n_paths, N+1) and Brownian increments (n_paths, N).
+
+    Each is drawn from the path streams unless given, in which case its
+    shape is checked instead.
+    """
+    if alpha is None:
+        alpha = simulate_chain(spec.generator, grid, n_paths, seed,
+                               pi0=spec.pi0, path_offset=path_offset)
+    else:
+        alpha = check_override("alpha", alpha, (n_paths, grid.n_steps + 1), np.int64)
+    return alpha, brownian_increments(seed, grid, n_paths, TAG_NOISE, path_offset, dW)
+
+
+def check_controls(policy, controls, n_paths: int, grid: TimeGrid):
+    """Validate the control source of a forward pass; returns ``controls``."""
+    if controls is None:
+        return None
+    if policy is not None:
+        raise ConfigError("pass either a policy or explicit controls, not both")
+    return check_override("controls", controls, (n_paths, grid.n_steps))
+
+
+def control_at(spec: ProblemSpec, k: int, t: float, x: Array, pi,
+               policy=None, controls=None) -> Array:
+    """Control of step k, clamped to the control domain.
+
+    Explicit ``controls`` win, then ``policy(t, x, pi)``, then zero.  A
+    control that is not finite after clamping raises ``DomainError``
+    naming its source rather than surfacing later as a state blow-up.
+    """
+    if controls is not None:
+        u = controls[:, k]
+    elif policy is not None:
+        u = policy(t, x, pi)
+    else:
+        u = np.zeros(x.shape[0])
+    u = spec.clamp_control(np.asarray(u, dtype=np.float64))
+    if u.shape != x.shape:
+        raise ConfigError(f"control at t={t:.4g} has shape {u.shape}, expected {x.shape}")
+    if not np.all(np.isfinite(u)):
+        source = ("explicit controls" if controls is not None
+                  else f"policy {getattr(policy, 'name', '') or policy!r}")
+        raise DomainError(f"{source} gave a non-finite control at t={t:.4g}")
+    return u
+
+
+def drift_table(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
+    """b(t, x, i, u) for every regime i, shape (n_paths, d)."""
+    table = np.empty((x.shape[0], spec.n_regimes))
+    for i in range(1, spec.n_regimes + 1):
+        table[:, i - 1] = spec.drift(t, x, i, u)
+    return table
+
+
+def euler_step(x: Array, drift: Array, sig, dw: Array, dt: float, t_next: float) -> Array:
+    """X + b dt + sigma dW; |X| beyond ``BLOWUP_LIMIT`` raises ``NumericalError``."""
+    x = x + drift * dt + sig * dw
+    if not np.all(np.isfinite(x)) or np.any(np.abs(x) > BLOWUP_LIMIT):
+        raise NumericalError(
+            f"state blow-up at t={t_next:.4g}: max |X| = {np.max(np.abs(x)):.3g}"
+        )
+    return x
+
+
+# ---------------------------------------------------------------------------
+# State simulation
+# ---------------------------------------------------------------------------
 
 
 def simulate_state(
@@ -214,76 +298,27 @@ def simulate_state(
 
     X_{k+1} = X_k + b(t_k, X_k, alpha_k, u_k) dt + sigma(t_k, X_k, u_k) dW_k.
 
-    ``policy`` is evaluated as policy(t_k, X_k, pi) with pi held at
-    pi0[0]; policies that need the filtered state belong in the coupled
-    forward loop, not here.  ``alpha``, ``dW`` and ``controls`` override
-    the internal draws, which is what grid-coupling tests use.
+    No filter runs here, so ``policy`` is evaluated as policy(t_k, X_k,
+    None): a policy that reads ``pi`` fails (``TypeError``, or a NaN
+    control and ``DomainError``) instead of being costed at a frozen
+    prior.  Feedback on the filtered state belongs in
+    ``wonham.coupled_forward``.  ``alpha``, ``dW`` and ``controls``
+    override the internal draws, which is what grid-coupling tests use.
     """
-    if policy is not None and controls is not None:
-        raise ConfigError("pass either a policy or explicit controls, not both")
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-
-    if alpha is None:
-        alpha = simulate_chain(spec.generator, grid, n_paths, seed,
-                               pi0=spec.pi0, path_offset=path_offset)
-    else:
-        alpha = np.asarray(alpha, dtype=np.int64)
-        if alpha.shape != (n_paths, grid.n_steps + 1):
-            raise ConfigError(
-                f"alpha override must have shape {(n_paths, grid.n_steps + 1)}, "
-                f"got {alpha.shape}"
-            )
-    if dW is None:
-        indices = range(path_offset, path_offset + n_paths)
-        dW = draw_normals(seed, indices, TAG_NOISE, grid.n_steps) * sqdt
-    else:
-        dW = np.asarray(dW, dtype=np.float64)
-        if dW.shape != (n_paths, grid.n_steps):
-            raise ConfigError(
-                f"dW override must have shape {(n_paths, grid.n_steps)}, got {dW.shape}"
-            )
-    if controls is not None:
-        controls = np.asarray(controls, dtype=np.float64)
-        if controls.shape != (n_paths, grid.n_steps):
-            raise ConfigError(
-                f"controls override must have shape {(n_paths, grid.n_steps)}, "
-                f"got {controls.shape}"
-            )
-
+    controls = check_controls(policy, controls, n_paths, grid)
+    alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha, dW)
     x = np.full(n_paths, spec.x0)
-    pi_const = spec.pi0[0]
     states = np.empty((n_paths, grid.n_steps + 1))
     states[:, 0] = x
     used = np.empty((n_paths, grid.n_steps))
     times = grid.times
-    n_reg = spec.n_regimes
+    rows = np.arange(n_paths)
 
     for k in range(grid.n_steps):
         t = times[k]
-        if controls is not None:
-            u = controls[:, k]
-        elif policy is not None:
-            u = _controls_from_policy(policy, t, x, np.full(n_paths, pi_const))
-        else:
-            u = np.zeros(n_paths)
-        u = spec.clamp_control(u)
-        used[:, k] = u
-
-        b = np.empty(n_paths)
-        for i in range(1, n_reg + 1):
-            mask = alpha[:, k] == i
-            if mask.any():
-                b[mask] = spec.drift(t, x[mask], i, u[mask])
-        sig = np.broadcast_to(
-            np.asarray(spec.vol(t, x, u), dtype=np.float64), (n_paths,)
-        )
-        x = x + b * dt + sig * dW[:, k]
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > BLOWUP_LIMIT):
-            raise NumericalError(
-                f"state blow-up at t={times[k + 1]:.4g}: "
-                f"max |X| = {np.max(np.abs(x)):.3g}"
-            )
+        u = used[:, k] = control_at(spec, k, t, x, None, policy, controls)
+        b = drift_table(spec, t, x, u)[rows, alpha[:, k] - 1]
+        x = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k], grid.dt, times[k + 1])
         states[:, k + 1] = x
 
     return PathBundle(
@@ -330,7 +365,11 @@ def estimate_cost(
     block_size: int = 4096,
     workers: int = 1,
 ) -> CostEstimate:
-    """Monte Carlo cost of a policy, blocked so memory stays flat."""
+    """Monte Carlo cost of a policy, blocked so memory stays flat.
+
+    Paths come from ``simulate_state``, so the policy is called with
+    ``pi=None`` and must not read the filtered state.
+    """
 
     def run_block(offset: int, count: int) -> RunningMoments:
         bundle = simulate_state(spec, grid, count, seed, policy=policy,

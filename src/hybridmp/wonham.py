@@ -17,21 +17,23 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, NumericalError
-from .model import GeneratorSpec, ProblemSpec, eval_sigma
+from .model import ProblemSpec, eval_sigma
 from .pathsim import (
     TAG_INNOVATION,
-    TAG_NOISE,
     CostEstimate,
     PathBundle,
     TimeGrid,
-    draw_normals,
-    simulate_chain,
+    brownian_increments,
+    check_controls,
+    control_at,
+    draw_drivers,
+    drift_table,
+    euler_step,
 )
 
 Array = NDArray[np.float64]
@@ -40,42 +42,6 @@ Array = NDArray[np.float64]
 # this are counted, excursions past BREAKDOWN abort.
 EXCURSION_TOL = 1e-6
 BREAKDOWN_TOL = 0.5
-
-
-@dataclass(frozen=True)
-class FilterFunctional:
-    """Function of the regime, phi: {1..d} -> R, stored as its value table."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise ConfigError("functional needs at least one regime value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], float], n_states: int) -> "FilterFunctional":
-        return cls(tuple(fn(i) for i in range(1, n_states + 1)))
-
-    @classmethod
-    def indicator(cls, regime: int, n_states: int) -> "FilterFunctional":
-        return cls(tuple(1.0 if i == regime else 0.0 for i in range(1, n_states + 1)))
-
-    @property
-    def array(self) -> Array:
-        return np.asarray(self.values)
-
-
-def apply_generator(generator: GeneratorSpec, phi) -> Array:
-    """(Q phi)(i) = sum_j q_ij (phi(j) - phi(i)); rows sum to zero makes
-    this a plain matrix-vector product."""
-    values = phi.array if isinstance(phi, FilterFunctional) else np.asarray(phi, dtype=np.float64)
-    if values.shape[-1] != generator.n_states:
-        raise ConfigError(
-            f"functional has {values.shape[-1]} values for a "
-            f"{generator.n_states}-state generator"
-        )
-    return values @ generator.matrix.T
 
 
 @dataclass
@@ -104,16 +70,6 @@ class FilterPath:
     def pi(self) -> Array:
         """Conditional probability of regime 1 per node, shape (n_paths, N+1)."""
         return self.probs[:, :, 0]
-
-    @property
-    def clamp_fraction(self) -> float:
-        total = self.n_paths * self.grid.n_steps
-        return self.clamp_events / total if total else 0.0
-
-    def expectation(self, phi) -> Array:
-        """E[phi(alpha_k) | observations], shape (n_paths, N+1)."""
-        values = phi.array if isinstance(phi, FilterFunctional) else np.asarray(phi, dtype=np.float64)
-        return self.probs @ values
 
     def innovation_qv(self) -> Array:
         """Realized quadratic variation of the innovation per path."""
@@ -147,23 +103,10 @@ class FilterPath:
                     )
 
 
-def observation_increments(
-    spec: ProblemSpec,
-    bundle_or_grid,
-    states: Array | None = None,
-    controls: Array | None = None,
-) -> Array:
+def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
+                            controls: Array) -> Array:
     """Delta Y_k = Delta X_k / sigma(t_k, X_k, u_k): the state path rescaled
-    to unit noise intensity, which is all the filter ever sees.
-
-    Accepts either a PathBundle or an explicit (grid, states, controls)
-    triple.
-    """
-    if states is None:
-        bundle: PathBundle = bundle_or_grid
-        grid, states, controls = bundle.grid, bundle.states, bundle.controls
-    else:
-        grid = bundle_or_grid
+    to unit noise intensity, which is all the filter ever sees."""
     states = np.asarray(states, dtype=np.float64)
     controls = np.asarray(controls, dtype=np.float64)
     dY = np.empty_like(controls)
@@ -174,13 +117,9 @@ def observation_increments(
     return dY
 
 
-def _h_table(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
-    """h_i(t, x, u) for all regimes, shape (n_paths, d)."""
-    sig = eval_sigma(spec, t, x, u)
-    h = np.empty((x.shape[0], spec.n_regimes))
-    for i in range(1, spec.n_regimes + 1):
-        h[:, i - 1] = np.asarray(spec.drift(t, x, i, u), dtype=np.float64) / sig
-    return h
+def _gain(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
+    """h_i = b_i / sigma for every regime, shape (n_paths, d), for replayed paths."""
+    return drift_table(spec, t, x, u) / eval_sigma(spec, t, x, u)[..., None]
 
 
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
@@ -202,13 +141,25 @@ def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
     return events, excursion
 
 
+def _wonham_step(p: Array, h: Array, hbar: Array, dnu: Array, Q: Array, dt: float,
+                 excursion_tol: float = EXCURSION_TOL,
+                 breakdown_tol: float = BREAKDOWN_TOL):
+    """One normalized filter update, projected back onto the simplex.
+
+    p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i} (h_i - hbar_k) dnu_k.
+    Returns (p_{k+1}, clamp events, worst excursion) of the step.
+    """
+    p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, None]
+    events, excursion = _project_simplex(p, excursion_tol, breakdown_tol)
+    return p, events, excursion
+
+
 def run_normalized_filter(
     spec: ProblemSpec,
     grid: TimeGrid,
     states: Array,
     controls: Array,
     dY: Array | None = None,
-    pi0: Array | None = None,
     excursion_tol: float = EXCURSION_TOL,
     breakdown_tol: float = BREAKDOWN_TOL,
 ) -> FilterPath:
@@ -233,8 +184,7 @@ def run_normalized_filter(
     times = grid.times
     Q = spec.generator.matrix
 
-    p = np.tile(np.asarray(pi0 if pi0 is not None else spec.pi0, dtype=np.float64),
-                (n_paths, 1))
+    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     probs[:, 0] = p
     dnu = np.empty((n_paths, grid.n_steps))
@@ -242,11 +192,10 @@ def run_normalized_filter(
     worst = 0.0
 
     for k in range(grid.n_steps):
-        h = _h_table(spec, times[k], states[:, k], controls[:, k])
+        h = _gain(spec, times[k], states[:, k], controls[:, k])
         hbar = np.sum(p * h, axis=1)
         dnu[:, k] = dY[:, k] - hbar * dt
-        p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, k, None]
-        e, w = _project_simplex(p, excursion_tol, breakdown_tol)
+        p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt, excursion_tol, breakdown_tol)
         events += e
         worst = max(worst, w)
         probs[:, k + 1] = p
@@ -261,7 +210,6 @@ def run_zakai_filter(
     states: Array,
     controls: Array,
     dY: Array | None = None,
-    pi0: Array | None = None,
 ) -> FilterPath:
     """Linear (unnormalized) recursion, driven by raw observation increments.
 
@@ -284,8 +232,7 @@ def run_zakai_filter(
     times = grid.times
     Q = spec.generator.matrix
 
-    V = np.tile(np.asarray(pi0 if pi0 is not None else spec.pi0, dtype=np.float64),
-                (n_paths, 1))
+    V = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     masses = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     dnu = np.empty((n_paths, grid.n_steps))
@@ -294,7 +241,7 @@ def run_zakai_filter(
     masses[:, 0] = V
 
     for k in range(grid.n_steps):
-        h = _h_table(spec, times[k], states[:, k], controls[:, k])
+        h = _gain(spec, times[k], states[:, k], controls[:, k])
         hbar = np.sum(probs[:, k] * h, axis=1)
         dnu[:, k] = dY[:, k] - hbar * dt
         V = V + (V @ Q) * dt + V * h * dY[:, k, None]
@@ -324,6 +271,81 @@ class CoupledPath:
     filter_path: FilterPath
 
 
+@dataclass
+class InnovationPath:
+    """State and filter evolved directly against drawn innovation noise.
+
+    No hidden chain exists here: (X, p) is closed in itself once the
+    innovation is treated as an exogenous Brownian motion.  Costs of
+    feedback policies agree in law with the physical system, and the
+    map (dnu paths) -> (X, p) is deterministic, which is what pathwise
+    derivative checks need.  Clamp diagnostics are those of FilterPath.
+    """
+
+    grid: TimeGrid
+    states: Array
+    probs: Array
+    controls: Array
+    dnu: Array
+    seed: int
+    path_offset: int = 0
+    clamp_events: int = 0
+    max_excursion: float = 0.0
+
+    @property
+    def n_paths(self) -> int:
+        return self.states.shape[0]
+
+
+def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: int,
+                   policy, controls, noise: Array, alpha=None) -> InnovationPath:
+    """Euler and Wonham steps of (X, p) under feedback on (t, X, p_1).
+
+    Given the hidden chain ``alpha``, X moves with the realized regime's
+    drift, ``noise`` is dW and the innovation is read off the observation
+    increment.  Without it, X moves with the filtered drift
+    bbar = sum_i p_i b_i and ``noise`` is the innovation itself.
+    """
+    n_paths = noise.shape[0]
+    controls = check_controls(policy, controls, n_paths, grid)
+    dt = grid.dt
+    times = grid.times
+    Q = spec.generator.matrix
+    rows = np.arange(n_paths)
+
+    x = np.full(n_paths, spec.x0)
+    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
+    states = np.empty((n_paths, grid.n_steps + 1))
+    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
+    used = np.empty((n_paths, grid.n_steps))
+    dnu = noise if alpha is None else np.empty((n_paths, grid.n_steps))
+    states[:, 0] = x
+    probs[:, 0] = p
+    events = 0
+    worst = 0.0
+
+    for k in range(grid.n_steps):
+        t = times[k]
+        u = used[:, k] = control_at(spec, k, t, x, p[:, 0], policy, controls)
+        sig = eval_sigma(spec, t, x, u)
+        table = drift_table(spec, t, x, u)
+        h = table / sig[..., None]
+        hbar = np.sum(p * h, axis=1)
+        b = hbar * sig if alpha is None else table[rows, alpha[:, k] - 1]
+        x_next = euler_step(x, b, sig, noise[:, k], dt, times[k + 1])
+        if alpha is not None:
+            dnu[:, k] = (x_next - x) / sig - hbar * dt
+        p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt)
+        events += e
+        worst = max(worst, w)
+        x = states[:, k + 1] = x_next
+        probs[:, k + 1] = p
+
+    return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
+                          dnu=dnu, seed=seed, path_offset=path_offset,
+                          clamp_events=events, max_excursion=worst)
+
+
 def coupled_forward(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -337,99 +359,19 @@ def coupled_forward(
 ) -> CoupledPath:
     """Simulate the physical system and filter it in one pass.
 
-    The chain and driving noise are drawn (or taken from the overrides),
-    the state advances by Euler, and the filter advances on the realized
-    observation increment of the same step.  Policies see the filtered
-    probability of regime 1, so (t, x, pi)-feedback is admissible here.
+    The chain and driving noise are drawn (or taken from the overrides,
+    whose shapes are checked), the state advances by Euler, and the
+    filter advances on the realized observation increment of the same
+    step.  Policies see the filtered probability of regime 1, so
+    (t, x, pi)-feedback is admissible here.
     """
-    if policy is not None and controls is not None:
-        raise ConfigError("pass either a policy or explicit controls, not both")
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    times = grid.times
-    Q = spec.generator.matrix
-
-    if alpha is None:
-        alpha = simulate_chain(spec.generator, grid, n_paths, seed,
-                               pi0=spec.pi0, path_offset=path_offset)
-    if dW is None:
-        indices = range(path_offset, path_offset + n_paths)
-        dW = draw_normals(seed, indices, TAG_NOISE, grid.n_steps) * sqdt
-
-    x = np.full(n_paths, spec.x0)
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
-    states = np.empty((n_paths, grid.n_steps + 1))
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    used = np.empty((n_paths, grid.n_steps))
-    dnu = np.empty((n_paths, grid.n_steps))
-    states[:, 0] = x
-    probs[:, 0] = p
-    events = 0
-    worst = 0.0
-
-    for k in range(grid.n_steps):
-        t = times[k]
-        if controls is not None:
-            u = np.asarray(controls[:, k], dtype=np.float64)
-        elif policy is not None:
-            u = np.asarray(policy(t, x, p[:, 0]), dtype=np.float64)
-        else:
-            u = np.zeros(n_paths)
-        u = spec.clamp_control(u)
-        used[:, k] = u
-
-        sig = eval_sigma(spec, t, x, u)
-        b = np.empty(n_paths)
-        for i in range(1, spec.n_regimes + 1):
-            mask = alpha[:, k] == i
-            if mask.any():
-                b[mask] = spec.drift(t, x[mask], i, u[mask])
-        x_next = x + b * dt + sig * dW[:, k]
-        if not np.all(np.isfinite(x_next)) or np.any(np.abs(x_next) > 1e8):
-            raise NumericalError(f"state blow-up at t={times[k + 1]:.4g}")
-
-        h = _h_table(spec, t, x, u)
-        hbar = np.sum(p * h, axis=1)
-        dY = (x_next - x) / sig
-        dnu[:, k] = dY - hbar * dt
-        p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, k, None]
-        e, w = _project_simplex(p, EXCURSION_TOL, BREAKDOWN_TOL)
-        events += e
-        worst = max(worst, w)
-
-        x = x_next
-        states[:, k + 1] = x
-        probs[:, k + 1] = p
-
-    bundle = PathBundle(grid=grid, states=states, regimes=alpha, controls=used,
+    alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha, dW)
+    run = _observer_pass(spec, grid, seed, path_offset, policy, controls, dW, alpha)
+    bundle = PathBundle(grid=grid, states=run.states, regimes=alpha, controls=run.controls,
                         noise=dW, seed=seed, path_offset=path_offset)
-    fpath = FilterPath(grid=grid, probs=probs, nu_increments=dnu,
-                       clamp_events=events, max_excursion=worst)
+    fpath = FilterPath(grid=grid, probs=run.probs, nu_increments=run.dnu,
+                       clamp_events=run.clamp_events, max_excursion=run.max_excursion)
     return CoupledPath(bundle=bundle, filter_path=fpath)
-
-
-@dataclass
-class InnovationPath:
-    """State and filter evolved directly against drawn innovation noise.
-
-    No hidden chain exists here: (X, p) is closed in itself once the
-    innovation is treated as an exogenous Brownian motion.  Costs of
-    feedback policies agree in law with the physical system, and the
-    map (dnu paths) -> (X, p) is deterministic, which is what pathwise
-    derivative checks need.
-    """
-
-    grid: TimeGrid
-    states: Array
-    probs: Array
-    controls: Array
-    dnu: Array
-    seed: int
-    path_offset: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
 
 
 def innovation_forward(
@@ -447,57 +389,9 @@ def innovation_forward(
     X_{k+1} = X_k + bbar_k dt + sigma_k dnu_k, bbar = sum_i p_i b(i);
     p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i}(h_i - hbar_k) dnu_k.
     """
-    if policy is not None and controls is not None:
-        raise ConfigError("pass either a policy or explicit controls, not both")
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    times = grid.times
-    Q = spec.generator.matrix
-
-    if dnu is None:
-        indices = range(path_offset, path_offset + n_paths)
-        dnu = draw_normals(seed, indices, TAG_INNOVATION, grid.n_steps) * sqdt
-    else:
-        dnu = np.asarray(dnu, dtype=np.float64)
-        if dnu.shape != (n_paths, grid.n_steps):
-            raise ConfigError(
-                f"dnu override must have shape {(n_paths, grid.n_steps)}, "
-                f"got {dnu.shape}"
-            )
-
-    x = np.full(n_paths, spec.x0)
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
-    states = np.empty((n_paths, grid.n_steps + 1))
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    used = np.empty((n_paths, grid.n_steps))
-    states[:, 0] = x
-    probs[:, 0] = p
-
-    for k in range(grid.n_steps):
-        t = times[k]
-        if controls is not None:
-            u = np.asarray(controls[:, k], dtype=np.float64)
-        elif policy is not None:
-            u = np.asarray(policy(t, x, p[:, 0]), dtype=np.float64)
-        else:
-            u = np.zeros(n_paths)
-        u = spec.clamp_control(u)
-        used[:, k] = u
-
-        sig = eval_sigma(spec, t, x, u)
-        h = _h_table(spec, t, x, u)
-        hbar = np.sum(p * h, axis=1)
-        bbar = hbar * sig
-        x = x + bbar * dt + sig * dnu[:, k]
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > 1e8):
-            raise NumericalError(f"state blow-up at t={times[k + 1]:.4g}")
-        p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, k, None]
-        _project_simplex(p, EXCURSION_TOL, BREAKDOWN_TOL)
-        states[:, k + 1] = x
-        probs[:, k + 1] = p
-
-    return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
-                          dnu=dnu, seed=seed, path_offset=path_offset)
+    dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset,
+                              dnu, name="dnu")
+    return _observer_pass(spec, grid, seed, path_offset, policy, controls, dnu)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 from hybridmp import (
     ConfigError,
+    DomainError,
+    FeedbackPolicy,
     GeneratorSpec,
     LQSpec,
     NumericalError,
@@ -162,6 +164,13 @@ class TestCost:
         gT = np.where(bundle.regimes[:, -1] == 1, lq.G[0], lq.G[1])
         by_hand += 0.5 * gT * xT * xT
         assert np.allclose(cost, by_hand)
+
+    def test_policy_reading_pi_is_rejected(self, bm_spec):
+        # no filter runs here, so a (t, x, pi) policy must fail rather
+        # than be costed at the prior
+        policy = FeedbackPolicy(lambda t, x, pi: -pi * x)
+        with pytest.raises((TypeError, DomainError)):
+            estimate_cost(bm_spec, TimeGrid(1.0, 20), 200, 5, policy=policy)
 
     def test_block_merge_is_order_deterministic(self, bm_spec):
         grid = TimeGrid(1.0, 50)

@@ -10,11 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from hybridmp import (
     ConfigError,
+    DomainError,
     FeedbackPolicy,
     LQSpec,
     NumericalError,
     TimeGrid,
     cost_from_paths,
+    simulate_state,
     zero_policy,
 )
 from hybridmp.model import eval_sigma
@@ -267,3 +269,37 @@ class TestInnovationForward:
         assert np.all(ip.probs >= 0.0)
         assert np.all(ip.probs <= 1.0)
         assert np.max(np.abs(ip.probs.sum(axis=2) - 1.0)) <= 1e-9
+
+
+class TestForwardKernel:
+    def test_simulate_state_matches_coupled_states(self, spec):
+        # both passes share the drivers and the Euler step
+        grid = TimeGrid(1.0, 200)
+        bundle = simulate_state(spec, grid, 64, 19, policy=zero_policy())
+        cp = coupled_forward(spec, grid, 64, 19)
+        assert np.array_equal(bundle.states, cp.bundle.states)
+
+    def test_nan_policy_raises_domain_error(self, spec):
+        policy = FeedbackPolicy(lambda t, x, pi: np.full_like(x, np.nan),
+                                name="nan-policy")
+        with pytest.raises(DomainError, match="nan-policy"):
+            coupled_forward(spec, TimeGrid(1.0, 50), 8, 1, policy=policy)
+
+    def test_override_shapes_checked(self, spec):
+        grid = TimeGrid(1.0, 50)
+        with pytest.raises(ConfigError):
+            coupled_forward(spec, grid, 8, 1, dW=np.zeros((8, grid.n_steps - 1)))
+        with pytest.raises(ConfigError):
+            coupled_forward(spec, grid, 8, 1,
+                            alpha=np.ones((4, grid.n_steps + 1), dtype=np.int64))
+
+    def test_innovation_clamp_events_counted_under_stress(self, spec):
+        # innovation hot enough to push the raw update out of the simplex
+        # but below the breakdown threshold
+        grid = TimeGrid(1.0, 200)
+        rng = np.random.default_rng(0)
+        dnu = rng.normal(0.0, 2.0 * math.sqrt(grid.dt), (16, grid.n_steps))
+        ip = innovation_forward(spec, grid, 16, 0, dnu=dnu)
+        assert ip.clamp_events > 0
+        assert ip.max_excursion > 0.0
+        assert np.all(ip.probs >= 0.0) and np.all(ip.probs <= 1.0)
