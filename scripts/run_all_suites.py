@@ -3,9 +3,11 @@
 
 Each ``configs/*.json`` is loaded with ``ExperimentConfig.from_file``,
 exactly as ``hybridmp run --config`` loads it, and written to
-``--out/<suite>``.  Prints a one-line verdict per metric.  Exit code 0
-iff every suite passes.  Comparing the ``manifest.json`` files of two
-runs checks that a change left every artifact byte-identical.
+``--out/<suite>``.  Prints a one-line verdict per metric, then the
+12-character sha256 prefix of every artifact in the suite's
+``manifest.json``.  Exit code 0 iff every suite passes.  Comparing the
+prefixes (or the ``manifest.json`` files) of two runs checks that a
+change left every artifact byte-identical.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ def main(argv: list[str] | None = None) -> int:
                 flag = "pass" if rec["pass"] else "FAIL"
                 print(f"{cfg.suite:18s} {name:22s} {rec['value']:12.6g} "
                       f"{rec['comparator']:>2s} {rec['tolerance']:<10.6g} {flag}")
+        manifest = Path(cfg.out_dir) / "manifest.json"
+        if manifest.exists():
+            for name, digest in sorted(json.loads(manifest.read_text()).items()):
+                print(f"{cfg.suite:18s} {name:22s} sha256 {digest[:12]}")
         print(f"{cfg.suite:18s} done in {time.time() - start:.1f}s (exit {code})")
     return worst
 

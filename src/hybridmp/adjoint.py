@@ -10,7 +10,6 @@ ensemble control sits from stationarity of the Hamiltonian.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -29,6 +28,10 @@ logger = logging.getLogger(__name__)
 # Regression needs this many paths per basis function before the normal
 # equations are trustworthy.
 MIN_PATHS_PER_TERM = 10
+
+# Rank rule of every regression on the basis: singular directions below
+# this fraction of the leading one are dropped.
+RCOND = 1e-8
 
 
 class CompactCoeffs:
@@ -324,17 +327,17 @@ class StepProjector:
     Near a deterministic start the ensemble collapses onto a curve in
     (x, pi) and the monomials become exactly collinear, at any degree,
     so rank handling has to happen inside the step rather than by
-    shrinking the basis: singular directions below ``rcond`` times the
+    shrinking the basis: singular directions below ``RCOND`` times the
     leading one are dropped and the projection uses what remains.  At
     the initial node this degrades to the plain ensemble mean, which is
     the exact conditional expectation there.
     """
 
-    def __init__(self, A: Array, rcond: float = 1e-8):
+    def __init__(self, A: Array):
         if not np.all(np.isfinite(A)):
             raise RegressionError("design matrix contains non-finite entries")
         U, s, _ = np.linalg.svd(A, full_matrices=False)
-        keep = s > rcond * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+        keep = s > RCOND * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise RegressionError("design matrix is identically zero")
@@ -365,8 +368,8 @@ class AdjointPath:
     has shape (n_paths, N, 2): the second adjoint (P, K) per step.
     ``phi_pred`` is the regression of phi_{k+1} on node-k information
     (the predictable projection the discrete duality identity pairs with
-    the step-k coefficients).  ``r_squared`` and ``degrees`` record the
-    regression quality and the basis degree used at each backward step.
+    the step-k coefficients).  ``r_squared`` and ``ranks`` record the
+    regression quality and the effective design rank at each backward step.
     """
 
     grid: TimeGrid
@@ -374,28 +377,8 @@ class AdjointPath:
     lam: Array
     phi_pred: Array
     r_squared: Array
-    lam_r_squared: Array
     ranks: NDArray[np.int64]
     basis_degree: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.phi.shape[0]
-
-    def to_csv(self, path: str, max_paths: int | None = 32) -> None:
-        n = self.n_paths if max_paths is None else min(self.n_paths, max_paths)
-        times = self.grid.times
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "p", "k", "P", "K"])
-            for pidx in range(n):
-                for node in range(self.grid.n_steps + 1):
-                    kk = min(node, self.grid.n_steps - 1)
-                    writer.writerow(
-                        [pidx, f"{times[node]:.10g}",
-                         f"{self.phi[pidx, node, 0]:.10g}", f"{self.phi[pidx, node, 1]:.10g}",
-                         f"{self.lam[pidx, kk, 0]:.10g}", f"{self.lam[pidx, kk, 1]:.10g}"]
-                    )
 
 
 def solve_adjoint_bsde(
@@ -442,7 +425,6 @@ def solve_adjoint_bsde(
     lam = np.empty((n, grid.n_steps, 2))
     phi_pred = np.empty((n, grid.n_steps, 2))
     r2 = np.empty(grid.n_steps)
-    lam_r2 = np.empty(grid.n_steps)
     ranks = np.empty(grid.n_steps, dtype=np.int64)
 
     phi[:, -1] = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
@@ -484,19 +466,14 @@ def solve_adjoint_bsde(
 
         # Value regressions should explain nearly everything; the
         # martingale-increment targets carry O(1/dt) noise by design, so
-        # their ratio is reported separately and is small even for a
-        # perfect fit.
+        # their R^2 is small even for a perfect fit and is not recorded.
         r2[k] = min(
             _r_squared(target[:, 0], fit[:, 0]),
             _r_squared(target[:, 1], fit[:, 1]),
         )
-        lam_r2[k] = min(
-            _r_squared(z[:, 0], lam_k[:, 0]),
-            _r_squared(z[:, 1], lam_k[:, 1]),
-        )
 
     return AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred,
-                       r_squared=r2, lam_r_squared=lam_r2, ranks=ranks,
+                       r_squared=r2, ranks=ranks,
                        basis_degree=basis.degree)
 
 

@@ -43,6 +43,22 @@ SWEEP_STEPS = (250, 500, 1000, 2000)
 
 ENV_PREFIX = "HYBRIDMP_"
 
+# The top-level ``properties`` of docs/experiment_config.schema.json.
+CONFIG_KEYS = frozenset({
+    "suite", "spec", "n_steps", "n_paths", "seed", "workers", "out",
+    "tolerances", "write_paths", "lq_max_iter", "lq_damping", "lq_tol",
+})
+
+
+def _cast(name: str, value, cast):
+    """``cast(value)`` for config field ``name``, or ``ConfigError``."""
+    if cast is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {cast.__name__}, got {value!r}") from exc
+
 
 @dataclass
 class ExperimentConfig:
@@ -101,6 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
+        unknown = sorted(doc.keys() - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"config {path} has unknown keys {unknown}; "
+                              f"allowed: {sorted(CONFIG_KEYS)}")
 
         spec_entry = doc.get("spec")
         if isinstance(spec_entry, str):
@@ -120,29 +140,30 @@ class ExperimentConfig:
         if not isinstance(spec_doc, dict):
             raise ConfigError("spec document must be a JSON object")
 
-        def resolve(cli_value, env_name, file_value, default, cast):
+        def resolve(key, default, cast, cli_value=None, env_name=None):
             if cli_value is not None:
-                return cast(cli_value)
-            env = os.environ.get(ENV_PREFIX + env_name)
+                return _cast(key, cli_value, cast)
+            env = os.environ.get(ENV_PREFIX + env_name) if env_name else None
             if env is not None:
-                return cast(env)
-            if file_value is not None:
-                return cast(file_value)
+                return _cast(ENV_PREFIX + env_name, env, cast)
+            if key in doc:
+                return _cast(key, doc[key], cast)
             return default
 
         return cls(
             suite=doc.get("suite", ""),
             spec=LQSpec.from_json(spec_doc),
-            n_steps=int(doc.get("n_steps", 1000)),
-            n_paths=int(doc.get("n_paths", 1000)),
-            seed=resolve(seed, "SEED", doc.get("seed"), 42, int),
-            workers=resolve(workers, "WORKERS", doc.get("workers"), 0, int),
-            out_dir=resolve(out, "OUT", doc.get("out"), "results", str),
-            tolerances=dict(doc.get("tolerances", {})),
-            write_paths=bool(doc.get("write_paths", False)),
-            lq_max_iter=int(doc.get("lq_max_iter", 50)),
-            lq_damping=float(doc.get("lq_damping", 0.5)),
-            lq_tol=float(doc.get("lq_tol", 1e-3)),
+            n_steps=resolve("n_steps", 1000, int),
+            n_paths=resolve("n_paths", 1000, int),
+            seed=resolve("seed", 42, int, seed, "SEED"),
+            workers=resolve("workers", 0, int, workers, "WORKERS"),
+            out_dir=resolve("out", "results", str, out, "OUT"),
+            tolerances={name: _cast(f"tolerances.{name}", value, float)
+                        for name, value in resolve("tolerances", {}, dict).items()},
+            write_paths=resolve("write_paths", False, bool),
+            lq_max_iter=resolve("lq_max_iter", 50, int),
+            lq_damping=resolve("lq_damping", 0.5, float),
+            lq_tol=resolve("lq_tol", 1e-3, float),
         )
 
 
@@ -375,7 +396,6 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
         solution = solve_lq(
             spec, grid, n_paths=cfg.n_paths, seed=cfg.seed,
             damping=cfg.lq_damping, tol=cfg.lq_tol, max_iter=cfg.lq_max_iter,
-            keep_paths=True,
         )
         converged = 1.0
     except NonConvergence as exc:
@@ -386,9 +406,6 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     final_res = solution.residual["residual"]
     ratio = final_res / residual0 if residual0 > 0 else 0.0
 
-    r2_tail = (_tail_r2_min(solution.adjoint)
-               if solution.adjoint is not None
-               else solution.residual["per_step_r2_min"])
     metrics = {
         "converged": _metric(converged, 1.0, "=="),
         "cost_mean": _metric(
@@ -398,18 +415,15 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
             ratio, tol.get("stationarity_ratio", 1e-2), "<="
         ),
         "bsde_tail_r2_min": _metric(
-            r2_tail, tol.get("bsde_tail_r2_min", 0.5), ">=",
+            _tail_r2_min(solution.adjoint), tol.get("bsde_tail_r2_min", 0.5), ">=",
         ),
     }
 
     trace_csv = out / "trace.csv"
     _write_trace_csv(trace_csv, solution)
     surface_csv = out / "control_surface.csv"
-    if solution.path is not None:
-        x_lo = float(np.quantile(solution.path.states, 0.01))
-        x_hi = float(np.quantile(solution.path.states, 0.99))
-    else:
-        x_lo, x_hi = -2.0, 2.0
+    x_lo = float(np.quantile(solution.path.states, 0.01))
+    x_hi = float(np.quantile(solution.path.states, 0.99))
     _write_control_surface(surface_csv, solution.policy, grid, x_lo, x_hi)
     return metrics, [trace_csv, surface_csv]
 

@@ -16,28 +16,26 @@ observed one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .adjoint import (
+    RCOND,
+    AdjointPath,
     CompactCoeffs,
     PolyBasis,
+    _standardize,
     solve_adjoint_bsde,
     stationarity_report,
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
-from .pathsim import CostEstimate, TimeGrid, draw_drivers, euler_step
+from .pathsim import (TAG_INNOVATION, CostEstimate, TimeGrid, brownian_increments,
+                      draw_drivers, euler_step)
 from .parallel import RunningMoments, run_blocks
-from .wonham import (
-    InnovationPath,
-    coupled_forward,
-    innovation_forward,
-    transformed_cost,
-)
+from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
 
@@ -133,7 +131,10 @@ class PiecewisePolyPolicy:
         """Least squares per step of the control values on the basis.
 
         ``states`` and ``probs`` are read at the left node of each step,
-        matching where the forward loop evaluates feedback.
+        matching where the forward loop evaluates feedback.  The design
+        is standardized and rank-truncated by the same rule as the
+        backward sweep's (``adjoint.RCOND``), so near-collinear early
+        steps give bounded coefficients rather than huge cancelling ones.
         """
         basis = PolyBasis(degree)
         n_steps = grid.n_steps
@@ -148,10 +149,9 @@ class PiecewisePolyPolicy:
             x = states[:, k]
             p = probs[:, k, 0] if probs.ndim == 3 else probs[:, k]
             u = controls[:, k]
-            mu = float(np.mean(x))
-            sd = max(float(np.std(x)), 1e-8)
+            mu, sd = _standardize(x)
             A = basis.design(x, p, mu, sd)
-            beta, *_ = np.linalg.lstsq(A, u, rcond=None)
+            beta, *_ = np.linalg.lstsq(A, u, rcond=RCOND)
             coeffs[k] = beta
             locs[k] = mu
             scales[k] = sd
@@ -173,34 +173,23 @@ class PiecewisePolyPolicy:
 
 @dataclass
 class LQSolution:
-    """Converged (or best-effort) output of the iterative solver."""
+    """Converged (or best-effort) output of the iterative solver.
+
+    ``path`` and ``adjoint`` are the certificate pass under ``policy``.
+    """
 
     policy: PiecewisePolyPolicy
     cost: CostEstimate
     residual: dict
     iterations: int
     converged: bool
-    trace: list[dict] = field(default_factory=list)
-    path: InnovationPath | None = None
-    adjoint: "object | None" = None
+    path: InnovationPath
+    adjoint: AdjointPath
+    trace: list[dict]
 
 
-def _forward(spec, grid, n_paths, seed, policy, mode) -> InnovationPath:
-    if mode == "innovation":
-        return innovation_forward(spec, grid, n_paths, seed, policy=policy)
-    if mode == "physical":
-        cp = coupled_forward(spec, grid, n_paths, seed, policy=policy)
-        return InnovationPath(
-            grid=grid,
-            states=cp.bundle.states,
-            probs=cp.filter_path.probs,
-            controls=cp.bundle.controls,
-            dnu=cp.filter_path.nu_increments,
-            seed=seed,
-            clamp_events=cp.filter_path.clamp_events,
-            max_excursion=cp.filter_path.max_excursion,
-        )
-    raise ConfigError(f"forward mode must be 'innovation' or 'physical', got {mode!r}")
+def _forward(spec, grid, n_paths, seed, policy, dnu) -> InnovationPath:
+    return innovation_forward(spec, grid, n_paths, seed, policy=policy, dnu=dnu)
 
 
 def _policy_sup_change(
@@ -253,8 +242,6 @@ def solve_lq(
     tol: float = 1e-3,
     max_iter: int = 50,
     basis: PolyBasis | None = None,
-    forward_mode: Literal["innovation", "physical"] = "innovation",
-    keep_paths: bool = False,
 ) -> LQSolution:
     """Damped Picard iteration on the forward-backward system.
 
@@ -282,6 +269,7 @@ def solve_lq(
         basis = PolyBasis()
     coeffs = CompactCoeffs(spec)
 
+    dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION)
     policy = zero_policy(spec.control_domain)
     trace: list[dict] = []
     converged = False
@@ -289,7 +277,7 @@ def solve_lq(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        path = _forward(spec, grid, n_paths, seed, policy, forward_mode)
+        path = _forward(spec, grid, n_paths, seed, policy, dnu)
         adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
 
         u_prev = path.controls
@@ -334,15 +322,13 @@ def solve_lq(
             converged = True
             break
 
-    path = _forward(spec, grid, n_paths, seed, policy, forward_mode)
+    path = _forward(spec, grid, n_paths, seed, policy, dnu)
     adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
     report = stationarity_report(spec, path, adj, coeffs=coeffs)
     cost = transformed_cost(spec, grid, path.states, path.probs, path.controls)
     solution = LQSolution(
         policy=policy, cost=cost, residual=report, iterations=iterations,
-        converged=converged, trace=trace,
-        path=path if keep_paths else None,
-        adjoint=adj if keep_paths else None,
+        converged=converged, path=path, adjoint=adj, trace=trace,
     )
     if not converged:
         raise NonConvergence(

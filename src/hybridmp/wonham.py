@@ -117,11 +117,6 @@ def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
     return dY
 
 
-def _gain(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
-    """h_i = b_i / sigma for every regime, shape (n_paths, d), for replayed paths."""
-    return drift_table(spec, t, x, u) / eval_sigma(spec, t, x, u)[..., None]
-
-
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
     """Clip to the simplex; report how far outside the update landed."""
     low = float(p.min())
@@ -178,8 +173,6 @@ def run_normalized_filter(
     n_paths, n_nodes = states.shape
     if n_nodes != grid.n_steps + 1:
         raise ConfigError(f"states must have {grid.n_steps + 1} nodes, got {n_nodes}")
-    if dY is None:
-        dY = observation_increments(spec, grid, states, controls)
     dt = grid.dt
     times = grid.times
     Q = spec.generator.matrix
@@ -192,9 +185,12 @@ def run_normalized_filter(
     worst = 0.0
 
     for k in range(grid.n_steps):
-        h = _gain(spec, times[k], states[:, k], controls[:, k])
+        x, u = states[:, k], controls[:, k]
+        sig = eval_sigma(spec, times[k], x, u)
+        h = drift_table(spec, times[k], x, u) / sig[..., None]
+        dY_k = (states[:, k + 1] - x) / sig if dY is None else dY[:, k]
         hbar = np.sum(p * h, axis=1)
-        dnu[:, k] = dY[:, k] - hbar * dt
+        dnu[:, k] = dY_k - hbar * dt
         p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt, excursion_tol, breakdown_tol)
         events += e
         worst = max(worst, w)
@@ -226,8 +222,6 @@ def run_zakai_filter(
     n_paths, n_nodes = states.shape
     if n_nodes != grid.n_steps + 1:
         raise ConfigError(f"states must have {grid.n_steps + 1} nodes, got {n_nodes}")
-    if dY is None:
-        dY = observation_increments(spec, grid, states, controls)
     dt = grid.dt
     times = grid.times
     Q = spec.generator.matrix
@@ -241,10 +235,13 @@ def run_zakai_filter(
     masses[:, 0] = V
 
     for k in range(grid.n_steps):
-        h = _gain(spec, times[k], states[:, k], controls[:, k])
+        x, u = states[:, k], controls[:, k]
+        sig = eval_sigma(spec, times[k], x, u)
+        h = drift_table(spec, times[k], x, u) / sig[..., None]
+        dY_k = (states[:, k + 1] - x) / sig if dY is None else dY[:, k]
         hbar = np.sum(probs[:, k] * h, axis=1)
-        dnu[:, k] = dY[:, k] - hbar * dt
-        V = V + (V @ Q) * dt + V * h * dY[:, k, None]
+        dnu[:, k] = dY_k - hbar * dt
+        V = V + (V @ Q) * dt + V * h * dY_k[:, None]
         total = V.sum(axis=1)
         if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
             raise NumericalError(

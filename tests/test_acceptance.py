@@ -53,7 +53,7 @@ def coupled_1k(spec):
 @pytest.fixture(scope="module")
 def solved(lq):
     grid = TimeGrid(1.0, 400)
-    sol = solve_lq(lq, grid, n_paths=4096, seed=SEED, keep_paths=True)
+    sol = solve_lq(lq, grid, n_paths=4096, seed=SEED)
     return grid, sol
 
 

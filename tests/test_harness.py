@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from hybridmp import ConfigError
 from hybridmp.cli import main
 from hybridmp.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     run_suite,
     validate_spec_file,
@@ -97,6 +99,11 @@ class TestExperimentConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             ExperimentConfig.from_file(str(path))
+
+    def test_allowed_keys_are_the_schema_properties(self):
+        schema = Path(__file__).resolve().parents[1] / "docs" / "experiment_config.schema.json"
+        doc = json.loads(schema.read_text(encoding="utf-8"))
+        assert CONFIG_KEYS == doc["properties"].keys()
 
     def test_missing_spec_raises(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -241,6 +248,22 @@ class TestCli:
         assert main(["run", "--config", str(path),
                      "--out", str(out)]) == 2
         assert (out / "error.json").exists()
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, env", [
+        ({"n_steps": "abc"}, {}),
+        ({}, {"HYBRIDMP_SEED": "x"}),
+        ({"n_path": 500}, {}),
+    ], ids=["bad-int", "bad-env-seed", "unknown-key"])
+    def test_bad_config_field_returns_2_and_writes_error(
+            self, tmp_path, monkeypatch, capsys, overrides, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = _write_config(tmp_path, **overrides)
+        out = tmp_path / "errout"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "ConfigError"
         assert "error" in capsys.readouterr().err
 
     def test_validate_subcommand_codes(self, tmp_path):
