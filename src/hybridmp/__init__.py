@@ -1,6 +1,8 @@
 """Simulation, filtering, adjoint analysis and control of diffusions
 modulated by a hidden finite-state Markov chain."""
 
+import types
+
 from .adjoint import (
     AdjointPath,
     CompactCoeffs,
@@ -37,7 +39,6 @@ from .model import (
     GeneratorSpec,
     LQSpec,
     ProblemSpec,
-    Regime,
     constant_policy,
     eval_h,
     load_spec,
@@ -72,23 +73,6 @@ from .wonham import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointPath", "CompactCoeffs", "ConfigError", "CostEstimate",
-    "CoupledPath", "DomainError", "ExperimentConfig", "FeedbackPolicy",
-    "FilterPath", "GeneratorSpec", "HybridMPError",
-    "InnovationPath", "LQSolution", "LQSpec", "NonConvergence",
-    "NumericalError", "PathBundle", "PiecewisePolyPolicy", "PolyBasis",
-    "ProblemSpec", "Regime", "RegressionError", "TimeGrid",
-    "chain_marginal", "constant_policy",
-    "cost_from_paths", "coupled_forward", "default_spec",
-    "discrete_bayes_oracle", "estimate_cost", "eval_h",
-    "full_observation_baseline", "gateaux_derivative", "hamiltonian",
-    "hamiltonian_direction_value", "hamiltonian_v_gradient",
-    "innovation_forward", "load_spec", "lq_control_formula",
-    "observation_increments", "riccati_backward", "riccati_cost",
-    "run_normalized_filter", "run_suite", "run_zakai_filter",
-    "simulate_chain", "simulate_state", "solve_adjoint_bsde", "solve_lq",
-    "solve_variational", "spec_from_json", "spec_to_json",
-    "stationarity_report", "transformed_cost", "transformed_cost_paths",
-    "validate_spec", "zero_policy",
-]
+# Every name imported above; the submodules themselves are left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

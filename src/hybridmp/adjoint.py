@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, RegressionError
-from .model import ProblemSpec, central_diff
+from .model import ProblemSpec, central_diff, eval_sigma
 from .pathsim import TimeGrid
 from .wonham import InnovationPath
 
@@ -62,8 +62,6 @@ class CompactCoeffs:
         return np.asarray(self.spec.drift(t, x, i, u), dtype=np.float64)
 
     def _sig(self, t, x, u):
-        from .model import eval_sigma
-
         return eval_sigma(self.spec, t, x, u)
 
     def _f(self, t, x, u, i):
@@ -315,12 +313,6 @@ class PolyBasis:
         return np.stack(cols, axis=1)
 
 
-def _standardize(x: Array) -> tuple[float, float]:
-    mu = float(np.mean(x))
-    sd = float(np.std(x))
-    return mu, max(sd, 1e-8)
-
-
 class StepProjector:
     """Orthogonal projector onto the significant column space of a design.
 
@@ -331,20 +323,41 @@ class StepProjector:
     leading one are dropped and the projection uses what remains.  At
     the initial node this degrades to the plain ensemble mean, which is
     the exact conditional expectation there.
+
+    ``coef(y)`` gives coefficients on the design's columns, with
+    ``A @ coef(y)`` equal to ``fitted(y)`` up to rounding; ``on_basis``
+    records the standardization of x in ``loc`` and ``scale``.
     """
+
+    loc, scale = 0.0, 1.0
 
     def __init__(self, A: Array):
         if not np.all(np.isfinite(A)):
             raise RegressionError("design matrix contains non-finite entries")
-        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
         keep = s > RCOND * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise RegressionError("design matrix is identically zero")
+        self.A = A
         self.U = U[:, keep]
+        # V Sigma^{-1} on the kept rank
+        self.V_over_s = Vt[keep].T / s[keep]
+
+    @classmethod
+    def on_basis(cls, basis: PolyBasis, x: Array, p: Array) -> "StepProjector":
+        """Projector of the basis design on (x standardized by its ensemble
+        mean and standard deviation, p)."""
+        loc, scale = float(np.mean(x)), max(float(np.std(x)), 1e-8)
+        proj = cls(basis.design(x, p, loc, scale))
+        proj.loc, proj.scale = loc, scale
+        return proj
 
     def fitted(self, y: Array) -> Array:
         return self.U @ (self.U.T @ y)
+
+    def coef(self, y: Array) -> Array:
+        return self.V_over_s @ (self.U.T @ y)
 
 
 def _r_squared(y: Array, fit: Array) -> float:
@@ -381,12 +394,8 @@ class AdjointPath:
     basis_degree: int
 
 
-def solve_adjoint_bsde(
-    spec: ProblemSpec,
-    path: InnovationPath,
-    basis: PolyBasis | None = None,
-    coeffs: CompactCoeffs | None = None,
-) -> AdjointPath:
+def solve_adjoint_bsde(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | None = None,
+                       coeffs: CompactCoeffs | None = None) -> AdjointPath:
     """Backward sweep for the adjoint pair (Phi, Lambda) along an ensemble.
 
     Terminal condition Phi_N = G_Theta(Theta_N) holds pathwise.  Each
@@ -407,6 +416,21 @@ def solve_adjoint_bsde(
     nothing to condition on yet), so diagnostics should read it per step
     rather than as a single scalar.
     """
+    for _, _, adjoint in backward_sweep(spec, path, basis, coeffs):
+        pass
+    return adjoint
+
+
+def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | None = None,
+                   coeffs: CompactCoeffs | None = None):
+    """``solve_adjoint_bsde`` one backward step at a time.
+
+    Yields ``(k, proj, adjoint)`` for k = N-1, ..., 0 once step k of
+    ``adjoint`` is filled in.  ``proj`` is that step's projector, so a
+    caller can regress further node-k targets on the same factorization
+    while it is alive; rows below k are not filled yet, and the last
+    yield carries the complete adjoint.
+    """
     if basis is None:
         basis = PolyBasis()
     if coeffs is None:
@@ -426,6 +450,8 @@ def solve_adjoint_bsde(
     phi_pred = np.empty((n, grid.n_steps, 2))
     r2 = np.empty(grid.n_steps)
     ranks = np.empty(grid.n_steps, dtype=np.int64)
+    adjoint = AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred,
+                          r_squared=r2, ranks=ranks, basis_degree=basis.degree)
 
     phi[:, -1] = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
 
@@ -434,9 +460,8 @@ def solve_adjoint_bsde(
         x = path.states[:, k]
         p = path.probs[:, k, 0]
         u = path.controls[:, k]
-        loc, scale = _standardize(x)
 
-        proj = StepProjector(basis.design(x, p, loc, scale))
+        proj = StepProjector.on_basis(basis, x, p)
         ranks[k] = proj.rank
         if proj.rank < basis.n_terms and k > 5:
             logger.info("backward step %d: design rank %d of %d",
@@ -471,10 +496,7 @@ def solve_adjoint_bsde(
             _r_squared(target[:, 0], fit[:, 0]),
             _r_squared(target[:, 1], fit[:, 1]),
         )
-
-    return AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred,
-                       r_squared=r2, ranks=ranks,
-                       basis_degree=basis.degree)
+        yield k, proj, adjoint
 
 
 def hamiltonian_direction_value(

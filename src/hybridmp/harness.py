@@ -9,6 +9,7 @@ with a content hash per file.  Runs are deterministic functions of
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -89,6 +90,12 @@ class ExperimentConfig:
             raise ConfigError(f"n_steps must be >= 10, got {self.n_steps}")
         if self.n_paths < 100:
             raise ConfigError(f"n_paths must be >= 100, got {self.n_paths}")
+        if self.lq_max_iter < 1:
+            raise ConfigError(f"lq_max_iter must be >= 1, got {self.lq_max_iter}")
+        if not self.lq_tol > 0.0:
+            raise ConfigError(f"lq_tol must be positive, got {self.lq_tol}")
+        if not 0.0 < self.lq_damping <= 1.0:
+            raise ConfigError(f"lq_damping must be in (0, 1], got {self.lq_damping}")
         if self.workers <= 0:
             self.workers = os.cpu_count() or 1
 
@@ -358,8 +365,6 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
 
 
 def _write_trace_csv(path: Path, solution: LQSolution) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "cost", "SE", "residual", "sup_control_change"])
@@ -372,8 +377,6 @@ def _write_trace_csv(path: Path, solution: LQSolution) -> None:
 
 def _write_control_surface(path: Path, policy: PiecewisePolyPolicy,
                            grid: TimeGrid, x_lo: float, x_hi: float) -> None:
-    import csv
-
     times = [0.0, 0.5 * grid.horizon, grid.times[-2]]
     xs = np.linspace(x_lo, x_hi, 21)
     ps = np.linspace(0.0, 1.0, 11)
@@ -402,7 +405,7 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
         solution = exc.solution
         converged = 0.0
 
-    residual0 = solution.trace[0]["residual"] if solution.trace else float("nan")
+    residual0 = solution.trace[0]["residual"]
     final_res = solution.residual["residual"]
     ratio = final_res / residual0 if residual0 > 0 else 0.0
 
@@ -429,8 +432,6 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
 
 
 def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
-    import csv
-
     spec = cfg.problem
     tol = cfg.tolerances
     n_check = min(cfg.n_paths, 100)

@@ -22,11 +22,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .adjoint import (
-    RCOND,
     AdjointPath,
     CompactCoeffs,
     PolyBasis,
-    _standardize,
+    StepProjector,
+    backward_sweep,
     solve_adjoint_bsde,
     stationarity_report,
 )
@@ -131,39 +131,42 @@ class PiecewisePolyPolicy:
         """Least squares per step of the control values on the basis.
 
         ``states`` and ``probs`` are read at the left node of each step,
-        matching where the forward loop evaluates feedback.  The design
-        is standardized and rank-truncated by the same rule as the
-        backward sweep's (``adjoint.RCOND``), so near-collinear early
-        steps give bounded coefficients rather than huge cancelling ones.
+        matching where the forward loop evaluates feedback.  Each step is
+        fitted by ``_fit_step`` on the backward sweep's projector, so the
+        standardization and rank rule (``adjoint.RCOND``) are the sweep's
+        and near-collinear early steps give bounded coefficients rather
+        than huge cancelling ones.
         """
         basis = PolyBasis(degree)
-        n_steps = grid.n_steps
-        coeffs = np.zeros((n_steps, basis.n_terms))
-        locs = np.zeros(n_steps)
-        scales = np.ones(n_steps)
-        x_range = np.zeros((n_steps, 2))
-        p_range = np.zeros((n_steps, 2))
-        u_range = np.zeros((n_steps, 2))
-        worst = 0.0
-        for k in range(n_steps):
+        policy = cls._blank(grid, degree, control_domain)
+        for k in range(grid.n_steps):
             x = states[:, k]
             p = probs[:, k, 0] if probs.ndim == 3 else probs[:, k]
-            u = controls[:, k]
-            mu, sd = _standardize(x)
-            A = basis.design(x, p, mu, sd)
-            beta, *_ = np.linalg.lstsq(A, u, rcond=RCOND)
-            coeffs[k] = beta
-            locs[k] = mu
-            scales[k] = sd
-            x_range[k] = (x.min(), x.max())
-            p_range[k] = (p.min(), p.max())
-            span = float(u.max() - u.min())
-            u_range[k] = (u.min() - 0.05 * span, u.max() + 0.05 * span)
-            worst = max(worst, float(np.max(np.abs(A @ beta - u))))
-        return cls(grid=grid, degree=degree, coeffs=coeffs, locs=locs,
-                   scales=scales, x_range=x_range, p_range=p_range,
-                   u_range=u_range, control_domain=control_domain,
-                   fit_max_residual=worst)
+            policy._fit_step(k, StepProjector.on_basis(basis, x, p), x, p,
+                             controls[:, k])
+        return policy
+
+    @classmethod
+    def _blank(cls, grid: TimeGrid, degree: int, control_domain) -> "PiecewisePolyPolicy":
+        n, m = grid.n_steps, PolyBasis(degree).n_terms
+        return cls(grid=grid, degree=degree, coeffs=np.zeros((n, m)),
+                   locs=np.zeros(n), scales=np.ones(n),
+                   x_range=np.zeros((n, 2)), p_range=np.zeros((n, 2)),
+                   u_range=np.zeros((n, 2)), control_domain=control_domain)
+
+    def _fit_step(self, k: int, proj: StepProjector, x: Array, p: Array, u: Array) -> None:
+        """Row k: the coefficients of ``u`` on ``proj``'s design, its
+        standardization and training envelope, and the fit residual."""
+        beta = proj.coef(u)
+        self.coeffs[k] = beta
+        self.locs[k] = proj.loc
+        self.scales[k] = proj.scale
+        self.x_range[k] = (x.min(), x.max())
+        self.p_range[k] = (p.min(), p.max())
+        span = float(u.max() - u.min())
+        self.u_range[k] = (u.min() - 0.05 * span, u.max() + 0.05 * span)
+        self.fit_max_residual = max(self.fit_max_residual,
+                                    float(np.max(np.abs(proj.A @ beta - u))))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,10 @@ def solve_lq(
         raise ConfigError("solver needs the linear-quadratic constants tagged on the spec")
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"damping must be in (0, 1], got {damping}")
+    if not tol >= 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     lq = spec.lq
     if basis is None:
         basis = PolyBasis()
@@ -273,33 +280,29 @@ def solve_lq(
     policy = zero_policy(spec.control_domain)
     trace: list[dict] = []
     converged = False
-    iterations = 0
 
     for it in range(1, max_iter + 1):
-        iterations = it
         path = _forward(spec, grid, n_paths, seed, policy, dnu)
-        adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
-
         u_prev = path.controls
-        u_star = np.empty_like(u_prev)
-        residual_sq = 0.0
-        for k in range(grid.n_steps):
+        u_new = np.empty_like(u_prev)
+        residual_sq = np.empty(grid.n_steps)
+        candidate = PiecewisePolyPolicy._blank(grid, basis.degree, spec.control_domain)
+        # The stationary control, the damped update and the policy row of
+        # step k all regress on node-k information, so they run inside
+        # the backward sweep on that step's projector.
+        for k, proj, adj in backward_sweep(spec, path, basis, coeffs):
+            x = path.states[:, k]
             p = path.probs[:, k, 0]
-            u_star[:, k] = lq_control_formula(
-                lq, path.states[:, k], p,
-                adj.phi_pred[:, k, 0], adj.lam[:, k, 1],
-            )
+            u_star = lq_control_formula(lq, x, p, adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
             # dH/dv at the current control: Rbar (u - u*) for this problem
             rbar = lq.R[0] * p + lq.R[1] * (1.0 - p)
-            residual_sq += grid.dt * float(
-                np.mean((rbar * (u_prev[:, k] - u_star[:, k])) ** 2)
-            )
-        u_new = (1.0 - damping) * u_prev + damping * u_star
+            residual_sq[k] = grid.dt * float(
+                np.mean((rbar * (u_prev[:, k] - u_star)) ** 2))
+            u_new[:, k] = (1.0 - damping) * u_prev[:, k] + damping * u_star
+            candidate._fit_step(k, proj, x, p, u_new[:, k])
+        # cumsum adds in ascending step order, one term at a time
+        residual = float(np.sqrt(np.cumsum(residual_sq)[-1]))
 
-        candidate = PiecewisePolyPolicy.fit(
-            grid, path.states, path.probs, u_new,
-            degree=basis.degree, control_domain=spec.control_domain,
-        )
         change, u_scale = _policy_sup_change(
             grid, policy, candidate, path.states, path.probs)
         scale = max(1.0, u_scale)
@@ -310,12 +313,15 @@ def solve_lq(
             "cost": cost.mean,
             "cost_se": cost.std_error,
             "sup_change": change,
-            "residual": float(np.sqrt(residual_sq)),
+            "residual": residual,
             "fit_residual": candidate.fit_max_residual,
             "r2_min": float(adj.r_squared.min()),
         })
         logger.info("iteration %d: cost %.6f, sup-change %.3g", it,
                     trace[-1]["cost"], change)
+        # Free this iteration's ensemble and adjoint before the next
+        # forward pass and sweep allocate theirs.
+        del path, adj
 
         policy = candidate
         if change <= tol * scale:
@@ -327,7 +333,7 @@ def solve_lq(
     report = stationarity_report(spec, path, adj, coeffs=coeffs)
     cost = transformed_cost(spec, grid, path.states, path.probs, path.controls)
     solution = LQSolution(
-        policy=policy, cost=cost, residual=report, iterations=iterations,
+        policy=policy, cost=cost, residual=report, iterations=len(trace),
         converged=converged, path=path, adjoint=adj, trace=trace,
     )
     if not converged:

@@ -44,27 +44,8 @@ def central_diff(fn: Callable, x, step: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Regimes and the chain generator
+# Chain generator
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Regime:
-    """State of the modulating chain; labels run 1..d."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ConfigError(f"regime index must be >= 1, got {self.index}")
-
-
-def regime_index(regime) -> int:
-    """Accept a ``Regime`` or a plain integer label."""
-    idx = regime.index if isinstance(regime, Regime) else int(regime)
-    if idx < 1:
-        raise ConfigError(f"regime index must be >= 1, got {idx}")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -148,6 +129,12 @@ class GeneratorSpec:
 # ---------------------------------------------------------------------------
 # Linear-quadratic tag
 # ---------------------------------------------------------------------------
+
+# ``required`` and ``properties`` of ``$defs.lq_spec`` in
+# docs/experiment_config.schema.json.
+LQ_SPEC_REQUIRED = frozenset(
+    "a1 a2 b1 b2 sigma Q1 Q2 R1 R2 G1 G2 lambda1 lambda2 T x0 pi0".split())
+LQ_SPEC_KEYS = LQ_SPEC_REQUIRED | {"u_lo", "u_hi"}
 
 
 @dataclass(frozen=True)
@@ -238,11 +225,13 @@ class LQSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LQSpec":
-        required = {"a1", "a2", "b1", "b2", "sigma", "Q1", "Q2", "R1", "R2",
-                    "G1", "G2", "lambda1", "lambda2", "T", "x0", "pi0"}
-        missing = required - doc.keys()
+        missing = LQ_SPEC_REQUIRED - doc.keys()
         if missing:
             raise ConfigError(f"LQ spec document missing keys: {sorted(missing)}")
+        unknown = sorted(doc.keys() - LQ_SPEC_KEYS)
+        if unknown:
+            raise ConfigError(f"LQ spec document has unknown keys {unknown}; "
+                              f"allowed: {sorted(LQ_SPEC_KEYS)}")
 
         def num(key: str, default: float | None = None) -> float:
             value = doc.get(key, default)
@@ -360,9 +349,8 @@ def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
     return sig
 
 
-def eval_h(spec: ProblemSpec, t, x, regime, v):
+def eval_h(spec: ProblemSpec, t, x, i: int, v):
     """Signal-to-noise ratio h(t, x, i, v) = b(t, x, i, v) / sigma(t, x, v)."""
-    i = regime_index(regime)
     sig = eval_sigma(spec, t, x, v)
     return np.asarray(spec.drift(t, x, i, v), dtype=np.float64) / sig
 
@@ -370,10 +358,6 @@ def eval_h(spec: ProblemSpec, t, x, regime, v):
 # ---------------------------------------------------------------------------
 # Standing-assumption validation (sampling, reporting only)
 # ---------------------------------------------------------------------------
-
-
-def _lattice(lo: float, hi: float, n: int) -> Array:
-    return np.linspace(lo, hi, n)
 
 
 def validate_spec(
@@ -402,10 +386,10 @@ def validate_spec(
     violations: list[str] = []
     K = growth_constant
     nt, nx, nv = lattice_shape
-    ts = _lattice(0.0, spec.horizon, nt)
-    xs = _lattice(*x_range, nx)
+    ts = np.linspace(0.0, spec.horizon, nt)
+    xs = np.linspace(*x_range, nx)
     lo, hi = spec.control_domain
-    vs = _lattice(max(lo, -10.0), min(hi, 10.0), nv)
+    vs = np.linspace(max(lo, -10.0), min(hi, 10.0), nv)
     regimes = range(1, spec.n_regimes + 1)
 
     tt, xx, vv = np.meshgrid(ts, xs, vs, indexing="ij")

@@ -15,6 +15,7 @@ from hybridmp.harness import (
     validate_spec_file,
     write_error,
 )
+from hybridmp.model import LQ_SPEC_KEYS, LQ_SPEC_REQUIRED
 
 DEFAULT_SPEC = {
     "a1": 0.5, "a2": -0.5, "b1": 1.0, "b2": 0.5, "sigma": 0.3,
@@ -36,6 +37,11 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def _schema() -> dict:
+    path = Path(__file__).resolve().parents[1] / "docs" / "experiment_config.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _sha256(path) -> str:
@@ -101,9 +107,12 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(str(path))
 
     def test_allowed_keys_are_the_schema_properties(self):
-        schema = Path(__file__).resolve().parents[1] / "docs" / "experiment_config.schema.json"
-        doc = json.loads(schema.read_text(encoding="utf-8"))
-        assert CONFIG_KEYS == doc["properties"].keys()
+        assert CONFIG_KEYS == _schema()["properties"].keys()
+
+    def test_lq_spec_keys_are_the_schema_lq_spec_properties(self):
+        lq_spec = _schema()["$defs"]["lq_spec"]
+        assert LQ_SPEC_KEYS == lq_spec["properties"].keys()
+        assert LQ_SPEC_REQUIRED == set(lq_spec["required"])
 
     def test_missing_spec_raises(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -254,7 +263,12 @@ class TestCli:
         ({"n_steps": "abc"}, {}),
         ({}, {"HYBRIDMP_SEED": "x"}),
         ({"n_path": 500}, {}),
-    ], ids=["bad-int", "bad-env-seed", "unknown-key"])
+        ({"spec": dict(DEFAULT_SPEC, u_low=-0.5)}, {}),
+        ({"suite": "lq-solve", "lq_max_iter": 0}, {}),
+        ({"suite": "lq-solve", "lq_tol": -1}, {}),
+        ({"suite": "lq-solve", "lq_damping": 1.5}, {}),
+    ], ids=["bad-int", "bad-env-seed", "unknown-key", "unknown-spec-key",
+            "zero-max-iter", "negative-tol", "damping-above-1"])
     def test_bad_config_field_returns_2_and_writes_error(
             self, tmp_path, monkeypatch, capsys, overrides, env):
         for name, value in env.items():
@@ -276,6 +290,12 @@ class TestCli:
         assert main(["validate", "--spec", str(bad)]) == 1
         assert main(["validate", "--spec",
                      str(tmp_path / "none.json")]) == 2
+
+    def test_validate_rejects_unknown_spec_key(self, tmp_path, capsys):
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(dict(DEFAULT_SPEC, u_low=-0.5)), encoding="utf-8")
+        assert main(["validate", "--spec", str(typo)]) == 2
+        assert "u_low" in capsys.readouterr().out
 
 
 class TestWriteError:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hybridmp import LQSpec, NonConvergence, TimeGrid
-from hybridmp.adjoint import PolyBasis, StepProjector
+from hybridmp import ConfigError, LQSpec, NonConvergence, TimeGrid
+from hybridmp.adjoint import PolyBasis, StepProjector, solve_adjoint_bsde
 from hybridmp.lq import (
     PiecewisePolyPolicy,
     default_spec,
@@ -17,6 +17,8 @@ from hybridmp.lq import (
     riccati_cost,
     solve_lq,
 )
+from hybridmp.model import zero_policy
+from hybridmp.wonham import innovation_forward
 
 
 @pytest.fixture(scope="module")
@@ -114,20 +116,43 @@ class TestPiecewisePolicy:
         assert lo <= far[0] <= hi
 
     def test_collinear_design_uses_the_sweeps_rank_rule(self, rng):
-        # pi is constant up to 1e-9 noise, so the pi columns repeat the x
-        # columns up to rounding; only a rank cutoff keeps the fit bounded.
-        grid = TimeGrid(1.0, 1)
-        n = 512
-        states = rng.normal(0.0, 1.0, (n, 2))
-        pi = 0.5 + 1e-9 * rng.normal(0.0, 1.0, (n, 2))
-        probs = np.stack([pi, 1.0 - pi], axis=2)
-        controls = 0.3 - 0.8 * states[:, :1] + 0.1 * rng.normal(0.0, 1.0, (n, 1))
+        grid, states, probs, controls = _collinear_case(rng)
         policy = PiecewisePolyPolicy.fit(grid, states, probs, controls)
         assert np.max(np.abs(policy.coeffs)) < 10.0
-        A = PolyBasis(3).design(states[:, 0], pi[:, 0], policy.locs[0],
+        A = PolyBasis(3).design(states[:, 0], probs[:, 0, 0], policy.locs[0],
                                 policy.scales[0])
         projected = StepProjector(A).fitted(controls[:, 0])
         assert np.max(np.abs(A @ policy.coeffs[0] - projected)) <= 1e-10
+
+
+def _collinear_case(rng):
+    # pi is constant up to 1e-9 noise, so the pi columns repeat the x
+    # columns up to rounding; only a rank cutoff keeps the fit bounded.
+    grid = TimeGrid(1.0, 1)
+    n = 512
+    states = rng.normal(0.0, 1.0, (n, 2))
+    pi = 0.5 + 1e-9 * rng.normal(0.0, 1.0, (n, 2))
+    probs = np.stack([pi, 1.0 - pi], axis=2)
+    controls = 0.3 - 0.8 * states[:, :1] + 0.1 * rng.normal(0.0, 1.0, (n, 1))
+    return grid, states, probs, controls
+
+
+class TestStepProjectorCoef:
+    def test_coef_reproduces_fitted_on_a_collinear_design(self, rng):
+        _, states, probs, controls = _collinear_case(rng)
+        proj = StepProjector.on_basis(PolyBasis(3), states[:, 0], probs[:, 0, 0])
+        assert proj.rank < PolyBasis(3).n_terms
+        u = controls[:, 0]
+        assert np.max(np.abs(proj.A @ proj.coef(u) - proj.fitted(u))) <= 1e-10
+
+    def test_coef_is_least_squares_on_a_full_rank_design(self, rng):
+        n = 400
+        A = PolyBasis(3).design(rng.normal(0.0, 1.0, n), rng.uniform(0.1, 0.9, n))
+        u = rng.normal(0.0, 1.0, n)
+        proj = StepProjector(A)
+        assert proj.rank == A.shape[1]
+        beta, *_ = np.linalg.lstsq(A, u, rcond=None)
+        assert np.max(np.abs(proj.coef(u) - beta)) <= 1e-10
 
 
 class TestSolveLq:
@@ -186,6 +211,56 @@ class TestSolveLq:
         assert not sol.converged
         assert sol.iterations == 2
         assert len(sol.trace) == 2
+
+    def test_each_iteration_factors_each_step_once(self, lq, monkeypatch):
+        # one SVD per backward step per iteration, plus the certificate
+        # sweep; the policy fit reuses the sweep's factorization
+        calls = {"svd": 0, "lstsq": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        grid = TimeGrid(1.0, 20)
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
+        iterations = exc.value.solution.iterations
+        assert iterations == 2
+        assert calls == {"svd": grid.n_steps * (iterations + 1), "lstsq": 0}
+
+    def test_policy_is_the_fit_of_the_damped_targets(self, lq):
+        grid = TimeGrid(1.0, 30)
+        n_paths, seed, damping = 300, 4, 0.5
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, grid, n_paths=n_paths, seed=seed, damping=damping, max_iter=1)
+        got = exc.value.solution.policy
+
+        spec = lq.to_problem_spec()
+        path = innovation_forward(spec, grid, n_paths, seed,
+                                  policy=zero_policy(spec.control_domain))
+        adj = solve_adjoint_bsde(spec, path)
+        u_star = np.column_stack([
+            lq_control_formula(lq, path.states[:, k], path.probs[:, k, 0],
+                               adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
+            for k in range(grid.n_steps)
+        ])
+        targets = (1.0 - damping) * path.controls + damping * u_star
+        want = PiecewisePolyPolicy.fit(grid, path.states, path.probs, targets,
+                                       control_domain=spec.control_domain)
+        for name in ("coeffs", "locs", "scales", "x_range", "p_range", "u_range"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+        assert abs(got.fit_max_residual - want.fit_max_residual) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"damping": 0.0},
+    ], ids=["zero-max-iter", "negative-tol", "nan-tol", "zero-damping"])
+    def test_bad_settings_raise_config_error(self, lq, kwargs):
+        with pytest.raises(ConfigError):
+            solve_lq(lq, TimeGrid(1.0, 10), n_paths=100, **kwargs)
 
     def test_label_swap_symmetry(self, lq):
         # relabeling the regimes and mirroring pi0 is a pathwise
