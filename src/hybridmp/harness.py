@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_steps must be >= 10, got {self.n_steps}")
         if self.n_paths < 100:
             raise ConfigError(f"n_paths must be >= 100, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.lq_max_iter < 1:
             raise ConfigError(f"lq_max_iter must be >= 1, got {self.lq_max_iter}")
         if not self.lq_tol > 0.0:
@@ -231,15 +233,9 @@ def _filter_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
                     for f in (0.25, 0.5, 1.0)})
 
     def block(offset, count):
-        cp = coupled_forward(spec, grid, count, cfg.seed, path_offset=offset)
-        moms = []
-        for node in nodes:
-            m = RunningMoments()
-            m.add(cp.filter_path.probs[:, node, 0])
-            moms.append(m)
-        qv = RunningMoments()
-        qv.add(np.abs(cp.filter_path.innovation_qv() - T) / T)
-        return moms, qv
+        fp = coupled_forward(spec, grid, count, cfg.seed, path_offset=offset).filter_path
+        return ([RunningMoments().add(fp.probs[:, node, 0]) for node in nodes],
+                RunningMoments().add(np.abs(fp.innovation_qv() - T) / T))
 
     pi_moms = [RunningMoments() for _ in nodes]
     qv_moms = RunningMoments()
@@ -339,12 +335,10 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
                                   dnu=base.dnu)
         pert_cost = transformed_cost_paths(spec, grid, pert.states, pert.probs,
                                            pert.controls)
-        fd_paths = (pert_cost - base_cost) / eps
-        fd = float(np.mean(fd_paths))
-        se_fd = float(np.std(fd_paths, ddof=1) / np.sqrt(cfg.n_paths))
+        fd = RunningMoments().add((pert_cost - base_cost) / eps)
         lin = gateaux_derivative(spec, base, w, coeffs)
-        allowance = 3.0 * se_fd + 0.1 * eps
-        gateaux_ratio = max(gateaux_ratio, abs(fd - lin) / allowance)
+        allowance = 3.0 * fd.std_error + 0.1 * eps
+        gateaux_ratio = max(gateaux_ratio, abs(fd.mean - lin) / allowance)
 
         dual = hamiltonian_direction_value(spec, base, adjoint, w, coeffs)
         scale = max(abs(lin), abs(dual), 1e-12)

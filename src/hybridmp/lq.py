@@ -32,9 +32,8 @@ from .adjoint import (
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
-from .pathsim import (TAG_INNOVATION, CostEstimate, TimeGrid, brownian_increments,
-                      draw_drivers, euler_step)
-from .parallel import RunningMoments, run_blocks
+from .pathsim import (TAG_INNOVATION, CostEstimate, PathBundle, TimeGrid, blocked_cost,
+                      brownian_increments, cost_from_paths, draw_drivers, euler_step)
 from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
@@ -285,7 +284,6 @@ def solve_lq(
         path = _forward(spec, grid, n_paths, seed, policy, dnu)
         u_prev = path.controls
         u_new = np.empty_like(u_prev)
-        residual_sq = np.empty(grid.n_steps)
         candidate = PiecewisePolyPolicy._blank(grid, basis.degree, spec.control_domain)
         # The stationary control, the damped update and the policy row of
         # step k all regress on node-k information, so they run inside
@@ -294,14 +292,9 @@ def solve_lq(
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             u_star = lq_control_formula(lq, x, p, adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
-            # dH/dv at the current control: Rbar (u - u*) for this problem
-            rbar = lq.R[0] * p + lq.R[1] * (1.0 - p)
-            residual_sq[k] = grid.dt * float(
-                np.mean((rbar * (u_prev[:, k] - u_star)) ** 2))
             u_new[:, k] = (1.0 - damping) * u_prev[:, k] + damping * u_star
             candidate._fit_step(k, proj, x, p, u_new[:, k])
-        # cumsum adds in ascending step order, one term at a time
-        residual = float(np.sqrt(np.cumsum(residual_sq)[-1]))
+        residual = stationarity_report(spec, path, adj, coeffs=coeffs)["residual"]
 
         change, u_scale = _policy_sup_change(
             grid, policy, candidate, path.states, path.probs)
@@ -418,29 +411,24 @@ def full_observation_baseline(
     spec = lq.to_problem_spec()
     K, c = riccati_backward(lq, grid)
     analytic = riccati_cost(lq, K, c)
+    a = np.asarray(lq.a)
     b = np.asarray(lq.b)
-    R = np.asarray(lq.R)
-    gain = K * b[None, :] / R[None, :]
+    gain = K * b[None, :] / np.asarray(lq.R)[None, :]
     dt = grid.dt
     times = grid.times
 
-    def run_block(offset: int, count: int) -> RunningMoments:
+    def path_costs(offset: int, count: int) -> Array:
         alpha, dW = draw_drivers(spec, grid, count, seed, path_offset=offset)
-        x = np.full(count, lq.x0)
-        cost = np.zeros(count)
+        states = np.empty((count, grid.n_steps + 1))
+        controls = np.empty((count, grid.n_steps))
+        x = states[:, 0] = np.full(count, lq.x0)
         for k in range(grid.n_steps):
             idx = alpha[:, k] - 1
-            u = spec.clamp_control(-gain[k, idx] * x)
-            ai = np.asarray(lq.a)[idx]
-            bi = b[idx]
-            cost += 0.5 * dt * (np.asarray(lq.Q)[idx] * x**2 + R[idx] * u**2)
-            x = euler_step(x, ai * x + bi * u, lq.sigma, dW[:, k], dt, times[k + 1])
-        cost += 0.5 * np.asarray(lq.G)[alpha[:, -1] - 1] * x**2
-        m = RunningMoments()
-        m.add(cost)
-        return m
+            u = controls[:, k] = spec.clamp_control(-gain[k, idx] * x)
+            x = states[:, k + 1] = euler_step(x, a[idx] * x + b[idx] * u, lq.sigma,
+                                              dW[:, k], dt, times[k + 1])
+        bundle = PathBundle(grid=grid, states=states, regimes=alpha, controls=controls,
+                            noise=dW, seed=seed, path_offset=offset)
+        return cost_from_paths(spec, bundle)
 
-    moments = RunningMoments()
-    for part in run_blocks(run_block, n_paths, block_size=block_size, workers=workers):
-        moments.merge(part)
-    return CostEstimate(moments.mean, moments.std_error, n_paths), analytic
+    return blocked_cost(path_costs, n_paths, block_size, workers), analytic

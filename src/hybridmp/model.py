@@ -64,6 +64,8 @@ class GeneratorSpec:
         q = np.asarray(self.rates, dtype=np.float64)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise ConfigError(f"rate matrix must be square, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ConfigError("rates must be finite")
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
@@ -161,6 +163,12 @@ class LQSpec:
     control_domain: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
+        for name in ("a", "b", "sigma", "Q", "R", "G", "lambda1", "lambda2",
+                     "horizon", "x0", "pi0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if np.any(np.isnan(self.control_domain)):
+            raise ConfigError("control_domain ends must be numbers (infinite ends allowed)")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         if min(self.R) <= 0:
@@ -312,8 +320,8 @@ class ProblemSpec:
     lq: LQSpec | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         if self.sigma_min <= 0:
             raise ConfigError("sigma_min must be positive")
         pi0 = np.asarray(self.pi0, dtype=np.float64)

@@ -10,6 +10,7 @@ count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,40 +21,46 @@ DEFAULT_BLOCK_SIZE = 4096
 
 @dataclass
 class RunningMoments:
-    """Merge-able accumulator for mean / standard error of a scalar sample."""
+    """Merge-able mean and standard error of a scalar sample.
+
+    Holds (count, mean, M2), M2 the sum of squared deviations from the
+    mean, and merges two states with the pairwise update of Chan, Golub
+    & LeVeque (1983), so the variance survives any offset of the data.
+    One batch reproduces ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``
+    bit for bit.
+    """
 
     count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
+    mean: float = 0.0
+    m2: float = 0.0
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray) -> "RunningMoments":
         values = np.asarray(values, dtype=np.float64)
-        self.count += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
+        if values.size:
+            mean = np.mean(values)
+            self.merge(RunningMoments(values.size, float(mean),
+                                      float(np.sum((values - mean) ** 2))))
+        return self
 
     def merge(self, other: "RunningMoments") -> "RunningMoments":
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
+        if self.count == 0:
+            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
+        elif other.count:
+            n = self.count + other.count
+            delta = other.mean - self.mean
+            self.mean += delta * other.count / n
+            self.m2 += other.m2 + delta * delta * self.count * other.count / n
+            self.count = n
         return self
 
     @property
-    def mean(self) -> float:
-        return self.total / self.count
-
-    @property
     def variance(self) -> float:
-        # Unbiased sample variance.
-        if self.count < 2:
-            return 0.0
-        return max(0.0, (self.total_sq - self.total**2 / self.count) / (self.count - 1))
+        """Unbiased sample variance."""
+        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
 
     @property
     def std_error(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return float(np.sqrt(self.variance / self.count))
+        return math.sqrt(self.variance) / math.sqrt(self.count) if self.count > 1 else 0.0
 
 
 def block_ranges(n_total: int, block_size: int) -> list[tuple[int, int]]:

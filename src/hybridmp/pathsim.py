@@ -61,8 +61,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ConfigError("horizon must be positive and finite")
         if self.n_steps < 1:
             raise ConfigError("need at least one step")
 
@@ -332,28 +332,47 @@ def simulate_state(
 # ---------------------------------------------------------------------------
 
 
-def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
-    """Per-path realized cost, left-endpoint quadrature for the running part."""
-    grid = bundle.grid
+def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
+                     controls: Array, weights) -> Array:
+    """Per-path sum_k sum_i w_{k,i} f(t_k, X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i).
+
+    ``weights`` (n_paths, N+1, d) weight each regime at each node: the
+    realized regime's indicator gives the realized cost, the filter the
+    cost with the regime integrated out.
+    """
     dt = grid.dt
     times = grid.times
-    total = np.zeros(bundle.n_paths)
+    total = np.zeros(states.shape[0])
     for k in range(grid.n_steps):
-        xk = bundle.states[:, k]
-        uk = bundle.controls[:, k]
         for i in range(1, spec.n_regimes + 1):
-            mask = bundle.regimes[:, k] == i
-            if mask.any():
-                total[mask] += dt * np.asarray(
-                    spec.running_cost(times[k], xk[mask], i, uk[mask]),
-                    dtype=np.float64,
-                )
-    xT = bundle.states[:, -1]
+            f = spec.running_cost(times[k], states[:, k], i, controls[:, k])
+            total += dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
     for i in range(1, spec.n_regimes + 1):
-        mask = bundle.regimes[:, -1] == i
-        if mask.any():
-            total[mask] += np.asarray(spec.terminal_cost(xT[mask], i), dtype=np.float64)
+        g = spec.terminal_cost(states[:, -1], i)
+        total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)
     return total
+
+
+def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
+    """Per-path realized cost, left-endpoint quadrature for the running part."""
+    labels = np.arange(1, spec.n_regimes + 1)
+    return _cost_quadrature(spec, bundle.grid, bundle.states, bundle.controls,
+                            bundle.regimes[..., None] == labels)
+
+
+def blocked_cost(path_costs, n_paths: int, block_size: int = 4096,
+                 workers: int = 1) -> CostEstimate:
+    """Mean and standard error of ``path_costs(offset, count)`` (per-path
+    costs of one block of paths), merged in block order so the result
+    does not depend on ``workers``."""
+
+    def run_block(offset: int, count: int) -> RunningMoments:
+        return RunningMoments().add(path_costs(offset, count))
+
+    moments = RunningMoments()
+    for part in run_blocks(run_block, n_paths, block_size=block_size, workers=workers):
+        moments.merge(part)
+    return CostEstimate(moments.mean, moments.std_error, n_paths)
 
 
 def estimate_cost(
@@ -371,14 +390,9 @@ def estimate_cost(
     ``pi=None`` and must not read the filtered state.
     """
 
-    def run_block(offset: int, count: int) -> RunningMoments:
+    def path_costs(offset: int, count: int) -> Array:
         bundle = simulate_state(spec, grid, count, seed, policy=policy,
                                 path_offset=offset)
-        m = RunningMoments()
-        m.add(cost_from_paths(spec, bundle))
-        return m
+        return cost_from_paths(spec, bundle)
 
-    moments = RunningMoments()
-    for part in run_blocks(run_block, n_paths, block_size=block_size, workers=workers):
-        moments.merge(part)
-    return CostEstimate(moments.mean, moments.std_error, n_paths)
+    return blocked_cost(path_costs, n_paths, block_size, workers)

@@ -23,11 +23,13 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, NumericalError
 from .model import ProblemSpec, eval_sigma
+from .parallel import RunningMoments
 from .pathsim import (
     TAG_INNOVATION,
     CostEstimate,
     PathBundle,
     TimeGrid,
+    _cost_quadrature,
     brownian_increments,
     check_controls,
     control_at,
@@ -456,26 +458,10 @@ def transformed_cost_paths(
 ) -> Array:
     """Per-path cost with the regime integrated out against the filter:
     sum_k Fbar(t_k, X_k, p_k, u_k) dt + Gbar(X_N, p_N), where Fbar and
-    Gbar average f and g over the filtered regime law."""
-    states = np.asarray(states, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    dt = grid.dt
-    times = grid.times
-    total = np.zeros(states.shape[0])
-    for k in range(grid.n_steps):
-        x = states[:, k]
-        u = controls[:, k]
-        for i in range(1, spec.n_regimes + 1):
-            total += dt * probs[:, k, i - 1] * np.asarray(
-                spec.running_cost(times[k], x, i, u), dtype=np.float64
-            )
-    xT = states[:, -1]
-    for i in range(1, spec.n_regimes + 1):
-        total += probs[:, -1, i - 1] * np.asarray(
-            spec.terminal_cost(xT, i), dtype=np.float64
-        )
-    return total
+    Gbar average f and g over the filtered regime law.  This is the
+    realized-cost quadrature with the filter in place of the regime
+    indicator."""
+    return _cost_quadrature(spec, grid, states, controls, probs)
 
 
 def transformed_cost(
@@ -484,9 +470,7 @@ def transformed_cost(
     states: Array,
     probs: Array,
     controls: Array,
-):
+) -> CostEstimate:
     """Monte Carlo mean and standard error of the regime-averaged cost."""
-    values = transformed_cost_paths(spec, grid, states, probs, controls)
-    n = len(values)
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return CostEstimate(float(np.mean(values)), se, n)
+    moments = RunningMoments().add(transformed_cost_paths(spec, grid, states, probs, controls))
+    return CostEstimate(moments.mean, moments.std_error, moments.count)

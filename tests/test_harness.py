@@ -267,8 +267,11 @@ class TestCli:
         ({"suite": "lq-solve", "lq_max_iter": 0}, {}),
         ({"suite": "lq-solve", "lq_tol": -1}, {}),
         ({"suite": "lq-solve", "lq_damping": 1.5}, {}),
+        ({"seed": -1}, {}),
+        ({}, {"HYBRIDMP_SEED": str(2**64)}),
     ], ids=["bad-int", "bad-env-seed", "unknown-key", "unknown-spec-key",
-            "zero-max-iter", "negative-tol", "damping-above-1"])
+            "zero-max-iter", "negative-tol", "damping-above-1", "negative-seed",
+            "env-seed-2**64"])
     def test_bad_config_field_returns_2_and_writes_error(
             self, tmp_path, monkeypatch, capsys, overrides, env):
         for name, value in env.items():
@@ -290,6 +293,18 @@ class TestCli:
         assert main(["validate", "--spec", str(bad)]) == 1
         assert main(["validate", "--spec",
                      str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["a1", "R2", "lambda1", "T"])
+    def test_non_finite_constant_exits_2(self, tmp_path, key, value):
+        spec = dict(DEFAULT_SPEC, **{key: value})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["validate", "--spec", str(spec_path)]) == 2
+        out = tmp_path / "errout"
+        path = _write_config(tmp_path, spec=spec)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
     def test_validate_rejects_unknown_spec_key(self, tmp_path, capsys):
         typo = tmp_path / "typo.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hybridmp import ConfigError, LQSpec, NonConvergence, TimeGrid
-from hybridmp.adjoint import PolyBasis, StepProjector, solve_adjoint_bsde
+from hybridmp.adjoint import PolyBasis, StepProjector, solve_adjoint_bsde, stationarity_report
 from hybridmp.lq import (
     PiecewisePolyPolicy,
     default_spec,
@@ -254,6 +255,20 @@ class TestSolveLq:
         for name in ("coeffs", "locs", "scales", "x_range", "p_range", "u_range"):
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
         assert abs(got.fit_max_residual - want.fit_max_residual) <= 1e-12
+
+    def test_trace_residual_is_the_certificates(self, lq):
+        # With a bounded domain dH/dv is not Rbar (u - clip(u*)), so only
+        # one definition can make stationarity_ratio a ratio of like terms.
+        bounded = dataclasses.replace(lq, control_domain=(-0.2, 0.2))
+        grid = TimeGrid(1.0, 40)
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(bounded, grid, n_paths=1000, seed=3, max_iter=1)
+        spec = bounded.to_problem_spec()
+        path = innovation_forward(spec, grid, 1000, 3,
+                                  policy=zero_policy(spec.control_domain))
+        report = stationarity_report(spec, path, solve_adjoint_bsde(spec, path))
+        assert exc.value.solution.trace[0]["residual"] == pytest.approx(
+            report["residual"], rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"tol": -1.0}, {"tol": float("nan")}, {"damping": 0.0},

@@ -44,6 +44,11 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigError):
             GeneratorSpec(rates=((-1.0, 0.5), (1.0, -1.0)))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ConfigError, match="finite"):
+            GeneratorSpec(rates=((rate, 1.0), (1.0, -1.0)))
+
     def test_zero_rates_give_identity_kernel(self):
         g = GeneratorSpec.two_state(0.0, 0.0)
         assert np.allclose(g.transition_matrix(0.3), np.eye(2))
@@ -79,6 +84,13 @@ class TestLQSpec:
             LQSpec(**{**_fields(lq), "pi0": 1.5})
         with pytest.raises(ConfigError):
             LQSpec(**{**_fields(lq), "lambda1": -2.0})
+        with pytest.raises(ConfigError, match="finite"):
+            LQSpec(**{**_fields(lq), "a": (math.nan, 0.5)})
+        with pytest.raises(ConfigError, match="finite"):
+            LQSpec(**{**_fields(lq), "x0": math.inf})
+        with pytest.raises(ConfigError, match="control_domain"):
+            LQSpec(**{**_fields(lq), "control_domain": (math.nan, 1.0)})
+        LQSpec(**{**_fields(lq), "control_domain": (-math.inf, 1.0)})
 
     def test_json_round_trip(self, lq):
         assert LQSpec.from_json(lq.to_json()) == lq

@@ -49,6 +49,9 @@ class TestTimeGrid:
             TimeGrid(0.0, 100)
         with pytest.raises(ConfigError):
             TimeGrid(1.0, 0)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                TimeGrid(horizon, 10)
 
 
 class TestSimulateChain:

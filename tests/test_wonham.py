@@ -226,6 +226,23 @@ class TestTransformedCost:
         se = diff.std(ddof=1) / math.sqrt(len(diff))
         assert abs(diff.mean()) <= 3.0 * se
 
+    def test_realized_cost_matches_the_regime_masked_loop(self, spec):
+        # Reference: each regime's cost added on the paths in that regime.
+        policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x * pi)
+        grid = TimeGrid(1.0, 100)
+        bundle = coupled_forward(spec, grid, 300, 5, policy=policy).bundle
+        want = np.zeros(bundle.n_paths)
+        for k in range(grid.n_steps + 1):
+            for i in (1, 2):
+                mask = bundle.regimes[:, k] == i
+                x = bundle.states[mask, k]
+                if k < grid.n_steps:
+                    want[mask] += grid.dt * spec.running_cost(
+                        grid.times[k], x, i, bundle.controls[mask, k])
+                else:
+                    want[mask] += spec.terminal_cost(x, i)
+        assert np.array_equal(cost_from_paths(spec, bundle), want)
+
     def test_estimate_wraps_paths(self, spec, coupled):
         grid, cp = coupled
         est = transformed_cost(spec, grid, cp.bundle.states,
