@@ -306,11 +306,17 @@ class PolyBasis:
     def exponents(self) -> list[tuple[int, int]]:
         return [(i, d - i) for d in range(self.degree + 1) for i in range(d + 1)]
 
-    def design(self, x: Array, p: Array, loc: float = 0.0, scale: float = 1.0) -> Array:
+    def design(self, x: Array, p: Array, loc=0.0, scale=1.0) -> Array:
+        """Monomials z^i p^j of z = (x - loc) / scale, in ``exponents``
+        order along a new last axis; x and p may have any (broadcasting)
+        shape.  Powers are running products, not ``**``."""
         z = (np.asarray(x, dtype=np.float64) - loc) / scale
         p = np.asarray(p, dtype=np.float64)
-        cols = [z**i * p**j for i, j in self.exponents]
-        return np.stack(cols, axis=1)
+        zs, ps = [np.ones_like(z)], [np.ones_like(p)]
+        for _ in range(self.degree):
+            zs.append(zs[-1] * z)
+            ps.append(ps[-1] * p)
+        return np.stack([zs[i] * ps[j] for i, j in self.exponents], axis=-1)
 
 
 class StepProjector:

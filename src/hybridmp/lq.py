@@ -105,16 +105,20 @@ class PiecewisePolyPolicy:
     fit_max_residual: float = 0.0
     name: str = "piecewise-poly"
 
-    def step_index(self, t: float) -> int:
-        k = int(np.floor(float(t) / self.grid.dt + 1e-9))
-        return min(max(k, 0), self.grid.n_steps - 1)
-
     def __call__(self, t, x, pi):
-        k = self.step_index(t)
-        x = np.clip(np.asarray(x, dtype=np.float64), *self.x_range[k])
-        pi = np.clip(np.asarray(pi, dtype=np.float64), *self.p_range[k])
-        A = PolyBasis(self.degree).design(x, pi, self.locs[k], self.scales[k])
-        u = np.clip(A @ self.coeffs[k], *self.u_range[k])
+        return self.on_lattice([t], np.asarray(x)[None], np.asarray(pi)[None])[0]
+
+    def on_lattice(self, times, X, P) -> Array:
+        """Feedback at row r of (X, P) at time ``times[r]``: each row is
+        clipped to the envelope of the step containing its time, and one
+        stacked ``matmul`` applies every row's coefficients."""
+        k = np.floor(np.asarray(times, dtype=np.float64) / self.grid.dt + 1e-9).astype(np.intp)
+        k = np.clip(k, 0, self.grid.n_steps - 1)
+        X = np.clip(np.asarray(X, dtype=np.float64), self.x_range[k, :1], self.x_range[k, 1:])
+        P = np.clip(np.asarray(P, dtype=np.float64), self.p_range[k, :1], self.p_range[k, 1:])
+        A = PolyBasis(self.degree).design(X, P, self.locs[k, None], self.scales[k, None])
+        u = (A @ self.coeffs[k, :, None])[..., 0]
+        u = np.clip(u, self.u_range[k, :1], self.u_range[k, 1:])
         return np.clip(u, *self.control_domain)
 
     @classmethod
@@ -194,6 +198,25 @@ def _forward(spec, grid, n_paths, seed, policy, dnu) -> InnovationPath:
     return innovation_forward(spec, grid, n_paths, seed, policy=policy, dnu=dnu)
 
 
+def _quantile_lattice(states: Array, probs: Array, n_steps: int, n_x: int = 9,
+                      n_p: int = 5) -> tuple[Array, Array]:
+    """Conditional (x, pi) probe points of every step, one row per step.
+
+    At each step the paths are sorted by x and split as ``np.array_split``
+    splits them into ``n_x`` bins; a bin contributes its x median,
+    repeated ``n_p`` times, and ``n_p`` pi quantiles.  One sort serves
+    every step, and each bin's medians and quantiles are taken for all
+    steps at once.
+    """
+    order = np.argsort(states[:, :n_steps], axis=0)
+    x_bins = np.array_split(np.take_along_axis(states[:, :n_steps], order, axis=0), n_x)
+    p_bins = np.array_split(np.take_along_axis(probs[:, :n_steps, 0], order, axis=0), n_x)
+    qp = np.linspace(0.05, 0.95, n_p)
+    X = [np.repeat(np.median(b, axis=0)[:, None], n_p, axis=1) for b in x_bins if len(b)]
+    P = [np.quantile(b, qp, axis=0).T for b in p_bins if len(b)]
+    return np.hstack(X), np.hstack(P)
+
+
 def _policy_sup_change(
     grid: TimeGrid,
     old_policy,
@@ -205,34 +228,20 @@ def _policy_sup_change(
 ) -> tuple[float, float]:
     """Sup difference of two feedback maps over a (t, x, pi) lattice.
 
-    The lattice is conditional: x points are per-step quantile bins and
-    pi points are quantiles within each bin.  Early in the horizon x and
-    pi are nearly collinear across paths, so an independent product grid
-    would probe corners far from the data manifold where neither fit is
-    constrained; the conditional lattice keeps every probe where paths
-    actually live.  Returns (sup |new - old|, sup |new|).
+    The lattice is conditional (``_quantile_lattice``): x points are
+    per-step quantile bins and pi points are quantiles within each bin.
+    Early in the horizon x and pi are nearly collinear across paths, so
+    an independent product grid would probe corners far from the data
+    manifold where neither fit is constrained; the conditional lattice
+    keeps every probe where paths actually live.  Both policies are
+    evaluated on the whole lattice through ``on_lattice``.  Returns
+    (sup |new - old|, sup |new|).
     """
-    qp = np.linspace(0.05, 0.95, n_p)
-    change = 0.0
-    scale = 0.0
-    for k in range(grid.n_steps):
-        order = np.argsort(states[:, k])
-        bins = np.array_split(order, n_x)
-        xs = []
-        ps = []
-        for idx in bins:
-            if idx.size == 0:
-                continue
-            xs.append(np.full(n_p, np.median(states[idx, k])))
-            ps.append(np.quantile(probs[idx, k, 0], qp))
-        X = np.concatenate(xs)
-        P = np.concatenate(ps)
-        t = grid.times[k]
-        u_new = np.asarray(new_policy(t, X, P))
-        u_old = np.asarray(old_policy(t, X, P))
-        change = max(change, float(np.max(np.abs(u_new - u_old))))
-        scale = max(scale, float(np.max(np.abs(u_new))))
-    return change, scale
+    X, P = _quantile_lattice(states, probs, grid.n_steps, n_x, n_p)
+    times = grid.times[:grid.n_steps]
+    u_new = new_policy.on_lattice(times, X, P)
+    u_old = old_policy.on_lattice(times, X, P)
+    return float(np.max(np.abs(u_new - u_old))), float(np.max(np.abs(u_new)))
 
 
 def solve_lq(
@@ -258,8 +267,10 @@ def solve_lq(
 
     Raises ``NonConvergence`` (carrying the best iterate in
     ``exc.solution``) if ``max_iter`` passes without meeting the
-    tolerance.  The returned certificate re-simulates under the final
-    policy and reports cost and the Hamiltonian stationarity residual.
+    tolerance.  ``tol=0`` never meets it: the solve runs exactly
+    ``max_iter`` iterations and raises.  The returned certificate
+    re-simulates under the final policy and reports cost and the
+    Hamiltonian stationarity residual.
     """
     spec = problem.to_problem_spec() if isinstance(problem, LQSpec) else problem
     if spec.lq is None:
@@ -317,7 +328,7 @@ def solve_lq(
         del path, adj
 
         policy = candidate
-        if change <= tol * scale:
+        if tol > 0.0 and change <= tol * scale:
             converged = True
             break
 

@@ -478,6 +478,10 @@ class FeedbackPolicy:
         lo, hi = self.control_domain
         return np.clip(u, lo, hi)
 
+    def on_lattice(self, times, X, P):
+        """Feedback at row r of (X, P) at time ``times[r]``, one call per row."""
+        return np.stack([self(t, x, p) for t, x, p in zip(times, X, P)])
+
 
 def constant_policy(value: float, control_domain=(-math.inf, math.inf)) -> FeedbackPolicy:
     return FeedbackPolicy(

@@ -336,6 +336,26 @@ class TestRegressionMachinery:
         assert PolyBasis(2).n_terms == 6
         assert PolyBasis(1).n_terms == 3
 
+    @pytest.mark.parametrize("degree", range(7))
+    def test_design_by_running_products_matches_powers(self, rng, degree):
+        basis = PolyBasis(degree)
+        x = rng.normal(0.5, 2.0, 300)
+        p = rng.uniform(0.0, 1.0, 300)
+        loc, scale = 0.4, 1.7
+        z = (x - loc) / scale
+        want = np.stack([z**i * p**j for i, j in basis.exponents], axis=1)
+        got = basis.design(x, p, loc, scale)
+        assert got.shape == (300, basis.n_terms)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # a lattice of rows gives each row's design along the last axis
+        rows = basis.design(x.reshape(3, 100), p.reshape(3, 100), loc, scale)
+        assert np.array_equal(rows.reshape(300, -1), got)
+
+    def test_design_columns_follow_exponents(self):
+        assert PolyBasis(2).exponents == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        A = PolyBasis(2).design(np.array([2.0]), np.array([3.0]))
+        assert A.tolist() == [[1.0, 3.0, 2.0, 9.0, 6.0, 4.0]]
+
     def test_projector_reproduces_polynomials(self, rng):
         x = rng.normal(0.0, 1.0, 400)
         p = rng.uniform(0.0, 1.0, 400)

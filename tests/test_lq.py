@@ -11,6 +11,8 @@ from hybridmp import ConfigError, LQSpec, NonConvergence, TimeGrid
 from hybridmp.adjoint import PolyBasis, StepProjector, solve_adjoint_bsde, stationarity_report
 from hybridmp.lq import (
     PiecewisePolyPolicy,
+    _policy_sup_change,
+    _quantile_lattice,
     default_spec,
     full_observation_baseline,
     lq_control_formula,
@@ -138,6 +140,61 @@ def _collinear_case(rng):
     return grid, states, probs, controls
 
 
+def _reference_lattice(states, probs, n_steps, n_x=9, n_p=5):
+    # the per-step loop that _quantile_lattice replaced, kept verbatim
+    qp = np.linspace(0.05, 0.95, n_p)
+    X, P = [], []
+    for k in range(n_steps):
+        order = np.argsort(states[:, k])
+        xs, ps = [], []
+        for idx in np.array_split(order, n_x):
+            if idx.size == 0:
+                continue
+            xs.append(np.full(n_p, np.median(states[idx, k])))
+            ps.append(np.quantile(probs[idx, k, 0], qp))
+        X.append(np.concatenate(xs))
+        P.append(np.concatenate(ps))
+    return np.array(X), np.array(P)
+
+
+class TestQuantileLattice:
+    @pytest.mark.parametrize("n_paths", [1998, 2048, 301, 7],
+                             ids=["rem-0", "rem-5", "rem-4", "fewer-than-bins"])
+    def test_matches_the_per_step_loop_bit_for_bit(self, rng, n_paths):
+        grid = TimeGrid(1.0, 6)
+        states = rng.normal(0.0, 1.0, (n_paths, 7))
+        states[:, 2] = np.round(states[:, 2], 1)  # many tied x values
+        states[:, 3] = 0.25                        # every x tied
+        pi = rng.uniform(0.0, 1.0, (n_paths, 7))
+        probs = np.stack([pi, 1.0 - pi], axis=2)
+        X, P = _quantile_lattice(states, probs, grid.n_steps)
+        want_X, want_P = _reference_lattice(states, probs, grid.n_steps)
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(P, want_P)
+
+        # the batched evaluator equals the one-step call on every row, and
+        # the one-step call equals the per-step evaluation it replaced
+        policy = PiecewisePolyPolicy.fit(grid, states, probs, rng.normal(0.0, 1.0, (n_paths, 6)))
+        U = policy.on_lattice(grid.times[:-1], X, P)
+        for k, t in enumerate(grid.times[:-1]):
+            assert np.array_equal(U[k], policy(t, X[k], P[k]))
+            x = np.clip(X[k], *policy.x_range[k])
+            p = np.clip(P[k], *policy.p_range[k])
+            A = PolyBasis(3).design(x, p, policy.locs[k], policy.scales[k])
+            assert np.array_equal(U[k], np.clip(A @ policy.coeffs[k], *policy.u_range[k]))
+
+    def test_sup_change_against_the_zero_policy(self, rng):
+        grid = TimeGrid(1.0, 4)
+        states = rng.normal(0.0, 1.0, (300, 5))
+        pi = rng.uniform(0.0, 1.0, (300, 5))
+        probs = np.stack([pi, 1.0 - pi], axis=2)
+        policy = PiecewisePolyPolicy.fit(grid, states, probs, rng.normal(0.0, 1.0, (300, 4)))
+        X, P = _quantile_lattice(states, probs, grid.n_steps)
+        sup = float(np.max(np.abs(policy.on_lattice(grid.times[:-1], X, P))))
+        assert _policy_sup_change(grid, zero_policy(), policy, states, probs) == (sup, sup)
+        assert _policy_sup_change(grid, policy, policy, states, probs) == (0.0, sup)
+
+
 class TestStepProjectorCoef:
     def test_coef_reproduces_fitted_on_a_collinear_design(self, rng):
         _, states, probs, controls = _collinear_case(rng)
@@ -232,6 +289,31 @@ class TestSolveLq:
         iterations = exc.value.solution.iterations
         assert iterations == 2
         assert calls == {"svd": grid.n_steps * (iterations + 1), "lstsq": 0}
+
+    def test_policy_is_called_only_by_forward_passes(self, lq, monkeypatch):
+        # the convergence check evaluates both policies on the whole
+        # lattice at once, so one-step calls come only from the forward
+        # passes: iteration 2's and the certificate's (iteration 1 runs
+        # the zero policy)
+        calls = []
+        one_step = PiecewisePolyPolicy.__call__
+
+        def counting(self, t, x, pi):
+            calls.append(t)
+            return one_step(self, t, x, pi)
+
+        monkeypatch.setattr(PiecewisePolyPolicy, "__call__", counting)
+        grid = TimeGrid(1.0, 20)
+        with pytest.raises(NonConvergence):
+            solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
+        assert len(calls) == 2 * grid.n_steps
+
+    def test_zero_tol_runs_exactly_max_iter_iterations(self, lq):
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, TimeGrid(1.0, 20), n_paths=200, seed=5, tol=0.0, max_iter=3)
+        sol = exc.value.solution
+        assert not sol.converged
+        assert [row["iteration"] for row in sol.trace] == [1, 2, 3]
 
     def test_policy_is_the_fit_of_the_damped_targets(self, lq):
         grid = TimeGrid(1.0, 30)
