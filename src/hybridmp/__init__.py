@@ -8,9 +8,7 @@ from .adjoint import (
     CompactCoeffs,
     PolyBasis,
     gateaux_derivative,
-    hamiltonian,
     hamiltonian_direction_value,
-    hamiltonian_v_gradient,
     solve_adjoint_bsde,
     solve_variational,
     stationarity_report,
@@ -29,7 +27,6 @@ from .lq import (
     PiecewisePolyPolicy,
     default_spec,
     full_observation_baseline,
-    lq_control_formula,
     riccati_backward,
     riccati_cost,
     solve_lq,
@@ -40,7 +37,6 @@ from .model import (
     LQSpec,
     ProblemSpec,
     constant_policy,
-    eval_h,
     load_spec,
     spec_from_json,
     spec_to_json,

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, RegressionError
 from .model import ProblemSpec, central_diff, eval_sigma
-from .pathsim import TimeGrid
+from .pathsim import TimeGrid, drift_table
 from .wonham import InnovationPath
 
 Array = NDArray[np.float64]
@@ -35,16 +35,14 @@ RCOND = 1e-8
 
 
 class CompactCoeffs:
-    """Coefficients of the closed (X, pi) system and their derivatives.
+    """Builder of the coefficient table of the closed (X, pi) system.
 
-    All methods take vectorized (t scalar, x, p, u arrays of shape (n,))
-    and return arrays whose leading axis is the path axis; Theta-indexed
-    quantities order components as (x, pi).
-
-    Derivatives in x and v come from the tagged linear-quadratic
-    constants when available and central differences otherwise; the
-    pi-derivatives are exact either way because every compact
-    coefficient is affine in pi.
+    ``at(t, x, p, u)`` evaluates the drift, running cost and volatility
+    once per step and takes their first derivatives in x and v from the
+    tagged linear-quadratic constants when available (sigma_x = sigma_v
+    = 0 exactly) and from central differences otherwise; ``_slope`` is
+    the only place that choice is read.  The pi-derivatives are exact
+    either way because every compact coefficient is affine in pi.
     """
 
     def __init__(self, spec: ProblemSpec, force_fd: bool = False):
@@ -56,152 +54,172 @@ class CompactCoeffs:
         self.spec = spec
         self.analytic = spec.lq is not None and not force_fd
 
-    # -- raw per-regime tables -------------------------------------------
+    def _slope(self, table, z, closed_form):
+        """d table(z) / dz: ``closed_form(lq)`` of the tagged constants,
+        or central differences."""
+        return closed_form(self.spec.lq) if self.analytic else central_diff(table, z)
 
-    def _b(self, t, x, u, i):
-        return np.asarray(self.spec.drift(t, x, i, u), dtype=np.float64)
+    def at(self, t, x, p, u) -> StepCoeffs:
+        """The coefficient table at (t, x, p, u), arrays of shape (n,)."""
+        # contiguous copies: step slices of the path arrays are strided,
+        # and the table reads each of them many times
+        x, p, u = np.ascontiguousarray(x), np.ascontiguousarray(p), np.ascontiguousarray(u)
+        spec, n = self.spec, x.shape[0]
 
-    def _sig(self, t, x, u):
-        return eval_sigma(self.spec, t, x, u)
+        def drift(x, u):
+            return drift_table(spec, t, x, u).T
 
-    def _f(self, t, x, u, i):
-        return np.asarray(self.spec.running_cost(t, x, i, u), dtype=np.float64)
+        def cost(x, u):
+            return _assemble(n, *(spec.running_cost(t, x, i, u) for i in (1, 2))).T
 
-    def _g(self, x, i):
-        return np.asarray(self.spec.terminal_cost(x, i), dtype=np.float64)
+        def vol(x, u):
+            return eval_sigma(spec, t, x, u)
 
-    def _h(self, t, x, u, i):
-        return self._b(t, x, u, i) / self._sig(t, x, u)
-
-    # -- values -----------------------------------------------------------
-
-    def B(self, t, x, p, u) -> Array:
-        q = self.spec.generator
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = self._b(t, x, u, 1) * p + self._b(t, x, u, 2) * (1.0 - p)
-        out[:, 1] = -q.lambda1 * p + q.lambda2 * (1.0 - p)
-        return out
-
-    def Sigma(self, t, x, p, u) -> Array:
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = self._sig(t, x, u)
-        out[:, 1] = (self._h(t, x, u, 1) - self._h(t, x, u, 2)) * p * (1.0 - p)
-        return out
-
-    def F(self, t, x, p, u) -> Array:
-        return self._f(t, x, u, 1) * p + self._f(t, x, u, 2) * (1.0 - p)
-
-    def G(self, x, p) -> Array:
-        return self._g(x, 1) * p + self._g(x, 2) * (1.0 - p)
-
-    # -- derivatives ------------------------------------------------------
-
-    def B_theta(self, t, x, p, u) -> Array:
-        q = self.spec.generator
-        out = np.zeros((x.shape[0], 2, 2))
-        if self.analytic:
-            a = self.spec.lq.a
-            out[:, 0, 0] = a[0] * p + a[1] * (1.0 - p)
-        else:
-            bx1 = central_diff(lambda z: self._b(t, z, u, 1), x)
-            bx2 = central_diff(lambda z: self._b(t, z, u, 2), x)
-            out[:, 0, 0] = bx1 * p + bx2 * (1.0 - p)
-        out[:, 0, 1] = self._b(t, x, u, 1) - self._b(t, x, u, 2)
-        out[:, 1, 1] = -q.lambda1 - q.lambda2
-        return out
-
-    def B_v(self, t, x, p, u) -> Array:
-        out = np.zeros((x.shape[0], 2))
-        if self.analytic:
-            b = self.spec.lq.b
-            out[:, 0] = b[0] * p + b[1] * (1.0 - p)
-        else:
-            bv1 = central_diff(lambda z: self._b(t, x, z, 1), u)
-            bv2 = central_diff(lambda z: self._b(t, x, z, 2), u)
-            out[:, 0] = bv1 * p + bv2 * (1.0 - p)
-        return out
-
-    def Sigma_theta(self, t, x, p, u) -> Array:
-        out = np.zeros((x.shape[0], 2, 2))
-        if self.analytic:
-            lq = self.spec.lq
-            hx_diff = (lq.a[0] - lq.a[1]) / lq.sigma
-            out[:, 1, 0] = hx_diff * p * (1.0 - p)
-        else:
-            out[:, 0, 0] = central_diff(lambda z: self._sig(t, z, u), x)
-            hx1 = central_diff(lambda z: self._h(t, z, u, 1), x)
-            hx2 = central_diff(lambda z: self._h(t, z, u, 2), x)
-            out[:, 1, 0] = (hx1 - hx2) * p * (1.0 - p)
-        out[:, 1, 1] = (self._h(t, x, u, 1) - self._h(t, x, u, 2)) * (1.0 - 2.0 * p)
-        return out
-
-    def Sigma_v(self, t, x, p, u) -> Array:
-        out = np.zeros((x.shape[0], 2))
-        if self.analytic:
-            lq = self.spec.lq
-            hv_diff = (lq.b[0] - lq.b[1]) / lq.sigma
-            out[:, 1] = hv_diff * p * (1.0 - p)
-        else:
-            out[:, 0] = central_diff(lambda z: self._sig(t, x, z), u)
-            hv1 = central_diff(lambda z: self._h(t, x, z, 1), u)
-            hv2 = central_diff(lambda z: self._h(t, x, z, 2), u)
-            out[:, 1] = (hv1 - hv2) * p * (1.0 - p)
-        return out
-
-    def F_theta(self, t, x, p, u) -> Array:
-        out = np.empty((x.shape[0], 2))
-        if self.analytic:
-            Q = self.spec.lq.Q
-            out[:, 0] = (Q[0] * p + Q[1] * (1.0 - p)) * x
-        else:
-            fx1 = central_diff(lambda z: self._f(t, z, u, 1), x)
-            fx2 = central_diff(lambda z: self._f(t, z, u, 2), x)
-            out[:, 0] = fx1 * p + fx2 * (1.0 - p)
-        out[:, 1] = self._f(t, x, u, 1) - self._f(t, x, u, 2)
-        return out
-
-    def F_v(self, t, x, p, u) -> Array:
-        if self.analytic:
-            R = self.spec.lq.R
-            return (R[0] * p + R[1] * (1.0 - p)) * u
-        fv1 = central_diff(lambda z: self._f(t, x, z, 1), u)
-        fv2 = central_diff(lambda z: self._f(t, x, z, 2), u)
-        return fv1 * p + fv2 * (1.0 - p)
+        q = spec.generator
+        return StepCoeffs(
+            p=p, rates=(q.lambda1, q.lambda2),
+            b=drift(x, u), f=cost(x, u), sig=vol(x, u),
+            b_x=self._slope(lambda z: drift(z, u), x, lambda lq: np.reshape(lq.a, (2, 1))),
+            b_v=self._slope(lambda z: drift(x, z), u, lambda lq: np.reshape(lq.b, (2, 1))),
+            f_x=self._slope(lambda z: cost(z, u), x, lambda lq: np.outer(lq.Q, x)),
+            f_v=self._slope(lambda z: cost(x, z), u, lambda lq: np.outer(lq.R, u)),
+            sig_x=self._slope(lambda z: vol(z, u), x, lambda lq: 0.0),
+            sig_v=self._slope(lambda z: vol(x, z), u, lambda lq: 0.0),
+        )
 
     def G_theta(self, x, p) -> Array:
-        out = np.empty((x.shape[0], 2))
-        if self.analytic:
-            G = self.spec.lq.G
-            out[:, 0] = (G[0] * p + G[1] * (1.0 - p)) * x
-        else:
-            gx1 = central_diff(lambda z: self._g(z, 1), x)
-            gx2 = central_diff(lambda z: self._g(z, 2), x)
-            out[:, 0] = gx1 * p + gx2 * (1.0 - p)
-        out[:, 1] = self._g(x, 1) - self._g(x, 2)
-        return out
+        """Terminal gradient (g_x, g_pi) of G = g1 p + g2 (1 - p)."""
+        def terminal(x):
+            return _assemble(len(x), *(self.spec.terminal_cost(x, i) for i in (1, 2))).T
+
+        g, g_x = terminal(x), self._slope(terminal, x, lambda lq: np.outer(lq.G, x))
+        return _assemble(len(p), g_x[0] * p + g_x[1] * (1.0 - p), g[0] - g[1])
 
 
-def hamiltonian(coeffs, t, x, p, u, phi: Array, lam: Array) -> Array:
-    """H = <phi, B> + <lam, Sigma> + F along an ensemble."""
-    return (
-        np.sum(phi * coeffs.B(t, x, p, u), axis=1)
-        + np.sum(lam * coeffs.Sigma(t, x, p, u), axis=1)
-        + coeffs.F(t, x, p, u)
-    )
+def _assemble(n: int, *entries) -> Array:
+    """Entries broadcast to n paths: two make an (n, 2) vector (or, as
+    its transpose, a per-regime table), four an (n, 2, 2) matrix listed
+    row by row."""
+    out = np.empty((n, len(entries)))
+    for j, entry in enumerate(entries):
+        out[:, j] = entry
+    return out if len(entries) == 2 else out.reshape(n, 2, 2)
 
 
-def hamiltonian_v_gradient(coeffs, t, x, p, u, phi: Array, lam: Array) -> Array:
-    """dH/dv = <phi, B_v> + <lam, Sigma_v> + F_v along an ensemble."""
-    return (
-        np.sum(phi * coeffs.B_v(t, x, p, u), axis=1)
-        + np.sum(lam * coeffs.Sigma_v(t, x, p, u), axis=1)
-        + coeffs.F_v(t, x, p, u)
-    )
+@dataclass(frozen=True)
+class StepCoeffs:
+    """Coefficient table of the closed (X, pi) system at one step.
+
+    Per-regime tables (drift b, running cost f and their x- and
+    v-derivatives) have shape (2, n) or broadcast to it; sigma and its
+    derivatives have shape (n,).  B, Sigma, F and their Theta- and
+    v-derivatives are assembled from it here and nowhere else; they put
+    the path axis first and order Theta components as (x, pi).
+    """
+
+    p: Array
+    rates: tuple[float, float]
+    b: Array
+    b_x: Array
+    b_v: Array
+    f: Array
+    f_x: Array
+    f_v: Array
+    sig: Array
+    sig_x: Array
+    sig_v: Array
+
+    def _mix(self, table) -> Array:
+        return table[0] * self.p + table[1] * (1.0 - self.p)
+
+    def _gain_slope(self, b_z, sig_z) -> Array:
+        """d/dz of the belief noise (h1 - h2) p (1 - p), h = b / sigma."""
+        db = self.b[0] - self.b[1]
+        return ((b_z[0] - b_z[1]) - db * sig_z / self.sig) / self.sig * self.p * (1.0 - self.p)
+
+    @property
+    def _h_diff(self) -> Array:
+        h = self.b / self.sig
+        return h[0] - h[1]
+
+    @property
+    def B(self) -> Array:
+        l1, l2 = self.rates
+        return _assemble(len(self.p), self._mix(self.b), -l1 * self.p + l2 * (1.0 - self.p))
+
+    @property
+    def Sigma(self) -> Array:
+        return _assemble(len(self.p), self.sig, self._h_diff * self.p * (1.0 - self.p))
+
+    @property
+    def B_theta(self) -> Array:
+        l1, l2 = self.rates
+        return _assemble(len(self.p), self._mix(self.b_x), self.b[0] - self.b[1], 0.0, -l1 - l2)
+
+    @property
+    def B_v(self) -> Array:
+        return _assemble(len(self.p), self._mix(self.b_v), 0.0)
+
+    @property
+    def Sigma_theta(self) -> Array:
+        return _assemble(len(self.p), self.sig_x, 0.0, self._gain_slope(self.b_x, self.sig_x),
+                         self._h_diff * (1.0 - 2.0 * self.p))
+
+    @property
+    def Sigma_v(self) -> Array:
+        return _assemble(len(self.p), self.sig_v, self._gain_slope(self.b_v, self.sig_v))
+
+    @property
+    def F_theta(self) -> Array:
+        return _assemble(len(self.p), self._mix(self.f_x), self.f[0] - self.f[1])
+
+    @property
+    def F_v(self) -> Array:
+        return self._mix(self.f_v)
+
+    def H(self, phi: Array, lam: Array) -> Array:
+        """H = <phi, B> + <lam, Sigma> + F along the ensemble."""
+        return np.sum(phi * self.B, axis=1) + np.sum(lam * self.Sigma, axis=1) + self._mix(self.f)
+
+    def H_v(self, phi: Array, lam: Array) -> Array:
+        """dH/dv = <phi, B_v> + <lam, Sigma_v> + F_v along the ensemble;
+        B_v has no pi component."""
+        return (phi[:, 0] * self._mix(self.b_v)
+                + (lam[:, 0] * self.sig_v + lam[:, 1] * self._gain_slope(self.b_v, self.sig_v))
+                + self.F_v)
 
 
 # ---------------------------------------------------------------------------
 # Variational system (forward pathwise derivative)
 # ---------------------------------------------------------------------------
+
+
+def _variational(path: InnovationPath, direction: Array, coeffs) -> tuple[Array, Array]:
+    """Gamma of ``solve_variational`` and, per path, the running part
+    sum_k (F_Theta . Gamma_k + F_v w_k) dt of the Gateaux derivative,
+    from one coefficient table per step."""
+    grid = path.grid
+    dt = grid.dt
+    times = grid.times
+    direction = np.asarray(direction, dtype=np.float64)
+    n = path.n_paths
+    if direction.shape != (n, grid.n_steps):
+        raise ConfigError(
+            f"direction must have shape {(n, grid.n_steps)}, got {direction.shape}"
+        )
+
+    gamma = np.zeros((n, grid.n_steps + 1, 2))
+    running = np.zeros(n)
+    g = np.zeros((n, 2))
+    for k in range(grid.n_steps):
+        w = direction[:, k]
+        tab = coeffs.at(times[k], path.states[:, k], path.probs[:, k, 0], path.controls[:, k])
+        running += dt * (np.sum(tab.F_theta * g, axis=1) + tab.F_v * w)
+        drift = np.einsum("nij,nj->ni", tab.B_theta, g) + tab.B_v * w[:, None]
+        diff = np.einsum("nij,nj->ni", tab.Sigma_theta, g) + tab.Sigma_v * w[:, None]
+        g = g + drift * dt + diff * path.dnu[:, k, None]
+        gamma[:, k + 1] = g
+    return gamma, running
 
 
 def solve_variational(
@@ -224,33 +242,7 @@ def solve_variational(
     checks against rerunning the forward system must agree to O(eps^2).
     Returns Gamma with shape (n_paths, N+1, 2).
     """
-    if coeffs is None:
-        coeffs = CompactCoeffs(spec)
-    grid = path.grid
-    dt = grid.dt
-    times = grid.times
-    direction = np.asarray(direction, dtype=np.float64)
-    n = path.n_paths
-    if direction.shape != (n, grid.n_steps):
-        raise ConfigError(
-            f"direction must have shape {(n, grid.n_steps)}, got {direction.shape}"
-        )
-
-    gamma = np.zeros((n, grid.n_steps + 1, 2))
-    g = np.zeros((n, 2))
-    for k in range(grid.n_steps):
-        t = times[k]
-        x = path.states[:, k]
-        p = path.probs[:, k, 0]
-        u = path.controls[:, k]
-        w = direction[:, k]
-        Bt = coeffs.B_theta(t, x, p, u)
-        St = coeffs.Sigma_theta(t, x, p, u)
-        drift = np.einsum("nij,nj->ni", Bt, g) + coeffs.B_v(t, x, p, u) * w[:, None]
-        diff = np.einsum("nij,nj->ni", St, g) + coeffs.Sigma_v(t, x, p, u) * w[:, None]
-        g = g + drift * dt + diff * path.dnu[:, k, None]
-        gamma[:, k + 1] = g
-    return gamma
+    return _variational(path, direction, coeffs or CompactCoeffs(spec))[0]
 
 
 def gateaux_derivative(
@@ -264,20 +256,8 @@ def gateaux_derivative(
 
     dJ = E[ sum_k (F_Theta . Gamma_k + F_v w_k) dt + G_Theta . Gamma_N ].
     """
-    if coeffs is None:
-        coeffs = CompactCoeffs(spec)
-    grid = path.grid
-    dt = grid.dt
-    times = grid.times
-    gamma = solve_variational(spec, path, direction, coeffs)
-    total = np.zeros(path.n_paths)
-    for k in range(grid.n_steps):
-        x = path.states[:, k]
-        p = path.probs[:, k, 0]
-        u = path.controls[:, k]
-        Ft = coeffs.F_theta(times[k], x, p, u)
-        total += dt * (np.sum(Ft * gamma[:, k], axis=1)
-                       + coeffs.F_v(times[k], x, p, u) * direction[:, k])
+    coeffs = coeffs or CompactCoeffs(spec)
+    gamma, total = _variational(path, direction, coeffs)
     Gt = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
     total += np.sum(Gt * gamma[:, -1], axis=1)
     return float(np.mean(total))
@@ -387,14 +367,17 @@ class AdjointPath:
     has shape (n_paths, N, 2): the second adjoint (P, K) per step.
     ``phi_pred`` is the regression of phi_{k+1} on node-k information
     (the predictable projection the discrete duality identity pairs with
-    the step-k coefficients).  ``r_squared`` and ``ranks`` record the
-    regression quality and the effective design rank at each backward step.
+    the step-k coefficients).  ``dH_dv`` has shape (N, n_paths): the
+    Hamiltonian's control gradient at (phi_pred, lam) per step, step-major.
+    ``r_squared`` and ``ranks`` record the regression quality and the
+    effective design rank at each backward step.
     """
 
     grid: TimeGrid
     phi: Array
     lam: Array
     phi_pred: Array
+    dH_dv: Array
     r_squared: Array
     ranks: NDArray[np.int64]
     basis_degree: int
@@ -413,14 +396,15 @@ def solve_adjoint_bsde(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis
         Phi_{k+1} + [B_Theta^T Phi_{k+1} + Sigma_Theta^T Lambda_k
                      + F_Theta] dt
 
-    onto the same basis to get Phi_k.  One design factorization per step
-    is shared by all regression targets; collinear directions are
-    truncated per step (see ``StepProjector``), with the effective rank
-    recorded and logged when below the full basis size away from the
-    start.  The minimum per-step R^2 across targets is recorded; it is
-    structurally near zero at the first few steps (there is almost
-    nothing to condition on yet), so diagnostics should read it per step
-    rather than as a single scalar.
+    onto the same basis to get Phi_k, and evaluates dH/dv at
+    (E_k Phi_{k+1}, Lambda_k) from the same coefficient table.  One
+    design factorization per step is shared by all regression targets;
+    collinear directions are truncated per step (see ``StepProjector``),
+    with the effective rank recorded and logged when below the full basis
+    size away from the start.  The minimum per-step R^2 across targets is
+    recorded; it is structurally near zero at the first few steps (there
+    is almost nothing to condition on yet), so diagnostics should read it
+    per step rather than as a single scalar.
     """
     for _, _, adjoint in backward_sweep(spec, path, basis, coeffs):
         pass
@@ -437,10 +421,8 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
     while it is alive; rows below k are not filled yet, and the last
     yield carries the complete adjoint.
     """
-    if basis is None:
-        basis = PolyBasis()
-    if coeffs is None:
-        coeffs = CompactCoeffs(spec)
+    basis = basis or PolyBasis()
+    coeffs = coeffs or CompactCoeffs(spec)
     grid = path.grid
     dt = grid.dt
     times = grid.times
@@ -454,18 +436,18 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
     phi = np.empty((n, grid.n_steps + 1, 2))
     lam = np.empty((n, grid.n_steps, 2))
     phi_pred = np.empty((n, grid.n_steps, 2))
+    dH_dv = np.empty((grid.n_steps, n))
     r2 = np.empty(grid.n_steps)
     ranks = np.empty(grid.n_steps, dtype=np.int64)
-    adjoint = AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred,
+    adjoint = AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred, dH_dv=dH_dv,
                           r_squared=r2, ranks=ranks, basis_degree=basis.degree)
 
     phi[:, -1] = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
 
     for k in range(grid.n_steps - 1, -1, -1):
-        t = times[k]
         x = path.states[:, k]
         p = path.probs[:, k, 0]
-        u = path.controls[:, k]
+        tab = coeffs.at(times[k], x, p, path.controls[:, k])
 
         proj = StepProjector.on_basis(basis, x, p)
         ranks[k] = proj.rank
@@ -483,13 +465,12 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
         z = (phi_next - m) * (path.dnu[:, k, None] / dt)
         lam_k = proj.fitted(z)
         lam[:, k] = lam_k
+        dH_dv[k] = tab.H_v(m, lam_k)
 
-        Bt = coeffs.B_theta(t, x, p, u)
-        St = coeffs.Sigma_theta(t, x, p, u)
         driver = (
-            np.einsum("nji,nj->ni", Bt, phi_next)
-            + np.einsum("nji,nj->ni", St, lam_k)
-            + coeffs.F_theta(t, x, p, u)
+            np.einsum("nji,nj->ni", tab.B_theta, phi_next)
+            + np.einsum("nji,nj->ni", tab.Sigma_theta, lam_k)
+            + tab.F_theta
         )
         target = phi_next + driver * dt
         fit = proj.fitted(target)
@@ -522,58 +503,38 @@ def hamiltonian_direction_value(
     for the discrete recursions.  Residual disagreement is regression
     error in Lambda and Phi, not an O(dt) defect.
     """
-    if coeffs is None:
-        coeffs = CompactCoeffs(spec)
+    coeffs = coeffs or CompactCoeffs(spec)
     grid = path.grid
-    dt = grid.dt
-    times = grid.times
     direction = np.asarray(direction, dtype=np.float64)
     total = np.zeros(path.n_paths)
     for k in range(grid.n_steps):
-        hv = hamiltonian_v_gradient(
-            coeffs, times[k], path.states[:, k], path.probs[:, k, 0],
-            path.controls[:, k], adjoint.phi[:, k + 1], adjoint.lam[:, k],
-        )
-        total += dt * hv * direction[:, k]
+        tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0],
+                        path.controls[:, k])
+        total += grid.dt * tab.H_v(adjoint.phi[:, k + 1], adjoint.lam[:, k]) * direction[:, k]
     return float(np.mean(total))
 
 
-def stationarity_report(
-    spec: ProblemSpec,
-    path: InnovationPath,
-    adjoint: AdjointPath,
-    coeffs: CompactCoeffs | None = None,
-) -> dict:
+def stationarity_report(spec: ProblemSpec, path: InnovationPath, adjoint: AdjointPath) -> dict:
     """sqrt(E integral |dH/dv|^2 dt) along the ensemble controls.
 
-    dH/dv is evaluated with the fitted node-k adjoint values (the
-    squared norm needs conditional means, not unbiased samples).  For an
+    dH/dv is the sweep's ``adjoint.dH_dv``, taken with the fitted node-k
+    adjoint values (the squared norm needs conditional means, not
+    unbiased samples), so no coefficient is evaluated here.  For an
     interior optimum the gradient itself must vanish; with a bounded
     control domain the right object is the projected residual
     |u - proj(u - dH/dv)|, which also vanishes at domain-boundary
     optima.  Both are reported, with regression diagnostics.
     """
-    if coeffs is None:
-        coeffs = CompactCoeffs(spec)
-    grid = path.grid
-    dt = grid.dt
-    times = grid.times
+    dt = path.grid.dt
     lo, hi = spec.control_domain
-    sq = 0.0
-    sq_proj = 0.0
-    for k in range(grid.n_steps):
-        u = path.controls[:, k]
-        hv = hamiltonian_v_gradient(
-            coeffs, times[k], path.states[:, k], path.probs[:, k, 0], u,
-            adjoint.phi_pred[:, k], adjoint.lam[:, k],
-        )
+    sq = sq_proj = 0.0
+    for u, hv in zip(path.controls.T, adjoint.dH_dv):
         sq += float(np.mean(hv**2)) * dt
-        step = np.clip(u - hv, lo, hi)
-        sq_proj += float(np.mean((u - step) ** 2)) * dt
+        sq_proj += float(np.mean((u - np.clip(u - hv, lo, hi)) ** 2)) * dt
     return {
         "residual": float(np.sqrt(sq)),
         "projected_residual": float(np.sqrt(sq_proj)),
         "n_paths": path.n_paths,
         "basis_degree": int(adjoint.basis_degree),
-        "per_step_r2_min": float(adjoint.r_squared.min()) if len(adjoint.r_squared) else 1.0,
+        "per_step_r2_min": float(adjoint.r_squared.min()),
     }

@@ -1,11 +1,11 @@
-"""Linear-quadratic specialization: explicit control and iterative solver.
+"""Linear-quadratic specialization: stationary control and iterative solver.
 
-For linear dynamics and quadratic costs the stationarity condition of
-the Hamiltonian solves in closed form for the control in terms of the
-adjoint pair, so the coupled forward-backward system can be attacked by
-damped Picard iteration: simulate forward under the current feedback,
-solve the backward equation by regression, read off the implied
-feedback, damp, refit, repeat.
+For linear dynamics and quadratic costs the Hamiltonian is quadratic in
+the control, so one Newton step on the sweep's dH/dv gives the
+stationary control, and the coupled forward-backward system can be
+attacked by damped Picard iteration: simulate forward under the current
+feedback, solve the backward equation by regression, read off the
+implied feedback, damp, refit, repeat.
 
 A classical verification route is also provided: when the regime is
 observable the problem reduces to coupled scalar Riccati equations,
@@ -60,24 +60,11 @@ def default_spec() -> LQSpec:
     )
 
 
-def lq_control_formula(lq: LQSpec, x, p, phi_x, lam_pi):
-    """Control solving dH/dv = 0 given the adjoint pair.
-
-    dH/dv = phi_x * (b1 p + b2 (1-p)) + lam_pi * (b1 - b2) p (1-p) / sigma
-            + (R1 p + R2 (1-p)) v = 0
-
-    so v = -(phi_x bbar + lam_pi (b1-b2) p(1-p)/sigma) / Rbar.  ``x`` is
-    unused by the formula itself (the state enters through the adjoint)
-    but kept in the signature so all feedback evaluations look alike.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    b1, b2 = lq.b
-    rbar = lq.R[0] * p + lq.R[1] * (1.0 - p)
-    bbar = b1 * p + b2 * (1.0 - p)
-    grad0 = np.asarray(phi_x) * bbar + np.asarray(lam_pi) * (b1 - b2) * p * (1.0 - p) / lq.sigma
-    u = -grad0 / rbar
-    lo, hi = lq.control_domain
-    return np.clip(u, lo, hi)
+def stationary_control(lq: LQSpec, p, u, dH_dv):
+    """The control minimizing H given its gradient dH/dv at ``u``: H is
+    quadratic in v with curvature Rbar = R1 p + R2 (1 - p), so one Newton
+    step lands on the minimizer, clipped to the control domain."""
+    return np.clip(u - dH_dv / (lq.R[0] * p + lq.R[1] * (1.0 - p)), *lq.control_domain)
 
 
 @dataclass
@@ -259,7 +246,7 @@ def solve_lq(
     Starting from the zero control: simulate the observable system
     forward (same noise every iteration, so successive policies are
     compared on common randomness), solve the adjoint equation backward,
-    evaluate the explicit stationary control along the ensemble, damp it
+    take the stationary control from the sweep's dH/dv, damp it
     toward the previous controls, refit the per-step polynomial
     feedback, and stop once the sup-change of the feedback surface over
     a (t, x, pi) quantile lattice falls below
@@ -302,10 +289,10 @@ def solve_lq(
         for k, proj, adj in backward_sweep(spec, path, basis, coeffs):
             x = path.states[:, k]
             p = path.probs[:, k, 0]
-            u_star = lq_control_formula(lq, x, p, adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
+            u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
             u_new[:, k] = (1.0 - damping) * u_prev[:, k] + damping * u_star
             candidate._fit_step(k, proj, x, p, u_new[:, k])
-        residual = stationarity_report(spec, path, adj, coeffs=coeffs)["residual"]
+        residual = stationarity_report(spec, path, adj)["residual"]
 
         change, u_scale = _policy_sup_change(
             grid, policy, candidate, path.states, path.probs)
@@ -334,7 +321,7 @@ def solve_lq(
 
     path = _forward(spec, grid, n_paths, seed, policy, dnu)
     adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
-    report = stationarity_report(spec, path, adj, coeffs=coeffs)
+    report = stationarity_report(spec, path, adj)
     cost = transformed_cost(spec, grid, path.states, path.probs, path.controls)
     solution = LQSolution(
         policy=policy, cost=cost, residual=report, iterations=len(trace),

@@ -303,7 +303,7 @@ class ProblemSpec:
         Volatility floor; h = b/sigma raises ``DomainError`` below it.
     lq : LQSpec, optional
         Tag carrying the constants when the problem is linear-quadratic;
-        analytic derivatives and the explicit control formula are only
+        analytic coefficient derivatives and the Picard solver are only
         available for tagged specs.
     """
 
@@ -355,12 +355,6 @@ def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
             f"(min observed {np.min(sig)})"
         )
     return sig
-
-
-def eval_h(spec: ProblemSpec, t, x, i: int, v):
-    """Signal-to-noise ratio h(t, x, i, v) = b(t, x, i, v) / sigma(t, x, v)."""
-    sig = eval_sigma(spec, t, x, v)
-    return np.asarray(spec.drift(t, x, i, v), dtype=np.float64) / sig
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -193,17 +194,13 @@ def test_07_bsde_solver_oracle(spec):
     class LinearCoeffs:
         a: float
 
-        def B_theta(self, t, x, p, u):
-            out = np.zeros((len(x), 2, 2))
-            out[:, 0, 0] = self.a
-            out[:, 1, 1] = self.a
-            return out
-
-        def Sigma_theta(self, t, x, p, u):
-            return np.zeros((len(x), 2, 2))
-
-        def F_theta(self, t, x, p, u):
-            return np.zeros((len(x), 2))
+        def at(self, t, x, p, u):
+            B_theta = np.zeros((len(x), 2, 2))
+            B_theta[:, 0, 0] = self.a
+            B_theta[:, 1, 1] = self.a
+            return types.SimpleNamespace(
+                B_theta=B_theta, Sigma_theta=np.zeros((len(x), 2, 2)),
+                F_theta=np.zeros((len(x), 2)), H_v=lambda phi, lam: np.zeros(len(x)))
 
         def G_theta(self, x, p):
             return np.stack([x, p], axis=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from hybridmp.adjoint import (
     PolyBasis,
     StepProjector,
     gateaux_derivative,
-    hamiltonian,
     hamiltonian_direction_value,
-    hamiltonian_v_gradient,
     solve_adjoint_bsde,
     solve_variational,
     stationarity_report,
@@ -51,19 +50,19 @@ def ensemble(spec):
 class TestCompactCoeffs:
     def test_belief_drift_component(self, lq, coeffs, points):
         t, x, p, u = points
-        B = coeffs.B(t, x, p, u)
+        B = coeffs.at(t, x, p, u).B
         expected = -lq.lambda1 * p + lq.lambda2 * (1.0 - p)
         assert np.allclose(B[:, 1], expected, atol=1e-12)
 
     def test_belief_drift_slope_is_rate_sum(self, lq, coeffs, points):
         t, x, p, u = points
-        Bt = coeffs.B_theta(t, x, p, u)
+        Bt = coeffs.at(t, x, p, u).B_theta
         assert np.allclose(Bt[:, 1, 1], -(lq.lambda1 + lq.lambda2),
                            atol=1e-12)
 
     def test_control_does_not_move_belief_drift(self, coeffs, points):
         t, x, p, u = points
-        Bv = coeffs.B_v(t, x, p, u)
+        Bv = coeffs.at(t, x, p, u).B_v
         assert np.allclose(Bv[:, 1], 0.0, atol=1e-12)
 
     def test_belief_noise_vanishes_at_simplex_corners(self, coeffs):
@@ -71,12 +70,12 @@ class TestCompactCoeffs:
         x = np.ones(2)
         u = np.zeros(2)
         for corner in (0.0, 1.0):
-            S = coeffs.Sigma(t, x, np.full(2, corner), u)
+            S = coeffs.at(t, x, np.full(2, corner), u).Sigma
             assert np.allclose(S[:, 1], 0.0, atol=1e-12)
 
     def test_running_cost_belief_slope(self, lq, coeffs, points):
         t, x, p, u = points
-        Ft = coeffs.F_theta(t, x, p, u)
+        Ft = coeffs.at(t, x, p, u).F_theta
         expected = 0.5 * ((lq.Q[0] - lq.Q[1]) * x**2
                           + (lq.R[0] - lq.R[1]) * u**2)
         assert np.allclose(Ft[:, 1], expected, atol=1e-10)
@@ -93,7 +92,7 @@ class TestCompactCoeffs:
                                                     points):
         cf = CompactCoeffs(regime_free.to_problem_spec())
         t, x, p, u = points
-        Bt = cf.B_theta(t, x, p, u)
+        Bt = cf.at(t, x, p, u).B_theta
         assert np.allclose(Bt[:, 0, 1], 0.0, atol=1e-12)
 
     def test_finite_difference_route_agrees(self, spec, coeffs, points):
@@ -101,8 +100,8 @@ class TestCompactCoeffs:
         t, x, p, u = points
         for name in ("B_theta", "B_v", "Sigma_theta", "Sigma_v",
                      "F_theta", "F_v"):
-            got = getattr(fd, name)(t, x, p, u)
-            want = getattr(coeffs, name)(t, x, p, u)
+            got = getattr(fd.at(t, x, p, u), name)
+            want = getattr(coeffs.at(t, x, p, u), name)
             assert np.allclose(got, want, atol=1e-5), name
 
     def test_terminal_gradient_fd_route(self, spec, coeffs, points):
@@ -116,16 +115,15 @@ class TestHamiltonian:
     def test_hand_value(self, coeffs):
         # x=0, p=1, u=1, Phi=(1,0), Lambda=0:
         # <B, Phi> = b1 = 1 and F = R1/2 = 0.5
-        val = hamiltonian(coeffs, 0.0, np.zeros(1), np.ones(1), np.ones(1),
-                          np.array([[1.0, 0.0]]), np.zeros((1, 2)))
+        val = coeffs.at(0.0, np.zeros(1), np.ones(1), np.ones(1)).H(
+            np.array([[1.0, 0.0]]), np.zeros((1, 2)))
         assert val[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_gradient_with_zero_adjoint_is_weighted_control_cost(
             self, lq, coeffs, points):
         t, x, p, u = points
-        hv = hamiltonian_v_gradient(coeffs, t, x, p, u,
-                                    np.zeros((len(x), 2)),
-                                    np.zeros((len(x), 2)))
+        hv = coeffs.at(t, x, p, u).H_v(np.zeros((len(x), 2)),
+                                       np.zeros((len(x), 2)))
         rbar = p * lq.R[0] + (1.0 - p) * lq.R[1]
         assert np.allclose(hv, rbar * u, atol=1e-12)
 
@@ -133,8 +131,7 @@ class TestHamiltonian:
         cf = CompactCoeffs(regime_free.to_problem_spec())
         t, x, p, u = points
         phi = np.stack([x * 0.0 + 0.7, x * 0.0 - 0.2], axis=1)
-        hv = hamiltonian_v_gradient(cf, t, x, p, u, phi,
-                                    np.zeros((len(x), 2)))
+        hv = cf.at(t, x, p, u).H_v(phi, np.zeros((len(x), 2)))
         assert np.allclose(hv, 0.7 * regime_free.b[0]
                            + regime_free.R[0] * u, atol=1e-12)
 
@@ -147,9 +144,9 @@ class TestHamiltonian:
         phi = rng.normal(0.0, 1.0, (n, 2))
         lam = rng.normal(0.0, 1.0, (n, 2))
         eps = 1e-5
-        num = (hamiltonian(coeffs, t, x, p, u + eps, phi, lam)
-               - hamiltonian(coeffs, t, x, p, u - eps, phi, lam)) / (2 * eps)
-        ana = hamiltonian_v_gradient(coeffs, t, x, p, u, phi, lam)
+        num = (coeffs.at(t, x, p, u + eps).H(phi, lam)
+               - coeffs.at(t, x, p, u - eps).H(phi, lam)) / (2 * eps)
+        ana = coeffs.at(t, x, p, u).H_v(phi, lam)
         assert np.max(np.abs(num - ana)) <= 1e-6 * (1.0 + np.max(np.abs(ana)))
 
 
@@ -224,6 +221,39 @@ class TestAdjointBsde:
                             "basis_degree", "per_step_r2_min"}
         assert rep["n_paths"] == path.n_paths
 
+    @pytest.mark.parametrize("domain", [(-math.inf, math.inf), (-0.2, 0.2)],
+                             ids=["unbounded", "bounded"])
+    def test_report_reduces_the_sweeps_gradient(self, lq, domain):
+        # the per-step loop the report ran before the sweep stored dH/dv,
+        # kept as the reference; with a bounded domain the projected
+        # residual differs from the plain one
+        spec = dataclasses.replace(lq, control_domain=domain).to_problem_spec()
+        grid = TimeGrid(1.0, 50)
+        path = innovation_forward(spec, grid, 600, 8, policy=zero_policy(domain))
+        adj = solve_adjoint_bsde(spec, path)
+        coeffs = CompactCoeffs(spec)
+        sq = sq_proj = 0.0
+        for k in range(grid.n_steps):
+            u = path.controls[:, k]
+            tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0], u)
+            phi, lam = adj.phi_pred[:, k], adj.lam[:, k]
+            hv = (np.sum(phi * tab.B_v, axis=1) + np.sum(lam * tab.Sigma_v, axis=1)
+                  + tab.F_v)
+            sq += float(np.mean(hv**2)) * grid.dt
+            step = np.clip(u - hv, *domain)
+            sq_proj += float(np.mean((u - step) ** 2)) * grid.dt
+        rep = stationarity_report(spec, path, adj)
+        assert rep["residual"] == pytest.approx(math.sqrt(sq), rel=1e-12)
+        assert rep["projected_residual"] == pytest.approx(math.sqrt(sq_proj), rel=1e-12)
+        if domain[0] > -math.inf:
+            assert rep["projected_residual"] < 0.5 * rep["residual"]
+
+    def test_finite_difference_route_through_the_sweep(self, spec, ensemble):
+        _, path, adj = ensemble
+        fd = solve_adjoint_bsde(spec, path, coeffs=CompactCoeffs(spec, force_fd=True))
+        for name in ("phi", "lam", "dH_dv"):
+            assert np.max(np.abs(getattr(fd, name) - getattr(adj, name))) <= 1e-8, name
+
     def test_zero_cost_problem_has_zero_adjoint(self):
         flat = LQSpec(a=(0.5, -0.5), b=(1.0, 0.5), sigma=0.3, Q=(0.0, 0.0),
                       R=(1.0, 2.0), G=(0.0, 0.0), lambda1=1.0, lambda2=1.0,
@@ -265,23 +295,19 @@ def _synthetic_path(grid: TimeGrid, n: int, sigma: float,
 
 @dataclasses.dataclass
 class _LinearCoeffs:
-    """Driver B_Theta = a I, Sigma_Theta = 0, F_Theta = 0 and terminal
-    gradient (x, p): the backward recursion then has the closed form
-    Phi_k = (1 + a dt)^(N-k) (X_k, p_k) along martingale forwards."""
+    """Driver B_Theta = a I, Sigma_Theta = 0, F_Theta = 0, dH/dv = 0 and
+    terminal gradient (x, p): the backward recursion then has the closed
+    form Phi_k = (1 + a dt)^(N-k) (X_k, p_k) along martingale forwards."""
 
     a: float
 
-    def B_theta(self, t, x, p, u):
-        out = np.zeros((len(x), 2, 2))
-        out[:, 0, 0] = self.a
-        out[:, 1, 1] = self.a
-        return out
-
-    def Sigma_theta(self, t, x, p, u):
-        return np.zeros((len(x), 2, 2))
-
-    def F_theta(self, t, x, p, u):
-        return np.zeros((len(x), 2))
+    def at(self, t, x, p, u):
+        B_theta = np.zeros((len(x), 2, 2))
+        B_theta[:, 0, 0] = self.a
+        B_theta[:, 1, 1] = self.a
+        return types.SimpleNamespace(
+            B_theta=B_theta, Sigma_theta=np.zeros((len(x), 2, 2)),
+            F_theta=np.zeros((len(x), 2)), H_v=lambda phi, lam: np.zeros(len(x)))
 
     def G_theta(self, x, p):
         return np.stack([x, p], axis=1)

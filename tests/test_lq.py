@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -7,18 +8,21 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import hybridmp.adjoint as adjoint_mod
+import hybridmp.lq as lq_mod
 from hybridmp import ConfigError, LQSpec, NonConvergence, TimeGrid
-from hybridmp.adjoint import PolyBasis, StepProjector, solve_adjoint_bsde, stationarity_report
+from hybridmp.adjoint import (CompactCoeffs, PolyBasis, StepProjector, solve_adjoint_bsde,
+                              stationarity_report)
 from hybridmp.lq import (
     PiecewisePolyPolicy,
     _policy_sup_change,
     _quantile_lattice,
     default_spec,
     full_observation_baseline,
-    lq_control_formula,
     riccati_backward,
     riccati_cost,
     solve_lq,
+    stationary_control,
 )
 from hybridmp.model import zero_policy
 from hybridmp.wonham import innovation_forward
@@ -30,21 +34,40 @@ def solved(lq):
     return grid, solve_lq(lq, grid, n_paths=1024, seed=3)
 
 
+def _control_oracle(lq: LQSpec, p, phi_x, lam_pi):
+    # dH/dv = 0 solved by hand for the LQ case:
+    #   dH/dv = phi_x bbar + lam_pi (b1 - b2) p (1-p) / sigma + Rbar v
+    # so v = -(phi_x bbar + lam_pi (b1-b2) p(1-p)/sigma) / Rbar, clipped
+    p = np.asarray(p, dtype=np.float64)
+    b1, b2 = lq.b
+    rbar = lq.R[0] * p + lq.R[1] * (1.0 - p)
+    bbar = b1 * p + b2 * (1.0 - p)
+    grad0 = np.asarray(phi_x) * bbar + np.asarray(lam_pi) * (b1 - b2) * p * (1.0 - p) / lq.sigma
+    return np.clip(-grad0 / rbar, *lq.control_domain)
+
+
+def _update_from_zero(lq: LQSpec, x, p, phi_x, lam_pi):
+    # the solver's update u - dH/dv / Rbar at u = 0, with dH/dv read off
+    # the coefficient table
+    x, p, u = np.array([x]), np.array([p]), np.zeros(1)
+    hv = CompactCoeffs(lq.to_problem_spec()).at(0.0, x, p, u).H_v(
+        np.array([[phi_x, 0.0]]), np.array([[0.0, lam_pi]]))
+    return stationary_control(lq, p, u, hv)[0]
+
+
 class TestControlFormula:
     def test_zero_adjoint_is_zero_control(self, lq):
-        u = lq_control_formula(lq, 0.7, 0.4, 0.0, 0.0)
+        u = _update_from_zero(lq, 0.7, 0.4, 0.0, 0.0)
         assert u == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_point(self, lq):
         # p=1/2: bbar=0.75, Rbar=1.5, gain term 0.3*0.5*0.25/0.3=0.125
-        u = lq_control_formula(lq, 0.0, 0.5, 1.0, 0.3)
+        u = _update_from_zero(lq, 0.0, 0.5, 1.0, 0.3)
         assert u == pytest.approx(-(0.75 + 0.125) / 1.5, abs=1e-12)
 
     def test_respects_control_domain(self, lq):
-        import dataclasses
-
         bounded = dataclasses.replace(lq, control_domain=(-0.2, 0.2))
-        u = lq_control_formula(bounded, 0.0, 0.5, 5.0, 0.0)
+        u = _update_from_zero(bounded, 0.0, 0.5, 5.0, 0.0)
         assert u == pytest.approx(-0.2)
 
 
@@ -249,8 +272,7 @@ class TestSolveLq:
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             upol = sol.policy(grid.times[k], x, p)
-            uform = lq_control_formula(lq, x, p, adj.phi_pred[:, k, 0],
-                                       adj.lam[:, k, 1])
+            uform = _control_oracle(lq, p, adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
             worst = max(worst, float(np.max(np.abs(upol - uform))))
         assert worst <= 0.05 * scale
 
@@ -290,6 +312,54 @@ class TestSolveLq:
         assert iterations == 2
         assert calls == {"svd": grid.n_steps * (iterations + 1), "lstsq": 0}
 
+    def test_each_backward_step_evaluates_the_coefficients_once(self, lq, monkeypatch):
+        # one coefficient table per backward step: drift and running cost
+        # once per regime and vol once; the certificate reads the sweep's
+        # dH/dv and evaluates no coefficient
+        phase = ["other"]
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[phase[-1], name] += 1
+                return fn(*args)
+            return wrapped
+
+        sweep, report = adjoint_mod.backward_sweep, adjoint_mod.stationarity_report
+
+        def sweeping(*args, **kwargs):
+            phase.append("sweep")
+            try:
+                yield from sweep(*args, **kwargs)
+            finally:
+                phase.pop()
+
+        def reporting(*args, **kwargs):
+            phase.append("report")
+            calls["report", "calls"] += 1
+            try:
+                return report(*args, **kwargs)
+            finally:
+                phase.pop()
+
+        monkeypatch.setattr(adjoint_mod, "backward_sweep", sweeping)
+        monkeypatch.setattr(lq_mod, "backward_sweep", sweeping)
+        monkeypatch.setattr(lq_mod, "stationarity_report", reporting)
+        base = lq.to_problem_spec()
+        spec = dataclasses.replace(
+            base, drift=counting("drift", base.drift), vol=counting("vol", base.vol),
+            running_cost=counting("running_cost", base.running_cost))
+        grid = TimeGrid(1.0, 20)
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(spec, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
+        sweeps = exc.value.solution.iterations + 1  # plus the certificate's
+        per_sweep = grid.n_steps * sweeps
+        assert calls["sweep", "drift"] == 2 * per_sweep
+        assert calls["sweep", "vol"] == per_sweep
+        assert calls["sweep", "running_cost"] == 2 * per_sweep
+        assert calls["report", "calls"] == sweeps
+        assert [key for key in calls if key[0] == "report"] == [("report", "calls")]
+
     def test_policy_is_called_only_by_forward_passes(self, lq, monkeypatch):
         # the convergence check evaluates both policies on the whole
         # lattice at once, so one-step calls come only from the forward
@@ -327,8 +397,7 @@ class TestSolveLq:
                                   policy=zero_policy(spec.control_domain))
         adj = solve_adjoint_bsde(spec, path)
         u_star = np.column_stack([
-            lq_control_formula(lq, path.states[:, k], path.probs[:, k, 0],
-                               adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
+            _control_oracle(lq, path.probs[:, k, 0], adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
             for k in range(grid.n_steps)
         ])
         targets = (1.0 - damping) * path.controls + damping * u_star

@@ -22,7 +22,7 @@ from hybridmp import (
     validate_spec,
     zero_policy,
 )
-from hybridmp.model import central_diff, eval_h, eval_sigma
+from hybridmp.model import central_diff, eval_sigma
 from hybridmp.errors import DomainError
 
 rates = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -142,12 +142,6 @@ class TestProblemSpec:
         object.__setattr__(degenerate, "vol", lambda t, x, v: 0.0)
         with pytest.raises(DomainError):
             eval_sigma(degenerate, 0.0, 1.0, 0.0)
-
-    def test_eval_h_is_drift_over_vol(self, spec):
-        t, x, u = 0.2, 0.8, -0.3
-        for i in (1, 2):
-            assert eval_h(spec, t, x, i, u) == pytest.approx(
-                spec.drift(t, x, i, u) / spec.vol(t, x, u))
 
     def test_validate_clean_default(self, spec):
         assert validate_spec(spec) == []
