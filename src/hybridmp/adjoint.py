@@ -96,14 +96,13 @@ class CompactCoeffs:
         return _assemble(len(p), g_x[0] * p + g_x[1] * (1.0 - p), g[0] - g[1])
 
 
-def _assemble(n: int, *entries) -> Array:
-    """Entries broadcast to n paths: two make an (n, 2) vector (or, as
-    its transpose, a per-regime table), four an (n, 2, 2) matrix listed
-    row by row."""
-    out = np.empty((n, len(entries)))
-    for j, entry in enumerate(entries):
-        out[:, j] = entry
-    return out if len(entries) == 2 else out.reshape(n, 2, 2)
+def _assemble(n: int, first, second) -> Array:
+    """Two entries broadcast to n paths, and any leading axes they carry, as
+    a (..., n, 2) vector (or, as its transpose, a per-regime table)."""
+    out = np.empty(np.broadcast_shapes(n, np.shape(first), np.shape(second)) + (2,))
+    out[..., 0] = first
+    out[..., 1] = second
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,9 @@ class StepCoeffs:
 
     Per-regime tables (drift b, running cost f and their x- and
     v-derivatives) have shape (2, n) or broadcast to it; sigma and its
-    derivatives have shape (n,).  B, Sigma, F and their Theta- and
-    v-derivatives are assembled from it here and nowhere else; they put
-    the path axis first and order Theta components as (x, pi).
+    derivatives have shape (n,).  B, Sigma, H and H's linearization
+    (``tangent``, its transpose ``H_theta``, and ``H_v``) are read from it
+    here and nowhere else, path axis first and Theta ordered as (x, pi).
     """
 
     p: Array
@@ -151,42 +150,43 @@ class StepCoeffs:
     def Sigma(self) -> Array:
         return _assemble(len(self.p), self.sig, self._h_diff * self.p * (1.0 - self.p))
 
-    @property
-    def B_theta(self) -> Array:
-        l1, l2 = self.rates
-        return _assemble(len(self.p), self._mix(self.b_x), self.b[0] - self.b[1], 0.0, -l1 - l2)
-
-    @property
-    def B_v(self) -> Array:
-        return _assemble(len(self.p), self._mix(self.b_v), 0.0)
-
-    @property
-    def Sigma_theta(self) -> Array:
-        return _assemble(len(self.p), self.sig_x, 0.0, self._gain_slope(self.b_x, self.sig_x),
-                         self._h_diff * (1.0 - 2.0 * self.p))
-
-    @property
-    def Sigma_v(self) -> Array:
-        return _assemble(len(self.p), self.sig_v, self._gain_slope(self.b_v, self.sig_v))
-
-    @property
-    def F_theta(self) -> Array:
-        return _assemble(len(self.p), self._mix(self.f_x), self.f[0] - self.f[1])
-
-    @property
-    def F_v(self) -> Array:
-        return self._mix(self.f_v)
-
     def H(self, phi: Array, lam: Array) -> Array:
         """H = <phi, B> + <lam, Sigma> + F along the ensemble."""
         return np.sum(phi * self.B, axis=1) + np.sum(lam * self.Sigma, axis=1) + self._mix(self.f)
+
+    def H_theta(self, phi: Array, lam: Array) -> Array:
+        """dH/dTheta = B_Theta^T phi + Sigma_Theta^T lam + F_Theta along the
+        ensemble, the adjoint driver: the transpose of ``tangent`` in g.
+        B_Theta has no (pi, x) entry and Sigma_Theta no (x, pi) entry."""
+        d_x = (self._mix(self.b_x) * phi[..., 0]
+               + (self.sig_x * lam[..., 0] + self._gain_slope(self.b_x, self.sig_x) * lam[..., 1])
+               + self._mix(self.f_x))
+        d_pi = (((self.b[0] - self.b[1]) * phi[..., 0] + -sum(self.rates) * phi[..., 1])
+                + self._h_diff * (1.0 - 2.0 * self.p) * lam[..., 1]
+                + (self.f[0] - self.f[1]))
+        return _assemble(len(self.p), d_x, d_pi)
 
     def H_v(self, phi: Array, lam: Array) -> Array:
         """dH/dv = <phi, B_v> + <lam, Sigma_v> + F_v along the ensemble;
         B_v has no pi component."""
         return (phi[:, 0] * self._mix(self.b_v)
                 + (lam[:, 0] * self.sig_v + lam[:, 1] * self._gain_slope(self.b_v, self.sig_v))
-                + self.F_v)
+                + self._mix(self.f_v))
+
+    def tangent(self, g: Array, w: Array) -> tuple[Array, Array, Array]:
+        """(B_Theta g + B_v w, Sigma_Theta g + Sigma_v w, F_Theta . g + F_v w)
+        at a state tangent g (..., n, 2) and a control tangent w (..., n);
+        leading axes, one per direction say, carry through."""
+        g_x, g_pi, n = g[..., 0], g[..., 1], len(self.p)
+        d_b = _assemble(n, (self._mix(self.b_x) * g_x + (self.b[0] - self.b[1]) * g_pi)
+                        + self._mix(self.b_v) * w, -sum(self.rates) * g_pi)
+        d_sigma = _assemble(n, self.sig_x * g_x + self.sig_v * w,
+                            (self._gain_slope(self.b_x, self.sig_x) * g_x
+                             + self._h_diff * (1.0 - 2.0 * self.p) * g_pi)
+                            + self._gain_slope(self.b_v, self.sig_v) * w)
+        d_f = (self._mix(self.f_x) * g_x + (self.f[0] - self.f[1]) * g_pi) \
+            + self._mix(self.f_v) * w
+        return d_b, d_sigma, d_f
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +194,31 @@ class StepCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _variational(path: InnovationPath, direction: Array, coeffs) -> tuple[Array, Array]:
-    """Gamma of ``solve_variational`` and, per path, the running part
-    sum_k (F_Theta . Gamma_k + F_v w_k) dt of the Gateaux derivative,
-    from one coefficient table per step."""
+def _variational(path: InnovationPath, direction: Array, coeffs,
+                 history: bool) -> tuple[Array, Array]:
+    """Gamma_N (Gamma at every node with ``history``) and, per path, the
+    running part sum_k (F_Theta . Gamma_k + F_v w_k) dt of the Gateaux
+    derivative, from one coefficient table per step.  ``direction`` is
+    (n, N) or a stack (D, n, N); the outputs carry its leading axis."""
     grid = path.grid
-    dt = grid.dt
-    times = grid.times
     direction = np.asarray(direction, dtype=np.float64)
     n = path.n_paths
-    if direction.shape != (n, grid.n_steps):
-        raise ConfigError(
-            f"direction must have shape {(n, grid.n_steps)}, got {direction.shape}"
-        )
+    if direction.ndim not in (2, 3) or direction.shape[-2:] != (n, grid.n_steps):
+        raise ConfigError(f"direction must have shape {(n, grid.n_steps)} or (D, "
+                          f"{n}, {grid.n_steps}), got {direction.shape}")
 
-    gamma = np.zeros((n, grid.n_steps + 1, 2))
-    running = np.zeros(n)
-    g = np.zeros((n, 2))
+    g = np.zeros(direction.shape[:-1] + (2,))
+    running = np.zeros(direction.shape[:-1])
+    gamma = np.zeros(direction.shape[:-1] + (grid.n_steps + 1, 2)) if history else None
     for k in range(grid.n_steps):
-        w = direction[:, k]
-        tab = coeffs.at(times[k], path.states[:, k], path.probs[:, k, 0], path.controls[:, k])
-        running += dt * (np.sum(tab.F_theta * g, axis=1) + tab.F_v * w)
-        drift = np.einsum("nij,nj->ni", tab.B_theta, g) + tab.B_v * w[:, None]
-        diff = np.einsum("nij,nj->ni", tab.Sigma_theta, g) + tab.Sigma_v * w[:, None]
-        g = g + drift * dt + diff * path.dnu[:, k, None]
-        gamma[:, k + 1] = g
-    return gamma, running
+        w = direction[..., k]
+        tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0], path.controls[:, k])
+        drift, diff, cost = tab.tangent(g, w)
+        running += grid.dt * cost
+        g = g + drift * grid.dt + diff * path.dnu[:, k, None]
+        if history:
+            gamma[..., k + 1, :] = g
+    return (gamma if history else g), running
 
 
 def solve_variational(
@@ -242,7 +241,7 @@ def solve_variational(
     checks against rerunning the forward system must agree to O(eps^2).
     Returns Gamma with shape (n_paths, N+1, 2).
     """
-    return _variational(path, direction, coeffs or CompactCoeffs(spec))[0]
+    return _variational(path, direction, coeffs or CompactCoeffs(spec), history=True)[0]
 
 
 def gateaux_derivative(
@@ -250,17 +249,17 @@ def gateaux_derivative(
     path: InnovationPath,
     direction: Array,
     coeffs: CompactCoeffs | None = None,
-) -> float:
-    """First-order cost change in a control direction, via the variational
-    system:
+) -> float | Array:
+    """First-order cost change in a control direction (one per direction
+    of a (D, n, N) stack, in one pass), via the variational system:
 
     dJ = E[ sum_k (F_Theta . Gamma_k + F_v w_k) dt + G_Theta . Gamma_N ].
     """
     coeffs = coeffs or CompactCoeffs(spec)
-    gamma, total = _variational(path, direction, coeffs)
+    gamma_N, total = _variational(path, direction, coeffs, history=False)
     Gt = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
-    total += np.sum(Gt * gamma[:, -1], axis=1)
-    return float(np.mean(total))
+    total += np.sum(Gt * gamma_N, axis=-1)
+    return np.mean(total, axis=-1) if total.ndim > 1 else float(np.mean(total))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +466,7 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
         lam[:, k] = lam_k
         dH_dv[k] = tab.H_v(m, lam_k)
 
-        driver = (
-            np.einsum("nji,nj->ni", tab.B_theta, phi_next)
-            + np.einsum("nji,nj->ni", tab.Sigma_theta, lam_k)
-            + tab.F_theta
-        )
-        target = phi_next + driver * dt
+        target = phi_next + tab.H_theta(phi_next, lam_k) * dt
         fit = proj.fitted(target)
         phi[:, k] = fit
 
@@ -492,9 +486,10 @@ def hamiltonian_direction_value(
     adjoint: AdjointPath,
     direction: Array,
     coeffs: CompactCoeffs | None = None,
-) -> float:
+) -> float | Array:
     """E[ sum_k dH/dv(t_k) w_k dt ]: the first-order cost change a control
-    perturbation should produce according to the adjoint representation.
+    perturbation (or each of a (D, n, N) stack, in one pass) should produce
+    according to the adjoint representation.
 
     The Phi factor is taken at node k+1 pathwise: since B_v, Sigma_v and
     w are node-k measurable, the tower property makes that estimator
@@ -506,12 +501,12 @@ def hamiltonian_direction_value(
     coeffs = coeffs or CompactCoeffs(spec)
     grid = path.grid
     direction = np.asarray(direction, dtype=np.float64)
-    total = np.zeros(path.n_paths)
+    total = np.zeros(direction.shape[:-1])
     for k in range(grid.n_steps):
         tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0],
                         path.controls[:, k])
-        total += grid.dt * tab.H_v(adjoint.phi[:, k + 1], adjoint.lam[:, k]) * direction[:, k]
-    return float(np.mean(total))
+        total += grid.dt * tab.H_v(adjoint.phi[:, k + 1], adjoint.lam[:, k]) * direction[..., k]
+    return np.mean(total, axis=-1) if total.ndim > 1 else float(np.mean(total))
 
 
 def stationarity_report(spec: ProblemSpec, path: InnovationPath, adjoint: AdjointPath) -> dict:

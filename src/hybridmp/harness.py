@@ -39,7 +39,6 @@ from .wonham import (
     transformed_cost_paths,
 )
 
-SUITES = ("filter-check", "mp-check", "lq-solve", "convergence-sweep")
 SWEEP_STEPS = (250, 500, 1000, 2000)
 
 ENV_PREFIX = "HYBRIDMP_"
@@ -85,7 +84,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITES}")
+            raise ConfigError(f"unknown suite {self.suite!r}; expected one of {tuple(SUITES)}")
         if self.n_steps < 10:
             raise ConfigError(f"n_steps must be >= 10, got {self.n_steps}")
         if self.n_paths < 100:
@@ -287,14 +286,17 @@ def _filter_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     return metrics, files
 
 
-def _direction_set(grid: TimeGrid, base, norm: float = 0.15) -> list:
-    """Perturbation directions scaled to a common L2(dt) norm.
+# L2(dt) norm of every mp-check direction.  It is kept small on purpose:
+# the acceptance comparison uses a one-sided difference quotient, whose
+# truncation term eps/2 * <v, J'' v> must stay inside the 0.1*eps
+# allowance; for quadratic costs that bounds the direction size, not the
+# step eps.
+DIRECTION_NORM = 0.15
 
-    The norm is kept small on purpose: the acceptance comparison uses a
-    one-sided difference quotient, whose truncation term eps/2 * <v, J'' v>
-    must stay inside the 0.1*eps allowance; for quadratic costs that
-    bounds the direction size, not the step eps.
-    """
+
+def _direction_set(grid: TimeGrid, base) -> np.ndarray:
+    """Perturbation directions scaled to ``DIRECTION_NORM``, stacked as
+    (5, n_paths, n_steps)."""
     times = grid.times[:-1]
     shapes = [
         np.ones_like(times),
@@ -304,12 +306,12 @@ def _direction_set(grid: TimeGrid, base, norm: float = 0.15) -> list:
     ]
     n = base.n_paths
     directions = [np.tile(s, (n, 1)) for s in shapes]
-    directions.append(base.probs[:, :-1, 0].copy())
+    directions.append(base.probs[:, :-1, 0])
     scaled = []
     for w in directions:
         rms = math.sqrt(float(np.mean(np.sum(w * w, axis=1) * grid.dt)))
-        scaled.append(w * (norm / max(rms, 1e-300)))
-    return scaled
+        scaled.append(w * (DIRECTION_NORM / max(rms, 1e-300)))
+    return np.stack(scaled)
 
 
 def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
@@ -326,21 +328,20 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
                                        base.controls)
 
     directions = _direction_set(grid, base)
+    lins = gateaux_derivative(spec, base, directions, coeffs)
+    duals = hamiltonian_direction_value(spec, base, adjoint, directions, coeffs)
 
     gateaux_ratio = 0.0
     duality_ratio = 0.0
-    for w in directions:
+    for w, lin, dual in zip(directions, lins.tolist(), duals.tolist()):
         pert = innovation_forward(spec, grid, cfg.n_paths, cfg.seed,
                                   controls=base.controls + eps * w,
                                   dnu=base.dnu)
         pert_cost = transformed_cost_paths(spec, grid, pert.states, pert.probs,
                                            pert.controls)
         fd = RunningMoments().add((pert_cost - base_cost) / eps)
-        lin = gateaux_derivative(spec, base, w, coeffs)
         allowance = 3.0 * fd.std_error + 0.1 * eps
         gateaux_ratio = max(gateaux_ratio, abs(fd.mean - lin) / allowance)
-
-        dual = hamiltonian_direction_value(spec, base, adjoint, w, coeffs)
         scale = max(abs(lin), abs(dual), 1e-12)
         duality_ratio = max(duality_ratio, abs(lin - dual) / scale)
 
@@ -465,11 +466,14 @@ def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Pat
     return metrics, [sweep_csv]
 
 
-_SUITE_RUNNERS = {
-    "filter-check": _filter_check,
-    "mp-check": _mp_check,
-    "lq-solve": _lq_solve,
-    "convergence-sweep": _convergence_sweep,
+# Each suite's runner, and the metrics whose tolerance a config may
+# override (lq-solve's ``converged`` has none).
+SUITES = {
+    "filter-check": (_filter_check, ("tower_property_z", "qv_error", "ks_zakai_sup_gap",
+                                     "oracle_rmse_ratio")),
+    "mp-check": (_mp_check, ("gateaux_gap_ratio", "duality_rel_gap", "bsde_min_r2")),
+    "lq-solve": (_lq_solve, ("cost_mean", "stationarity_ratio", "bsde_tail_r2_min")),
+    "convergence-sweep": (_convergence_sweep, ("oracle_rmse_monotone",)),
 }
 
 
@@ -491,13 +495,18 @@ def run_suite(cfg: ExperimentConfig) -> int:
     """Execute the configured suite; 0 all metrics pass, 1 any fail,
     2 on configuration or spec errors (error.json written)."""
     out = Path(cfg.out_dir)
+    runner, metric_names = SUITES[cfg.suite]
     try:
+        unknown = sorted(cfg.tolerances.keys() - set(metric_names))
+        if unknown:
+            raise ConfigError(f"tolerances name no metric of {cfg.suite}: {unknown}; "
+                              f"its metrics are {list(metric_names)}")
         problems = validate_spec(cfg.problem)
         if problems:
             raise ConfigError("spec violates standing assumptions: "
                               + "; ".join(problems))
         out.mkdir(parents=True, exist_ok=True)
-        metrics, files = _SUITE_RUNNERS[cfg.suite](cfg, out)
+        metrics, files = runner(cfg, out)
     except HybridMPError as exc:
         write_error(cfg.out_dir, exc)
         return 2

@@ -40,6 +40,10 @@ Array = NDArray[np.float64]
 
 logger = logging.getLogger(__name__)
 
+# x bins per step and pi quantiles per bin of ``_quantile_lattice``.
+LATTICE_X_BINS = 9
+LATTICE_P_QUANTILES = 5
+
 
 def default_spec() -> LQSpec:
     """Reference two-regime problem used across the test suite: regime 1
@@ -185,17 +189,17 @@ def _forward(spec, grid, n_paths, seed, policy, dnu) -> InnovationPath:
     return innovation_forward(spec, grid, n_paths, seed, policy=policy, dnu=dnu)
 
 
-def _quantile_lattice(states: Array, probs: Array, n_steps: int, n_x: int = 9,
-                      n_p: int = 5) -> tuple[Array, Array]:
+def _quantile_lattice(states: Array, probs: Array, n_steps: int) -> tuple[Array, Array]:
     """Conditional (x, pi) probe points of every step, one row per step.
 
     At each step the paths are sorted by x and split as ``np.array_split``
-    splits them into ``n_x`` bins; a bin contributes its x median,
-    repeated ``n_p`` times, and ``n_p`` pi quantiles.  One sort serves
-    every step, and each bin's medians and quantiles are taken for all
-    steps at once.
+    splits them into ``LATTICE_X_BINS`` bins; a bin contributes its x
+    median, repeated ``LATTICE_P_QUANTILES`` times, and as many pi
+    quantiles.  One sort serves every step, and each bin's medians and
+    quantiles are taken for all steps at once.
     """
     order = np.argsort(states[:, :n_steps], axis=0)
+    n_x, n_p = LATTICE_X_BINS, LATTICE_P_QUANTILES
     x_bins = np.array_split(np.take_along_axis(states[:, :n_steps], order, axis=0), n_x)
     p_bins = np.array_split(np.take_along_axis(probs[:, :n_steps, 0], order, axis=0), n_x)
     qp = np.linspace(0.05, 0.95, n_p)
@@ -210,8 +214,6 @@ def _policy_sup_change(
     new_policy,
     states: Array,
     probs: Array,
-    n_x: int = 9,
-    n_p: int = 5,
 ) -> tuple[float, float]:
     """Sup difference of two feedback maps over a (t, x, pi) lattice.
 
@@ -224,7 +226,7 @@ def _policy_sup_change(
     evaluated on the whole lattice through ``on_lattice``.  Returns
     (sup |new - old|, sup |new|).
     """
-    X, P = _quantile_lattice(states, probs, grid.n_steps, n_x, n_p)
+    X, P = _quantile_lattice(states, probs, grid.n_steps)
     times = grid.times[:grid.n_steps]
     u_new = new_policy.on_lattice(times, X, P)
     u_old = old_policy.on_lattice(times, X, P)
@@ -392,8 +394,6 @@ def full_observation_baseline(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    block_size: int = 4096,
-    workers: int = 1,
 ) -> tuple[CostEstimate, float]:
     """Monte Carlo cost of the regime-aware optimal feedback, plus the
     analytic value it should match.
@@ -429,4 +429,4 @@ def full_observation_baseline(
                             noise=dW, seed=seed, path_offset=offset)
         return cost_from_paths(spec, bundle)
 
-    return blocked_cost(path_costs, n_paths, block_size, workers), analytic
+    return blocked_cost(path_costs, n_paths), analytic

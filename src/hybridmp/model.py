@@ -32,14 +32,21 @@ Array = NDArray[np.float64]
 # needed numerically: step = FD_STEP_REL * max(1, |x|).
 FD_STEP_REL = 1e-5
 
+# Volatility floor: h = b / sigma raises ``DomainError`` below it.
+SIGMA_MIN = 1e-8
 
-def central_diff(fn: Callable, x, step: float | None = None):
+# ``validate_spec`` samples a (t, x, v) lattice of LATTICE_SHAPE over
+# [0, T] x X_RANGE x the control domain cut to [-10, 10].
+LATTICE_SHAPE = (11, 11, 11)
+X_RANGE = (-10.0, 10.0)
+DERIV_BOUND = 1e4
+GROWTH_CONSTANT = 1e6  # large enough to disable the growth checks in practice
+
+
+def central_diff(fn: Callable, x):
     """Central finite difference of ``fn`` at ``x`` (broadcasts over arrays)."""
     x = np.asarray(x, dtype=np.float64)
-    if step is None:
-        h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
-    else:
-        h = np.broadcast_to(np.float64(step), x.shape)
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
     return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
 
 
@@ -299,8 +306,6 @@ class ProblemSpec:
         b(t, x, i, v), sigma(t, x, v), f(t, x, i, v), g(x, i).
     control_domain : (float, float)
         Closed interval of admissible control values; infinite ends allowed.
-    sigma_min : float
-        Volatility floor; h = b/sigma raises ``DomainError`` below it.
     lq : LQSpec, optional
         Tag carrying the constants when the problem is linear-quadratic;
         analytic coefficient derivatives and the Picard solver are only
@@ -316,14 +321,11 @@ class ProblemSpec:
     running_cost: Callable
     terminal_cost: Callable
     control_domain: tuple[float, float] = (-math.inf, math.inf)
-    sigma_min: float = 1e-8
     lq: LQSpec | None = None
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be positive and finite")
-        if self.sigma_min <= 0:
-            raise ConfigError("sigma_min must be positive")
         pi0 = np.asarray(self.pi0, dtype=np.float64)
         if pi0.ndim != 1 or len(pi0) != self.generator.n_states:
             raise ConfigError("pi0 length must match the number of regimes")
@@ -347,13 +349,14 @@ class ProblemSpec:
 
 
 def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
-    """Volatility with the floor enforced."""
+    """Volatility, finite and above the floor ``SIGMA_MIN``."""
     sig = np.asarray(spec.vol(t, x, v), dtype=np.float64)
-    if np.any(sig < spec.sigma_min) or not np.all(np.isfinite(sig)):
-        raise DomainError(
-            f"volatility fell below the floor {spec.sigma_min} "
-            f"(min observed {np.min(sig)})"
-        )
+    if not np.all(np.isfinite(sig)):
+        bad = np.count_nonzero(~np.isfinite(sig))
+        raise DomainError(f"non-finite volatility ({bad} of {sig.size} values)")
+    if np.any(sig < SIGMA_MIN):
+        raise DomainError(f"volatility fell below the floor {SIGMA_MIN} "
+                          f"(min observed {np.min(sig)})")
     return sig
 
 
@@ -362,23 +365,15 @@ def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def validate_spec(
-    spec: ProblemSpec,
-    *,
-    growth_constant: float = 1e6,
-    deriv_bound: float = 1e4,
-    lattice_shape: tuple[int, int, int] = (11, 11, 11),
-    x_range: tuple[float, float] = (-10.0, 10.0),
-) -> list[str]:
+def validate_spec(spec: ProblemSpec) -> list[str]:
     """Sample the coefficients on a (t, x, v) lattice and report violations.
 
     Checks, by finite differences where derivatives are involved:
 
     * smoothness/boundedness of the x- and v-derivatives of b, sigma
-      (flagged when a sampled derivative exceeds ``deriv_bound``);
+      (flagged when a sampled derivative exceeds ``DERIV_BOUND``);
     * quadratic growth of f, g and linear growth of their derivatives
-      against ``growth_constant`` (the default is large enough to disable
-      the check; pass a finite budget to make it bite);
+      against ``GROWTH_CONSTANT``;
     * the volatility floor on the lattice;
     * volatility independence of the regime (structural here: the
       ``vol`` callable takes no regime argument).
@@ -386,10 +381,10 @@ def validate_spec(
     Purely reporting; an empty list means no sampled violation.
     """
     violations: list[str] = []
-    K = growth_constant
-    nt, nx, nv = lattice_shape
+    K = GROWTH_CONSTANT
+    nt, nx, nv = LATTICE_SHAPE
     ts = np.linspace(0.0, spec.horizon, nt)
-    xs = np.linspace(*x_range, nx)
+    xs = np.linspace(*X_RANGE, nx)
     lo, hi = spec.control_domain
     vs = np.linspace(max(lo, -10.0), min(hi, 10.0), nv)
     regimes = range(1, spec.n_regimes + 1)
@@ -404,27 +399,27 @@ def validate_spec(
         return central_diff(lambda z: fn(tt, xx, z), vv)
 
     sig = np.asarray(spec.vol(tt, xx, vv), dtype=np.float64)
-    if np.any(sig < spec.sigma_min):
+    if np.any(sig < SIGMA_MIN):
         k = int(np.argmin(sig))
         violations.append(
             f"A4: sigma={sig[k]:.3g} at (t={tt[k]:.3g}, x={xx[k]:.3g}, "
-            f"v={vv[k]:.3g}) is below the floor {spec.sigma_min:.3g}"
+            f"v={vv[k]:.3g}) is below the floor {SIGMA_MIN:.3g}"
         )
     else:
         for grad, name in ((fd_x(spec.vol), "sigma_x"), (fd_v(spec.vol), "sigma_v")):
-            if np.any(np.abs(grad) > deriv_bound):
+            if np.any(np.abs(grad) > DERIV_BOUND):
                 violations.append(
                     f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
-                    f"(bound {deriv_bound:.3g})"
+                    f"(bound {DERIV_BOUND:.3g})"
                 )
 
     for i in regimes:
         b_i = lambda t, x, v, i=i: np.asarray(spec.drift(t, x, i, v), dtype=np.float64)
         for grad, name in ((fd_x(b_i), f"b_x(i={i})"), (fd_v(b_i), f"b_v(i={i})")):
-            if np.any(np.abs(grad) > deriv_bound):
+            if np.any(np.abs(grad) > DERIV_BOUND):
                 violations.append(
                     f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
-                    f"(bound {deriv_bound:.3g})"
+                    f"(bound {DERIV_BOUND:.3g})"
                 )
 
         f_i = lambda t, x, v, i=i: np.asarray(spec.running_cost(t, x, i, v), dtype=np.float64)

@@ -195,12 +195,9 @@ def test_07_bsde_solver_oracle(spec):
         a: float
 
         def at(self, t, x, p, u):
-            B_theta = np.zeros((len(x), 2, 2))
-            B_theta[:, 0, 0] = self.a
-            B_theta[:, 1, 1] = self.a
-            return types.SimpleNamespace(
-                B_theta=B_theta, Sigma_theta=np.zeros((len(x), 2, 2)),
-                F_theta=np.zeros((len(x), 2)), H_v=lambda phi, lam: np.zeros(len(x)))
+            # driver B_Theta = a I, Sigma_Theta = 0, F_Theta = 0
+            return types.SimpleNamespace(H_theta=lambda phi, lam: self.a * phi,
+                                         H_v=lambda phi, lam: np.zeros(len(x)))
 
         def G_theta(self, x, p):
             return np.stack([x, p], axis=1)

@@ -24,6 +24,7 @@ from hybridmp.adjoint import (
     solve_variational,
     stationarity_report,
 )
+from hybridmp.harness import _direction_set
 from hybridmp.wonham import InnovationPath, innovation_forward
 
 
@@ -38,6 +39,19 @@ def points():
     n = 64
     return (np.full(n, 0.3), gen.normal(0.0, 1.0, n),
             gen.uniform(0.02, 0.98, n), gen.normal(0.0, 0.8, n))
+
+
+def _jacobians(tab, n):
+    """B_Theta, Sigma_Theta, F_Theta and B_v, Sigma_v, F_v of a table, read off
+    ``tangent`` at unit (g, w): column j of B_Theta is dB at g = e_j, w = 0
+    (B_Theta[:, 1, 1] is dB_pi at g = (0, 1)), and B_v is dB at g = 0, w = 1."""
+    g = np.zeros((3, n, 2))
+    g[0, :, 0] = g[1, :, 1] = 1.0
+    w = np.zeros((3, n))
+    w[2] = 1.0
+    d_b, d_sigma, d_f = tab.tangent(g, w)
+    return {"B_theta": np.moveaxis(d_b[:2], 0, -1), "Sigma_theta": np.moveaxis(d_sigma[:2], 0, -1),
+            "F_theta": d_f[:2].T, "B_v": d_b[2], "Sigma_v": d_sigma[2], "F_v": d_f[2]}
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +70,13 @@ class TestCompactCoeffs:
 
     def test_belief_drift_slope_is_rate_sum(self, lq, coeffs, points):
         t, x, p, u = points
-        Bt = coeffs.at(t, x, p, u).B_theta
+        Bt = _jacobians(coeffs.at(t, x, p, u), len(x))["B_theta"]
         assert np.allclose(Bt[:, 1, 1], -(lq.lambda1 + lq.lambda2),
                            atol=1e-12)
 
     def test_control_does_not_move_belief_drift(self, coeffs, points):
         t, x, p, u = points
-        Bv = coeffs.at(t, x, p, u).B_v
+        Bv = _jacobians(coeffs.at(t, x, p, u), len(x))["B_v"]
         assert np.allclose(Bv[:, 1], 0.0, atol=1e-12)
 
     def test_belief_noise_vanishes_at_simplex_corners(self, coeffs):
@@ -75,7 +89,7 @@ class TestCompactCoeffs:
 
     def test_running_cost_belief_slope(self, lq, coeffs, points):
         t, x, p, u = points
-        Ft = coeffs.at(t, x, p, u).F_theta
+        Ft = _jacobians(coeffs.at(t, x, p, u), len(x))["F_theta"]
         expected = 0.5 * ((lq.Q[0] - lq.Q[1]) * x**2
                           + (lq.R[0] - lq.R[1]) * u**2)
         assert np.allclose(Ft[:, 1], expected, atol=1e-10)
@@ -92,7 +106,7 @@ class TestCompactCoeffs:
                                                     points):
         cf = CompactCoeffs(regime_free.to_problem_spec())
         t, x, p, u = points
-        Bt = cf.at(t, x, p, u).B_theta
+        Bt = _jacobians(cf.at(t, x, p, u), len(x))["B_theta"]
         assert np.allclose(Bt[:, 0, 1], 0.0, atol=1e-12)
 
     def test_finite_difference_route_agrees(self, spec, coeffs, points):
@@ -100,8 +114,8 @@ class TestCompactCoeffs:
         t, x, p, u = points
         for name in ("B_theta", "B_v", "Sigma_theta", "Sigma_v",
                      "F_theta", "F_v"):
-            got = getattr(fd.at(t, x, p, u), name)
-            want = getattr(coeffs.at(t, x, p, u), name)
+            got = _jacobians(fd.at(t, x, p, u), len(x))[name]
+            want = _jacobians(coeffs.at(t, x, p, u), len(x))[name]
             assert np.allclose(got, want, atol=1e-5), name
 
     def test_terminal_gradient_fd_route(self, spec, coeffs, points):
@@ -148,6 +162,36 @@ class TestHamiltonian:
                - coeffs.at(t, x, p, u - eps).H(phi, lam)) / (2 * eps)
         ana = coeffs.at(t, x, p, u).H_v(phi, lam)
         assert np.max(np.abs(num - ana)) <= 1e-6 * (1.0 + np.max(np.abs(ana)))
+
+    def test_state_gradient_matches_central_difference(self, coeffs, rng):
+        n = 1000
+        t = np.full(n, 0.4)
+        x = rng.normal(0.0, 1.0, n)
+        p = rng.uniform(0.05, 0.95, n)
+        u = rng.normal(0.0, 0.8, n)
+        phi = rng.normal(0.0, 1.0, (n, 2))
+        lam = rng.normal(0.0, 1.0, (n, 2))
+        eps = 1e-5
+        ana = coeffs.at(t, x, p, u).H_theta(phi, lam)
+        num_x = (coeffs.at(t, x + eps, p, u).H(phi, lam)
+                 - coeffs.at(t, x - eps, p, u).H(phi, lam)) / (2 * eps)
+        num_p = (coeffs.at(t, x, p + eps, u).H(phi, lam)
+                 - coeffs.at(t, x, p - eps, u).H(phi, lam)) / (2 * eps)
+        for num, col in ((num_x, ana[:, 0]), (num_p, ana[:, 1])):
+            assert np.max(np.abs(num - col)) <= 1e-6 * (1.0 + np.max(np.abs(col)))
+
+    @pytest.mark.parametrize("force_fd", [False, True], ids=["analytic", "fd"])
+    def test_driver_is_the_transpose_of_the_tangent(self, spec, rng, force_fd):
+        # <phi, dB> + <lam, dSigma> + dF = <H_Theta(phi, lam), g> + H_v(phi, lam) w
+        n = 500
+        tab = CompactCoeffs(spec, force_fd=force_fd).at(
+            0.3, rng.normal(0.0, 1.0, n), rng.uniform(0.05, 0.95, n), rng.normal(0.0, 0.8, n))
+        phi, lam, g = (rng.normal(0.0, 1.0, (n, 2)) for _ in range(3))
+        w = rng.normal(0.0, 1.0, n)
+        d_b, d_sigma, d_f = tab.tangent(g, w)
+        lhs = np.sum(phi * d_b, axis=1) + np.sum(lam * d_sigma, axis=1) + d_f
+        rhs = np.sum(tab.H_theta(phi, lam) * g, axis=1) + tab.H_v(phi, lam) * w
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 class TestVariational:
@@ -213,6 +257,17 @@ class TestAdjointBsde:
         paired = hamiltonian_direction_value(spec, path, adj, w)
         assert abs(direct - paired) <= 0.05 * abs(direct)
 
+    def test_direction_stack_rides_one_pass(self, spec, ensemble):
+        # a (D, n, N) stack gives, bit for bit, the D single-direction values
+        grid, path, adj = ensemble
+        stack = _direction_set(grid, path)
+        assert stack.shape == (5, path.n_paths, grid.n_steps)
+        for fn, args in ((gateaux_derivative, ()), (hamiltonian_direction_value, (adj,))):
+            together = fn(spec, path, *args, stack)
+            alone = np.array([fn(spec, path, *args, w) for w in stack])
+            assert together.shape == (5,)
+            assert np.array_equal(together, alone), fn.__name__
+
     def test_residual_positive_away_from_optimum(self, spec, ensemble):
         _, path, adj = ensemble
         rep = stationarity_report(spec, path, adj)
@@ -236,9 +291,10 @@ class TestAdjointBsde:
         for k in range(grid.n_steps):
             u = path.controls[:, k]
             tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0], u)
+            jac = _jacobians(tab, path.n_paths)
             phi, lam = adj.phi_pred[:, k], adj.lam[:, k]
-            hv = (np.sum(phi * tab.B_v, axis=1) + np.sum(lam * tab.Sigma_v, axis=1)
-                  + tab.F_v)
+            hv = (np.sum(phi * jac["B_v"], axis=1) + np.sum(lam * jac["Sigma_v"], axis=1)
+                  + jac["F_v"])
             sq += float(np.mean(hv**2)) * grid.dt
             step = np.clip(u - hv, *domain)
             sq_proj += float(np.mean((u - step) ** 2)) * grid.dt
@@ -295,19 +351,16 @@ def _synthetic_path(grid: TimeGrid, n: int, sigma: float,
 
 @dataclasses.dataclass
 class _LinearCoeffs:
-    """Driver B_Theta = a I, Sigma_Theta = 0, F_Theta = 0, dH/dv = 0 and
-    terminal gradient (x, p): the backward recursion then has the closed
-    form Phi_k = (1 + a dt)^(N-k) (X_k, p_k) along martingale forwards."""
+    """Driver B_Theta = a I, Sigma_Theta = 0, F_Theta = 0 (so dH/dTheta = a
+    phi), dH/dv = 0 and terminal gradient (x, p): the backward recursion
+    then has the closed form Phi_k = (1 + a dt)^(N-k) (X_k, p_k) along
+    martingale forwards."""
 
     a: float
 
     def at(self, t, x, p, u):
-        B_theta = np.zeros((len(x), 2, 2))
-        B_theta[:, 0, 0] = self.a
-        B_theta[:, 1, 1] = self.a
-        return types.SimpleNamespace(
-            B_theta=B_theta, Sigma_theta=np.zeros((len(x), 2, 2)),
-            F_theta=np.zeros((len(x), 2)), H_v=lambda phi, lam: np.zeros(len(x)))
+        return types.SimpleNamespace(H_theta=lambda phi, lam: self.a * phi,
+                                     H_v=lambda phi, lam: np.zeros(len(x)))
 
     def G_theta(self, x, p):
         return np.stack([x, p], axis=1)

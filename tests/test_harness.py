@@ -184,6 +184,29 @@ class TestRunSuite:
             digests.append(_sha256(out / "results.json"))
         assert digests[0] == digests[1]
 
+    def test_mp_check_passes_at_a_small_size(self, tmp_path):
+        cfg = ExperimentConfig.from_file(str(_write_config(
+            tmp_path, suite="mp-check", n_steps=20, n_paths=400)))
+        assert run_suite(cfg) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert set(results["metrics"]) == {
+            "gateaux_gap_ratio", "duality_rel_gap", "bsde_min_r2"}
+        assert all(m["pass"] for m in results["metrics"].values())
+
+    def test_tolerance_for_an_unknown_metric_exits_2(self, tmp_path):
+        # a misspelled key would otherwise leave duality_rel_gap at its default
+        cfg = ExperimentConfig.from_file(str(_write_config(
+            tmp_path, suite="mp-check", n_steps=20, n_paths=400,
+            tolerances={"dualty_rel_gap": 0.0})))
+        assert run_suite(cfg) == 2
+        out = tmp_path / "out"
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        for name in ("dualty_rel_gap", "gateaux_gap_ratio", "duality_rel_gap", "bsde_min_r2"):
+            assert name in err["message"]
+        assert not (out / "results.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_lq_solve_emits_trace_and_surface(self, tmp_path):
         cfg = ExperimentConfig.from_file(str(_write_config(
             tmp_path, suite="lq-solve", n_steps=50, n_paths=512,

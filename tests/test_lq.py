@@ -24,6 +24,7 @@ from hybridmp.lq import (
     solve_lq,
     stationary_control,
 )
+from hybridmp.harness import ExperimentConfig, run_suite
 from hybridmp.model import zero_policy
 from hybridmp.wonham import innovation_forward
 
@@ -359,6 +360,22 @@ class TestSolveLq:
         assert calls["sweep", "running_cost"] == 2 * per_sweep
         assert calls["report", "calls"] == sweeps
         assert [key for key in calls if key[0] == "report"] == [("report", "calls")]
+
+    def test_mp_check_builds_three_tables_per_step(self, lq, monkeypatch, tmp_path):
+        # the sweep, one Gateaux pass and one duality pass, each over every
+        # step, with all five directions riding the two forward passes
+        builds = []
+        at = CompactCoeffs.at
+
+        def counting(self, *args):
+            builds.append(args[0])
+            return at(self, *args)
+
+        monkeypatch.setattr(CompactCoeffs, "at", counting)
+        cfg = ExperimentConfig(suite="mp-check", spec=lq, n_paths=400, n_steps=20,
+                               workers=1, out_dir=str(tmp_path))
+        assert run_suite(cfg) == 0
+        assert len(builds) == 3 * cfg.n_steps
 
     def test_policy_is_called_only_by_forward_passes(self, lq, monkeypatch):
         # the convergence check evaluates both policies on the whole

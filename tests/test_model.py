@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -142,6 +143,21 @@ class TestProblemSpec:
         object.__setattr__(degenerate, "vol", lambda t, x, v: 0.0)
         with pytest.raises(DomainError):
             eval_sigma(degenerate, 0.0, 1.0, 0.0)
+
+    def test_eval_sigma_names_a_volatility_below_the_floor(self, spec):
+        low = dataclasses.replace(spec, lq=None,
+                                  vol=lambda t, x, v: np.where(np.abs(x) > 2, 1e-9, 0.3))
+        with pytest.raises(DomainError, match="below the floor 1e-08"):
+            eval_sigma(low, 0.0, np.linspace(-3.0, 3.0, 7), 0.0)
+
+    def test_eval_sigma_names_a_non_finite_volatility(self, spec):
+        # inf or NaN is not a volatility below the floor
+        for bad in (np.inf, np.nan):
+            wild = dataclasses.replace(
+                spec, lq=None, vol=lambda t, x, v, bad=bad: np.where(np.abs(x) > 2, bad, 0.3))
+            with pytest.raises(DomainError, match="non-finite volatility") as exc:
+                eval_sigma(wild, 0.0, np.linspace(-3.0, 3.0, 7), 0.0)
+            assert "floor" not in str(exc.value)
 
     def test_validate_clean_default(self, spec):
         assert validate_spec(spec) == []
