@@ -26,8 +26,8 @@ from .adjoint import (
     solve_adjoint_bsde,
 )
 from .errors import ConfigError, HybridMPError, NonConvergence
-from .lq import LQSolution, PiecewisePolyPolicy, solve_lq
-from .model import LQSpec, ProblemSpec, validate_spec, zero_policy
+from .lq import PiecewisePolyPolicy, solve_lq
+from .model import LQSpec, ProblemSpec, load_spec, read_json_object, validate_spec, zero_policy
 from .pathsim import TimeGrid, chain_marginal, estimate_cost
 from .parallel import RunningMoments, run_blocks
 from .wonham import (
@@ -40,6 +40,9 @@ from .wonham import (
 )
 
 SWEEP_STEPS = (250, 500, 1000, 2000)
+
+# With ``write_paths``, paths.csv and filter.csv hold this many paths.
+CSV_PATHS = 32
 
 ENV_PREFIX = "HYBRIDMP_"
 
@@ -97,7 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"lq_tol must be positive, got {self.lq_tol}")
         if not 0.0 < self.lq_damping <= 1.0:
             raise ConfigError(f"lq_damping must be in (0, 1], got {self.lq_damping}")
-        if self.workers <= 0:
+        if self.workers < 0:
+            raise ConfigError(f"workers must be >= 0 (0 means the core count), "
+                              f"got {self.workers}")
+        if self.workers == 0:
             self.workers = os.cpu_count() or 1
 
     @property
@@ -117,14 +123,7 @@ class ExperimentConfig:
         out: str | None = None,
     ) -> "ExperimentConfig":
         cfg_path = Path(path)
-        try:
-            doc = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+        doc = read_json_object(cfg_path, "config")
         unknown = sorted(doc.keys() - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"config {path} has unknown keys {unknown}; "
@@ -132,47 +131,37 @@ class ExperimentConfig:
 
         spec_entry = doc.get("spec")
         if isinstance(spec_entry, str):
-            spec_path = Path(spec_entry)
-            if not spec_path.is_absolute():
-                spec_path = cfg_path.parent / spec_path
-            try:
-                spec_doc = json.loads(spec_path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ConfigError(f"cannot read spec {spec_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"spec {spec_path} is not valid JSON: {exc}") from exc
+            # a relative path resolves against the config's directory
+            spec_doc = read_json_object(cfg_path.parent / spec_entry, "spec")
         elif isinstance(spec_entry, dict):
             spec_doc = spec_entry
         else:
             raise ConfigError("config needs 'spec': a path or an inline object")
-        if not isinstance(spec_doc, dict):
-            raise ConfigError("spec document must be a JSON object")
+        spec = LQSpec.from_json(spec_doc)
 
-        def resolve(key, default, cast, cli_value=None, env_name=None):
-            if cli_value is not None:
-                return _cast(key, cli_value, cast)
-            env = os.environ.get(ENV_PREFIX + env_name) if env_name else None
-            if env is not None:
-                return _cast(ENV_PREFIX + env_name, env, cast)
-            if key in doc:
-                return _cast(key, doc[key], cast)
-            return default
-
-        return cls(
-            suite=doc.get("suite", ""),
-            spec=LQSpec.from_json(spec_doc),
-            n_steps=resolve("n_steps", 1000, int),
-            n_paths=resolve("n_paths", 1000, int),
-            seed=resolve("seed", 42, int, seed, "SEED"),
-            workers=resolve("workers", 0, int, workers, "WORKERS"),
-            out_dir=resolve("out", "results", str, out, "OUT"),
-            tolerances={name: _cast(f"tolerances.{name}", value, float)
-                        for name, value in resolve("tolerances", {}, dict).items()},
-            write_paths=resolve("write_paths", False, bool),
-            lq_max_iter=resolve("lq_max_iter", 50, int),
-            lq_damping=resolve("lq_damping", 0.5, float),
-            lq_tol=resolve("lq_tol", 1e-3, float),
-        )
+        # Only values that are given reach the constructor, so every
+        # default is the dataclass field's.  The CLI flags and the
+        # HYBRIDMP_<KEY> variables override three of the file's keys.
+        overrides = {"seed": seed, "workers": workers, "out": out}
+        given = {}
+        for key, cast in (("n_steps", int), ("n_paths", int), ("seed", int), ("workers", int),
+                          ("out", str), ("tolerances", dict), ("write_paths", bool),
+                          ("lq_max_iter", int), ("lq_damping", float), ("lq_tol", float)):
+            env_name = ENV_PREFIX + key.upper()
+            env = os.environ.get(env_name) if key in overrides else None
+            if overrides.get(key) is not None:
+                value = _cast(key, overrides[key], cast)
+            elif env is not None:
+                value = _cast(env_name, env, cast)
+            elif key in doc:
+                value = _cast(key, doc[key], cast)
+            else:
+                continue
+            given["out_dir" if key == "out" else key] = value
+        if "tolerances" in given:
+            given["tolerances"] = {name: _cast(f"tolerances.{name}", value, float)
+                                   for name, value in given["tolerances"].items()}
+        return cls(suite=doc.get("suite", ""), spec=spec, **given)
 
 
 def _metric(value: float, tolerance: float, comparator: str) -> dict:
@@ -192,12 +181,21 @@ def _metric(value: float, tolerance: float, comparator: str) -> dict:
     }
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write one CSV artifact: floats as ``%.10g``, ``None`` as an empty
+    cell, anything else as is.  Returns ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else f"{v:.10g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
+    return path
+
+
+def _write_json(path: Path, doc) -> Path:
+    """Write one JSON document, keys sorted, indented by 2.  Returns ``path``."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +274,23 @@ def _filter_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
         ),
     }
 
-    files: list[Path] = []
-    if cfg.write_paths:
-        paths_csv = out / "paths.csv"
-        cp.bundle.to_csv(str(paths_csv))
-        filter_csv = out / "filter.csv"
-        cp.filter_path.to_csv(str(filter_csv))
-        files += [paths_csv, filter_csv]
-    return metrics, files
+    if not cfg.write_paths:
+        return metrics, []
+    bundle, fpath, N, d = cp.bundle, cp.filter_path, grid.n_steps, spec.n_regimes
+    times, W = grid.times, cp.bundle.brownian
+    path_nodes = [(p, k) for p in range(min(n_check, CSV_PATHS)) for k in range(N + 1)]
+    return metrics, [
+        _write_csv(out / "paths.csv", ["path", "t", "W", "alpha", "X", "u"],
+                   ([p, times[k], W[p, k], int(bundle.regimes[p, k]), bundle.states[p, k],
+                     bundle.controls[p, k] if k < N else None] for p, k in path_nodes)),
+        # The V columns stay empty: the coupled pass runs the normalized
+        # recursion, which carries no unnormalized masses.
+        _write_csv(out / "filter.csv",
+                   ["path", "t", "pi", "nu_increment"] + [f"V{i}" for i in range(1, d + 1)],
+                   ([p, times[k], fpath.probs[p, k, 0],
+                     fpath.nu_increments[p, k] if k < N else None] + [None] * d
+                    for p, k in path_nodes)),
+    ]
 
 
 # L2(dt) norm of every mp-check direction.  It is kept small on purpose:
@@ -359,31 +366,14 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     return metrics, []
 
 
-def _write_trace_csv(path: Path, solution: LQSolution) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "cost", "SE", "residual", "sup_control_change"])
-        for row in solution.trace:
-            writer.writerow([
-                row["iteration"], f"{row['cost']:.10g}", f"{row['cost_se']:.10g}",
-                f"{row['residual']:.10g}", f"{row['sup_change']:.10g}",
-            ])
-
-
-def _write_control_surface(path: Path, policy: PiecewisePolyPolicy,
-                           grid: TimeGrid, x_lo: float, x_hi: float) -> None:
-    times = [0.0, 0.5 * grid.horizon, grid.times[-2]]
-    xs = np.linspace(x_lo, x_hi, 21)
+def _control_surface(policy: PiecewisePolyPolicy, grid: TimeGrid,
+                     x_lo: float, x_hi: float):
+    """(t, x, pi, u) rows of the policy on a 3 x 21 x 11 lattice."""
     ps = np.linspace(0.0, 1.0, 11)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "pi", "u"])
-        for t in times:
-            for x in xs:
-                u_row = policy(t, np.full_like(ps, x), ps)
-                for p, u in zip(ps, u_row):
-                    writer.writerow([f"{t:.10g}", f"{x:.10g}", f"{p:.10g}",
-                                     f"{u:.10g}"])
+    for t in (0.0, 0.5 * grid.horizon, grid.times[-2]):
+        for x in np.linspace(x_lo, x_hi, 21):
+            u_row = policy(t, np.full_like(ps, x), ps)
+            yield from ([t, x, p, u] for p, u in zip(ps, u_row))
 
 
 def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
@@ -417,13 +407,15 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
         ),
     }
 
-    trace_csv = out / "trace.csv"
-    _write_trace_csv(trace_csv, solution)
-    surface_csv = out / "control_surface.csv"
     x_lo = float(np.quantile(solution.path.states, 0.01))
     x_hi = float(np.quantile(solution.path.states, 0.99))
-    _write_control_surface(surface_csv, solution.policy, grid, x_lo, x_hi)
-    return metrics, [trace_csv, surface_csv]
+    return metrics, [
+        _write_csv(out / "trace.csv", ["iter", "cost", "SE", "residual", "sup_control_change"],
+                   ([row["iteration"], row["cost"], row["cost_se"], row["residual"],
+                     row["sup_change"]] for row in solution.trace)),
+        _write_csv(out / "control_surface.csv", ["t", "x", "pi", "u"],
+                   _control_surface(solution.policy, grid, x_lo, x_hi)),
+    ]
 
 
 def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
@@ -451,19 +443,13 @@ def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Pat
 
     monotone = 1.0 if all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1)) else 0.0
 
-    sweep_csv = out / "sweep.csv"
-    with open(sweep_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_steps", "oracle_rmse", "cost_mean", "cost_se"])
-        for n_steps, rmse, mean, se in rows:
-            writer.writerow([n_steps, f"{rmse:.10g}", f"{mean:.10g}", f"{se:.10g}"])
-
     metrics = {
         "oracle_rmse_monotone": _metric(
             monotone, tol.get("oracle_rmse_monotone", 1.0), "=="
         ),
     }
-    return metrics, [sweep_csv]
+    return metrics, [_write_csv(out / "sweep.csv",
+                                ["n_steps", "oracle_rmse", "cost_mean", "cost_se"], rows)]
 
 
 # Each suite's runner, and the metrics whose tolerance a config may
@@ -483,12 +469,8 @@ SUITES = {
 
 
 def write_error(out_dir: str, exc: Exception) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = {"error": type(exc).__name__, "message": str(exc)}
-    (out / "error.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    _write_json(Path(out_dir) / "error.json", {"error": type(exc).__name__, "message": str(exc)})
 
 
 def run_suite(cfg: ExperimentConfig) -> int:
@@ -520,23 +502,15 @@ def run_suite(cfg: ExperimentConfig) -> int:
         "metrics": metrics,
         "pass": all_pass,
     }
-    results_path = out / "results.json"
-    results_path.write_text(
-        json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    manifest = {p.name: _sha256(p) for p in [results_path, *files]}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    results_path = _write_json(out / "results.json", results)
+    _write_json(out / "manifest.json", {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                        for p in [results_path, *files]})
     return 0 if all_pass else 1
 
 
 def validate_spec_file(path: str) -> tuple[int, list[str]]:
     """Load an LQ spec document and run the standing-assumption checks.
     Returns (exit code, messages): 0 clean, 1 violations, 2 unreadable."""
-    from .model import load_spec
-
     try:
         spec = load_spec(path)
     except HybridMPError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -375,6 +376,9 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     * quadratic growth of f, g and linear growth of their derivatives
       against ``GROWTH_CONSTANT``;
     * the volatility floor on the lattice;
+    * finiteness of every coefficient on the lattice (a coefficient with
+      a non-finite value is reported once, and its other checks are
+      skipped);
     * volatility independence of the regime (structural here: the
       ``vol`` callable takes no regime argument).
 
@@ -398,46 +402,55 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     def fd_v(fn):
         return central_diff(lambda z: fn(tt, xx, z), vv)
 
+    def finite(label: str, name: str, values) -> bool:
+        """Whether ``values`` are all finite; records a violation if not."""
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            violations.append(f"{label}: {name} is non-finite at {bad} of "
+                              f"{np.size(values)} lattice points")
+        return not bad
+
+    def derivs_bounded(fn, x_name: str, v_name: str) -> None:
+        for grad, name in ((fd_x(fn), x_name), (fd_v(fn), v_name)):
+            if np.any(np.abs(grad) > DERIV_BOUND):
+                violations.append(f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
+                                  f"(bound {DERIV_BOUND:.3g})")
+
     sig = np.asarray(spec.vol(tt, xx, vv), dtype=np.float64)
-    if np.any(sig < SIGMA_MIN):
+    sig_finite = finite("A1", "sigma", sig)
+    if sig_finite and np.any(sig < SIGMA_MIN):
         k = int(np.argmin(sig))
         violations.append(
             f"A4: sigma={sig[k]:.3g} at (t={tt[k]:.3g}, x={xx[k]:.3g}, "
             f"v={vv[k]:.3g}) is below the floor {SIGMA_MIN:.3g}"
         )
-    else:
-        for grad, name in ((fd_x(spec.vol), "sigma_x"), (fd_v(spec.vol), "sigma_v")):
-            if np.any(np.abs(grad) > DERIV_BOUND):
-                violations.append(
-                    f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
-                    f"(bound {DERIV_BOUND:.3g})"
-                )
+    elif sig_finite:
+        derivs_bounded(spec.vol, "sigma_x", "sigma_v")
 
     for i in regimes:
         b_i = lambda t, x, v, i=i: np.asarray(spec.drift(t, x, i, v), dtype=np.float64)
-        for grad, name in ((fd_x(b_i), f"b_x(i={i})"), (fd_v(b_i), f"b_v(i={i})")):
-            if np.any(np.abs(grad) > DERIV_BOUND):
-                violations.append(
-                    f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
-                    f"(bound {DERIV_BOUND:.3g})"
-                )
+        if finite("A1", f"b(.,.,{i},.)", b_i(tt, xx, vv)):
+            derivs_bounded(b_i, f"b_x(i={i})", f"b_v(i={i})")
 
         f_i = lambda t, x, v, i=i: np.asarray(spec.running_cost(t, x, i, v), dtype=np.float64)
         fv = f_i(tt, xx, vv)
-        if np.any(np.abs(fv) > K * (1 + xx**2 + vv**2)):
-            violations.append(f"A2: |f(.,.,{i},.)| exceeds K(1+x^2+v^2) with K={K:.3g}")
-        for grad, name in ((fd_x(f_i), "f_x"), (fd_v(f_i), "f_v")):
-            if np.any(np.abs(grad) > K * (1 + np.abs(xx) + np.abs(vv))):
-                violations.append(
-                    f"A2: |{name}(.,.,{i},.)| exceeds K(1+|x|+|v|) with K={K:.3g}"
-                )
+        if finite("A2", f"f(.,.,{i},.)", fv):
+            if np.any(np.abs(fv) > K * (1 + xx**2 + vv**2)):
+                violations.append(f"A2: |f(.,.,{i},.)| exceeds K(1+x^2+v^2) with K={K:.3g}")
+            for grad, name in ((fd_x(f_i), "f_x"), (fd_v(f_i), "f_v")):
+                if np.any(np.abs(grad) > K * (1 + np.abs(xx) + np.abs(vv))):
+                    violations.append(
+                        f"A2: |{name}(.,.,{i},.)| exceeds K(1+|x|+|v|) with K={K:.3g}"
+                    )
 
         gv = np.asarray(spec.terminal_cost(xs, i), dtype=np.float64)
-        if np.any(np.abs(gv) > K * (1 + xs**2)):
-            violations.append(f"A2: |g(.,{i})| exceeds K(1+x^2) with K={K:.3g}")
-        g_x = central_diff(lambda z, i=i: np.asarray(spec.terminal_cost(z, i), dtype=np.float64), xs)
-        if np.any(np.abs(g_x) > K * (1 + np.abs(xs))):
-            violations.append(f"A2: |g_x(.,{i})| exceeds K(1+|x|) with K={K:.3g}")
+        if finite("A2", f"g(.,{i})", gv):
+            if np.any(np.abs(gv) > K * (1 + xs**2)):
+                violations.append(f"A2: |g(.,{i})| exceeds K(1+x^2) with K={K:.3g}")
+            g_x = central_diff(
+                lambda z, i=i: np.asarray(spec.terminal_cost(z, i), dtype=np.float64), xs)
+            if np.any(np.abs(g_x) > K * (1 + np.abs(xs))):
+                violations.append(f"A2: |g_x(.,{i})| exceeds K(1+|x|) with K={K:.3g}")
 
     return violations
 
@@ -504,16 +517,19 @@ def spec_from_json(doc: dict) -> ProblemSpec:
     return LQSpec.from_json(doc).to_problem_spec()
 
 
-def load_spec(path: str) -> ProblemSpec:
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in file ``path``; ``ConfigError`` naming ``what`` and the
+    file if it cannot be read, is not UTF-8 JSON or holds no object."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"spec file {path} is not valid JSON: {exc}") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"spec file {path} must hold a JSON object")
-    return spec_from_json(doc)
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+def load_spec(path: str) -> ProblemSpec:
+    return spec_from_json(read_json_object(path, "spec file"))

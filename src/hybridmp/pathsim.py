@@ -7,7 +7,6 @@ on how paths are batched across blocks or workers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,22 +110,6 @@ class PathBundle:
         levels = np.zeros((self.n_paths, self.grid.n_steps + 1))
         np.cumsum(self.noise, axis=1, out=levels[:, 1:])
         return levels
-
-    def to_csv(self, path: str, max_paths: int | None = 32) -> None:
-        """Long-format dump: one row per (path, time node)."""
-        n = self.n_paths if max_paths is None else min(self.n_paths, max_paths)
-        times = self.grid.times
-        W = self.brownian
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "W", "alpha", "X", "u"])
-            for p in range(n):
-                for k in range(self.grid.n_steps + 1):
-                    u = f"{self.controls[p, k]:.10g}" if k < self.grid.n_steps else ""
-                    writer.writerow(
-                        [self.path_offset + p, f"{times[k]:.10g}", f"{W[p, k]:.10g}",
-                         int(self.regimes[p, k]), f"{self.states[p, k]:.10g}", u]
-                    )
 
 
 # ---------------------------------------------------------------------------

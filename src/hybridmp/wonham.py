@@ -15,7 +15,6 @@ updates) serves as the convergence oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .pathsim import (
     _cost_quadrature,
     brownian_increments,
     check_controls,
+    check_override,
     control_at,
     draw_drivers,
     drift_table,
@@ -84,39 +84,40 @@ class FilterPath:
             "qv_of_innovation": float(np.mean(self.innovation_qv())),
         }
 
-    def to_csv(self, path: str, max_paths: int | None = 32) -> None:
-        n = self.n_paths if max_paths is None else min(self.n_paths, max_paths)
-        times = self.grid.times
-        d = self.probs.shape[2]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "pi", "nu_increment"]
-                            + [f"V{i}" for i in range(1, d + 1)])
-            for p in range(n):
-                for k in range(self.grid.n_steps + 1):
-                    dnu = f"{self.nu_increments[p, k]:.10g}" if k < self.grid.n_steps else ""
-                    if self.V is not None:
-                        vcols = [f"{self.V[p, k, i]:.10g}" for i in range(d)]
-                    else:
-                        vcols = [""] * d
-                    writer.writerow(
-                        [p, f"{times[k]:.10g}", f"{self.probs[p, k, 0]:.10g}", dnu]
-                        + vcols
-                    )
+
+def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
+    """Read a given path for a filter replay: ``(n_paths, steps)``.
+
+    ``states`` must have shape (n_paths, N+1) and ``controls`` (n_paths,
+    N); anything else raises ``ConfigError`` before any work is done.
+    ``steps`` yields, per step k, the left-endpoint (sigma_k, drift table
+    (n_paths, d), Delta X_k).
+    """
+    states = np.asarray(states, dtype=np.float64)
+    controls = np.asarray(controls, dtype=np.float64)
+    N = grid.n_steps
+    if states.ndim != 2 or states.shape[1] != N + 1:
+        raise ConfigError(f"states must have shape (n_paths, {N + 1}), got {states.shape}")
+    if controls.shape != (states.shape[0], N):
+        raise ConfigError(f"controls must have shape {(states.shape[0], N)} to match "
+                          f"states {states.shape}, got {controls.shape}")
+    times = grid.times
+
+    def steps():
+        for k in range(N):
+            x, u = states[:, k], controls[:, k]
+            yield (eval_sigma(spec, times[k], x, u), drift_table(spec, times[k], x, u),
+                   states[:, k + 1] - x)
+
+    return states.shape[0], steps()
 
 
 def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
                             controls: Array) -> Array:
     """Delta Y_k = Delta X_k / sigma(t_k, X_k, u_k): the state path rescaled
     to unit noise intensity, which is all the filter ever sees."""
-    states = np.asarray(states, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    dY = np.empty_like(controls)
-    times = grid.times
-    for k in range(grid.n_steps):
-        sig = eval_sigma(spec, times[k], states[:, k], controls[:, k])
-        dY[:, k] = (states[:, k + 1] - states[:, k]) / sig
-    return dY
+    _, steps = _replay(spec, grid, states, controls)
+    return np.stack([dx / sig for sig, _, dx in steps], axis=1)
 
 
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
@@ -170,13 +171,10 @@ def run_normalized_filter(
     raw update left it.  An excursion beyond ``breakdown_tol`` raises
     ``NumericalError`` instead of being silently repaired.
     """
-    states = np.asarray(states, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    n_paths, n_nodes = states.shape
-    if n_nodes != grid.n_steps + 1:
-        raise ConfigError(f"states must have {grid.n_steps + 1} nodes, got {n_nodes}")
+    n_paths, steps = _replay(spec, grid, states, controls)
+    if dY is not None:
+        dY = check_override("dY", dY, (n_paths, grid.n_steps))
     dt = grid.dt
-    times = grid.times
     Q = spec.generator.matrix
 
     p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
@@ -186,11 +184,9 @@ def run_normalized_filter(
     events = 0
     worst = 0.0
 
-    for k in range(grid.n_steps):
-        x, u = states[:, k], controls[:, k]
-        sig = eval_sigma(spec, times[k], x, u)
-        h = drift_table(spec, times[k], x, u) / sig[..., None]
-        dY_k = (states[:, k + 1] - x) / sig if dY is None else dY[:, k]
+    for k, (sig, table, dx) in enumerate(steps):
+        h = table / sig[..., None]
+        dY_k = dx / sig if dY is None else dY[:, k]
         hbar = np.sum(p * h, axis=1)
         dnu[:, k] = dY_k - hbar * dt
         p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt, excursion_tol, breakdown_tol)
@@ -219,11 +215,9 @@ def run_zakai_filter(
     normalized probabilities, so the two filter routes expose the same
     interface.
     """
-    states = np.asarray(states, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    n_paths, n_nodes = states.shape
-    if n_nodes != grid.n_steps + 1:
-        raise ConfigError(f"states must have {grid.n_steps + 1} nodes, got {n_nodes}")
+    n_paths, steps = _replay(spec, grid, states, controls)
+    if dY is not None:
+        dY = check_override("dY", dY, (n_paths, grid.n_steps))
     dt = grid.dt
     times = grid.times
     Q = spec.generator.matrix
@@ -236,11 +230,9 @@ def run_zakai_filter(
     probs[:, 0] = V / total[:, None]
     masses[:, 0] = V
 
-    for k in range(grid.n_steps):
-        x, u = states[:, k], controls[:, k]
-        sig = eval_sigma(spec, times[k], x, u)
-        h = drift_table(spec, times[k], x, u) / sig[..., None]
-        dY_k = (states[:, k + 1] - x) / sig if dY is None else dY[:, k]
+    for k, (sig, table, dx) in enumerate(steps):
+        h = table / sig[..., None]
+        dY_k = dx / sig if dY is None else dY[:, k]
         hbar = np.sum(probs[:, k] * h, axis=1)
         dnu[:, k] = dY_k - hbar * dt
         V = V + (V @ Q) * dt + V * h * dY_k[:, None]
@@ -417,11 +409,8 @@ def discrete_bayes_oracle(
             f"oracle requires dt <= 1e-2 (got {grid.dt:.3g}); coarser grids "
             "make the one-step Gaussian likelihood meaningless"
         )
-    states = np.asarray(states, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    n_paths = states.shape[0]
+    n_paths, steps = _replay(spec, grid, states, controls)
     dt = grid.dt
-    times = grid.times
     P = spec.generator.transition_matrix(dt)
     log_eps = -745.0  # log of the smallest positive double, for zero probs
 
@@ -429,17 +418,10 @@ def discrete_bayes_oracle(
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     probs[:, 0] = p
 
-    for k in range(grid.n_steps):
-        t = times[k]
-        x = states[:, k]
-        u = controls[:, k]
-        sig = eval_sigma(spec, t, x, u)
-        dx = states[:, k + 1] - x
+    for k, (sig, table, dx) in enumerate(steps):
         with np.errstate(divide="ignore"):
             logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), log_eps)
-        for i in range(1, spec.n_regimes + 1):
-            mean = np.asarray(spec.drift(t, x, i, u), dtype=np.float64) * dt
-            logp[:, i - 1] += -((dx - mean) ** 2) / (2.0 * sig**2 * dt)
+        logp += -((dx[..., None] - table * dt) ** 2) / (2.0 * sig[..., None] ** 2 * dt)
         logp -= logp.max(axis=1, keepdims=True)
         w = np.exp(logp)
         w /= w.sum(axis=1, keepdims=True)

@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybridmp import ConfigError
 from hybridmp.cli import main
 from hybridmp.harness import (
     CONFIG_KEYS,
+    CSV_PATHS,
     ExperimentConfig,
     run_suite,
     validate_spec_file,
     write_error,
 )
 from hybridmp.model import LQ_SPEC_KEYS, LQ_SPEC_REQUIRED
+from hybridmp.wonham import coupled_forward
 
 DEFAULT_SPEC = {
     "a1": 0.5, "a2": -0.5, "b1": 1.0, "b2": 0.5, "sigma": 0.3,
@@ -108,6 +113,18 @@ class TestExperimentConfig:
 
     def test_allowed_keys_are_the_schema_properties(self):
         assert CONFIG_KEYS == _schema()["properties"].keys()
+
+    def test_schema_defaults_are_the_dataclass_defaults(self):
+        fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        checked = set()
+        for key, prop in _schema()["properties"].items():
+            if "default" in prop:
+                field = fields["out_dir" if key == "out" else key]
+                default = (field.default_factory() if field.default is dataclasses.MISSING
+                           else field.default)
+                assert prop["default"] == default, key
+                checked.add(key)
+        assert checked == CONFIG_KEYS - {"suite", "spec"}
 
     def test_lq_spec_keys_are_the_schema_lq_spec_properties(self):
         lq_spec = _schema()["$defs"]["lq_spec"]
@@ -207,6 +224,50 @@ class TestRunSuite:
         assert not (out / "results.json").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_filter_check_writes_paths_and_filter_csv(self, tmp_path):
+        cfg = ExperimentConfig.from_file(str(_write_config(
+            tmp_path, n_steps=200, n_paths=400, write_paths=True)))
+        assert run_suite(cfg) in (0, 1)
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"paths.csv", "filter.csv"} <= set(manifest)
+        # the run writes the first CSV_PATHS paths of its 100-path check ensemble
+        cp = coupled_forward(cfg.problem, cfg.grid, 100, cfg.seed)
+        n, nodes = CSV_PATHS, cfg.n_steps + 1
+
+        def columns(name):
+            lines = (out / name).read_text().strip().splitlines()
+            assert len(lines) == 1 + n * nodes
+            rows = list(csv.reader(lines))
+            return lines[0], {key: [row[j] for row in rows[1:]]
+                              for j, key in enumerate(rows[0])}
+
+        def parses_back(cells, values):
+            # every value to %.10g, and an empty cell after the last step
+            values = np.asarray(values, dtype=np.float64)
+            expected = [f"{float(v):.10g}" for v in values.ravel()]
+            if values.shape[-1] == nodes - 1:
+                expected = [c for row in np.reshape(expected, values.shape)
+                            for c in [*row, ""]]
+            assert cells == expected
+
+        header, paths = columns("paths.csv")
+        assert header == "path,t,W,alpha,X,u"
+        assert paths["path"][0] == "0" and float(paths["t"][0]) == 0.0
+        assert paths["path"] == [str(p) for p in range(n) for _ in range(nodes)]
+        parses_back(paths["t"], np.tile(cfg.grid.times, n))
+        parses_back(paths["W"], cp.bundle.brownian[:n])
+        assert paths["alpha"] == [str(a) for a in cp.bundle.regimes[:n].ravel()]
+        parses_back(paths["X"], cp.bundle.states[:n])
+        parses_back(paths["u"], cp.bundle.controls[:n])
+
+        header, filt = columns("filter.csv")
+        assert header == "path,t,pi,nu_increment,V1,V2"
+        assert filt["path"] == paths["path"] and filt["t"] == paths["t"]
+        parses_back(filt["pi"], cp.filter_path.probs[:n, :, 0])
+        parses_back(filt["nu_increment"], cp.filter_path.nu_increments[:n])
+        assert set(filt["V1"]) == set(filt["V2"]) == {""}
+
     def test_lq_solve_emits_trace_and_surface(self, tmp_path):
         cfg = ExperimentConfig.from_file(str(_write_config(
             tmp_path, suite="lq-solve", n_steps=50, n_paths=512,
@@ -305,6 +366,45 @@ class TestCli:
         doc = json.loads((out / "error.json").read_text())
         assert doc["error"] == "ConfigError"
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, env, overrides", [
+        (["--workers", "-3"], {}, {}),
+        ([], {"HYBRIDMP_WORKERS": "-1"}, {}),
+        ([], {}, {"workers": -1}),
+    ], ids=["flag", "env", "file"])
+    def test_negative_workers_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     flags, env, overrides):
+        # 0 means the core count; a negative count is an error, not 0
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = _write_config(tmp_path, **overrides)
+        out = tmp_path / "errout"
+        assert main(["run", "--config", str(path), "--out", str(out), *flags]) == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "ConfigError"
+        assert "workers" in doc["message"]
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b"\xff{}", b"[" * 10**5],
+                             ids=["missing", "invalid-json", "json-array", "not-utf8",
+                                  "nested-too-deep"])
+    @pytest.mark.parametrize("source", ["config", "spec-named-by-config", "validate"])
+    def test_unreadable_document_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                         source, content):
+        bad = tmp_path / "doc.json"
+        if content is not None:
+            bad.write_bytes(content)
+        if source == "validate":
+            assert main(["validate", "--spec", str(bad)]) == 2
+            message = capsys.readouterr().out
+        else:
+            config = bad if source == "config" else _write_config(tmp_path, spec=str(bad))
+            out = tmp_path / "errout"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+            doc = json.loads((out / "error.json").read_text())
+            assert doc["error"] == "ConfigError"
+            message = doc["message"]
+        assert str(bad) in message
 
     def test_validate_subcommand_codes(self, tmp_path):
         good = tmp_path / "good.json"

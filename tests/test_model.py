@@ -162,6 +162,22 @@ class TestProblemSpec:
     def test_validate_clean_default(self, spec):
         assert validate_spec(spec) == []
 
+    def test_validate_reports_a_non_finite_drift(self, spec):
+        # NaN fails every comparison, so it must be looked for; 8 of the
+        # 11 lattice x values have |x| > 2, so 968 of 1331 points
+        nan_drift = dataclasses.replace(
+            spec, lq=None,
+            drift=lambda t, x, i, v: np.where(np.abs(x) > 2, np.nan, spec.drift(t, x, i, v)))
+        assert validate_spec(nan_drift) == [
+            f"A1: b(.,.,{i},.) is non-finite at 968 of 1331 lattice points" for i in (1, 2)]
+
+    def test_validate_reports_a_non_finite_volatility(self, spec):
+        # not "|sigma_x| reaches nan": the derivative checks are skipped
+        inf_vol = dataclasses.replace(
+            spec, lq=None, vol=lambda t, x, v: np.where(np.abs(x) > 2, np.inf, 0.3))
+        assert validate_spec(inf_vol) == [
+            "A1: sigma is non-finite at 968 of 1331 lattice points"]
+
     def test_validate_flags_steep_drift(self, lq):
         steep = LQSpec(**{**_fields(lq), "a": (1e9, -1e9)})
         problems = validate_spec(steep.to_problem_spec())

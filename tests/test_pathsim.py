@@ -182,16 +182,3 @@ class TestCost:
         threaded = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
                                  block_size=256, workers=3)
         assert serial == threaded
-
-
-class TestPathBundleCsv:
-    def test_columns_and_rows(self, bm_spec, tmp_path):
-        grid = TimeGrid(1.0, 5)
-        bundle = simulate_state(bm_spec, grid, 3, 2, policy=zero_policy())
-        out = tmp_path / "paths.csv"
-        bundle.to_csv(str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path,t,W,alpha,X,u"
-        assert len(lines) == 1 + 3 * 6
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.0

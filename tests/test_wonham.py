@@ -158,6 +158,28 @@ class TestNormalizedFilter:
         assert np.max(np.abs(fp.probs.sum(axis=2) - 1.0)) <= 1e-9
 
 
+class TestReplayShapes:
+    @pytest.mark.parametrize("n_nodes, n_controls, wrong", [
+        (100, 100, "states"), (102, 100, "states"), (101, 99, "controls"),
+    ], ids=["states-N-nodes", "states-N+2-nodes", "controls-N-1-steps"])
+    @pytest.mark.parametrize("replay", [
+        run_normalized_filter, run_zakai_filter, discrete_bayes_oracle,
+        observation_increments,
+    ], ids=lambda fn: fn.__name__)
+    def test_wrong_shape_raises_config_error(self, spec, replay, n_nodes,
+                                             n_controls, wrong):
+        grid = TimeGrid(1.0, 100)
+        with pytest.raises(ConfigError, match=wrong):
+            replay(spec, grid, np.ones((4, n_nodes)), np.zeros((4, n_controls)))
+
+    @pytest.mark.parametrize("replay", [run_normalized_filter, run_zakai_filter],
+                             ids=lambda fn: fn.__name__)
+    def test_wrong_observation_shape_raises_config_error(self, spec, replay):
+        grid = TimeGrid(1.0, 100)
+        with pytest.raises(ConfigError, match="dY"):
+            replay(spec, grid, np.ones((4, 101)), np.zeros((4, 100)), dY=np.zeros((4, 99)))
+
+
 class TestZakaiFilter:
     def test_normalization_matches_mass_ratio(self, spec, coupled):
         grid, cp = coupled
