@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """Solve the partially observed LQ problem and compare against baselines.
 
-Prints the Picard trace, the converged cost with its standard error,
-the stationarity residual relative to the uncontrolled residual, and
-the fully observed Riccati baseline (an information lower bound).
+For each seed, prints the Picard trace (with each iteration's step),
+the converged cost with its standard error, the stationarity residual
+relative to the uncontrolled residual, and the fully observed Riccati
+baseline (an information lower bound).  Then prints one summary row
+per seed and exits 1 if any seed fails the lq-solve suite's checks at
+their default tolerances: not converged, stationarity ratio above 1e-2
+or tail regression R^2 below 0.5.  So ``--seed 0 1 2 ...`` is a
+repeatable seed gate for the solver.
 """
 
 from __future__ import annotations
@@ -14,35 +19,29 @@ import sys
 from pathlib import Path
 
 from hybridmp.errors import NonConvergence
+from hybridmp.harness import tail_r2_min
 from hybridmp.lq import full_observation_baseline, solve_lq
 from hybridmp.model import LQSpec
 from hybridmp.pathsim import TimeGrid
 
+# lq-solve's default tolerances on stationarity_ratio and bsde_tail_r2_min
+MAX_RATIO = 1e-2
+MIN_TAIL_R2 = 0.5
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--spec", default=str(Path(__file__).resolve().parents[1]
-                                              / "specs" / "default_lq.json"))
-    parser.add_argument("--n-steps", type=int, default=400)
-    parser.add_argument("--n-paths", type=int, default=4096)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--damping", type=float, default=0.5)
-    args = parser.parse_args(argv)
 
-    lq = LQSpec.from_json(json.loads(Path(args.spec).read_text()))
-    grid = TimeGrid(lq.horizon, args.n_steps)
-
+def _report(lq: LQSpec, grid: TimeGrid, n_paths: int, seed: int, damping: float) -> dict:
+    """Solve at ``seed``, print its trace and verdict, return its summary."""
     try:
-        sol = solve_lq(lq, grid, n_paths=args.n_paths, seed=args.seed,
-                       damping=args.damping)
+        sol = solve_lq(lq, grid, n_paths=n_paths, seed=seed, damping=damping)
     except NonConvergence as exc:
-        print(f"warning: {exc}", file=sys.stderr)
+        print(f"warning: seed {seed}: {exc}", file=sys.stderr)
         sol = exc.solution
 
-    print(f"{'iter':>4s} {'cost':>12s} {'SE':>10s} {'residual':>12s} {'sup-change':>12s}")
+    print(f"{'iter':>4s} {'step':>5s} {'cost':>12s} {'SE':>10s} {'residual':>12s} "
+          f"{'sup-change':>12s}")
     for row in sol.trace:
-        print(f"{row['iteration']:4d} {row['cost']:12.6f} {row['cost_se']:10.2e} "
-              f"{row['residual']:12.6f} {row['sup_change']:12.6f}")
+        print(f"{row['iteration']:4d} {row['step']:5.2f} {row['cost']:12.6f} "
+              f"{row['cost_se']:10.2e} {row['residual']:12.6f} {row['sup_change']:12.6f}")
 
     ratio = sol.residual["residual"] / max(sol.trace[0]["residual"], 1e-300)
     print(f"\nconverged: {sol.converged} after {sol.iterations} iterations")
@@ -51,12 +50,40 @@ def main(argv: list[str] | None = None) -> int:
     print(f"stationarity residual: {sol.residual['residual']:.6g} "
           f"({ratio:.2e} x uncontrolled)")
 
-    baseline, analytic = full_observation_baseline(lq, grid, args.n_paths,
-                                                   args.seed + 1)
+    baseline, analytic = full_observation_baseline(lq, grid, n_paths, seed + 1)
     print(f"full-observation baseline: {baseline.mean:.6f} "
           f"+/- {baseline.std_error:.6f} (analytic {analytic:.6f})")
-    print(f"information premium: {sol.cost.mean - baseline.mean:+.6f}")
-    return 0 if sol.converged else 1
+    print(f"information premium: {sol.cost.mean - baseline.mean:+.6f}\n")
+    return {"seed": seed, "iterations": sol.iterations, "converged": sol.converged,
+            "ratio": ratio, "tail_r2": tail_r2_min(sol.adjoint), "cost": sol.cost.mean}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--spec", default=str(Path(__file__).resolve().parents[1]
+                                              / "specs" / "default_lq.json"))
+    parser.add_argument("--n-steps", type=int, default=400)
+    parser.add_argument("--n-paths", type=int, default=4096)
+    parser.add_argument("--seed", type=int, nargs="+", default=[42])
+    parser.add_argument("--damping", type=float, default=0.5)
+    args = parser.parse_args(argv)
+
+    lq = LQSpec.from_json(json.loads(Path(args.spec).read_text()))
+    grid = TimeGrid(lq.horizon, args.n_steps)
+    rows = [_report(lq, grid, args.n_paths, seed, args.damping) for seed in args.seed]
+
+    print(f"{'seed':>10s} {'iters':>5s} {'converged':>9s} {'ratio':>9s} {'tail-R2':>7s} "
+          f"{'cost':>12s}  verdict")
+    failed = 0
+    for row in rows:
+        ok = (row["converged"] and row["ratio"] <= MAX_RATIO
+              and row["tail_r2"] >= MIN_TAIL_R2)
+        failed += not ok
+        print(f"{row['seed']:10d} {row['iterations']:5d} {str(row['converged']):>9s} "
+              f"{row['ratio']:9.2e} {row['tail_r2']:7.4f} {row['cost']:12.6f}  "
+              f"{'pass' if ok else 'FAIL'}")
+    print(f"{len(rows) - failed} of {len(rows)} seeds pass")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def _write_json(path: Path, doc) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _tail_r2_min(adjoint) -> float:
+def tail_r2_min(adjoint) -> float:
     """Minimum fit R^2 away from the first few backward steps.
 
     Near t=0 a deterministic start leaves nothing to condition on, so
@@ -360,7 +360,7 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
             duality_ratio, tol.get("duality_rel_gap", 0.05), "<="
         ),
         "bsde_min_r2": _metric(
-            _tail_r2_min(adjoint), tol.get("bsde_min_r2", 0.5), ">="
+            tail_r2_min(adjoint), tol.get("bsde_min_r2", 0.5), ">="
         ),
     }
     return metrics, []
@@ -403,16 +403,17 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
             ratio, tol.get("stationarity_ratio", 1e-2), "<="
         ),
         "bsde_tail_r2_min": _metric(
-            _tail_r2_min(solution.adjoint), tol.get("bsde_tail_r2_min", 0.5), ">=",
+            tail_r2_min(solution.adjoint), tol.get("bsde_tail_r2_min", 0.5), ">=",
         ),
     }
 
     x_lo = float(np.quantile(solution.path.states, 0.01))
     x_hi = float(np.quantile(solution.path.states, 0.99))
     return metrics, [
-        _write_csv(out / "trace.csv", ["iter", "cost", "SE", "residual", "sup_control_change"],
-                   ([row["iteration"], row["cost"], row["cost_se"], row["residual"],
-                     row["sup_change"]] for row in solution.trace)),
+        _write_csv(out / "trace.csv",
+                   ["iter", "step", "cost", "SE", "residual", "sup_control_change"],
+                   ([row["iteration"], row["step"], row["cost"], row["cost_se"],
+                     row["residual"], row["sup_change"]] for row in solution.trace)),
         _write_csv(out / "control_surface.csv", ["t", "x", "pi", "u"],
                    _control_surface(solution.policy, grid, x_lo, x_hi)),
     ]

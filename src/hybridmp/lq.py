@@ -248,11 +248,20 @@ def solve_lq(
     Starting from the zero control: simulate the observable system
     forward (same noise every iteration, so successive policies are
     compared on common randomness), solve the adjoint equation backward,
-    take the stationary control from the sweep's dH/dv, damp it
-    toward the previous controls, refit the per-step polynomial
-    feedback, and stop once the sup-change of the feedback surface over
-    a (t, x, pi) quantile lattice falls below
+    take the stationary control from the sweep's dH/dv, move the
+    previous controls a fraction ``step`` of the way toward it, refit
+    the per-step polynomial feedback, and stop once the sup-change of
+    the feedback surface over a (t, x, pi) quantile lattice falls below
     ``tol * max(1, control scale)``.
+
+    The step is safeguarded.  The first iteration takes ``damping``.
+    Since the policy moves about ``step`` times its undamped change,
+    ``sup-change / step`` estimates that undamped change; the next step
+    is 1.0 if this estimate fell below the previous iteration's (the
+    first one always does) and ``damping`` otherwise.  The step never
+    goes below ``damping``, so the stopping test is never looser than
+    with a fixed ``damping``, and the fixed point is the same.
+    ``damping=1.0`` is plain Picard.  Each trace row records its step.
 
     Raises ``NonConvergence`` (carrying the best iterate in
     ``exc.solution``) if ``max_iter`` passes without meeting the
@@ -279,6 +288,7 @@ def solve_lq(
     policy = zero_policy(spec.control_domain)
     trace: list[dict] = []
     converged = False
+    step, last_rate = damping, np.inf
 
     for it in range(1, max_iter + 1):
         path = _forward(spec, grid, n_paths, seed, policy, dnu)
@@ -292,7 +302,7 @@ def solve_lq(
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
-            u_new[:, k] = (1.0 - damping) * u_prev[:, k] + damping * u_star
+            u_new[:, k] = (1.0 - step) * u_prev[:, k] + step * u_star
             candidate._fit_step(k, proj, x, p, u_new[:, k])
         residual = stationarity_report(spec, path, adj)["residual"]
 
@@ -303,6 +313,7 @@ def solve_lq(
         cost = transformed_cost(spec, grid, path.states, path.probs, u_prev)
         trace.append({
             "iteration": it,
+            "step": step,
             "cost": cost.mean,
             "cost_se": cost.std_error,
             "sup_change": change,
@@ -310,8 +321,8 @@ def solve_lq(
             "fit_residual": candidate.fit_max_residual,
             "r2_min": float(adj.r_squared.min()),
         })
-        logger.info("iteration %d: cost %.6f, sup-change %.3g", it,
-                    trace[-1]["cost"], change)
+        logger.info("iteration %d: step %.3g, cost %.6f, sup-change %.3g", it,
+                    step, trace[-1]["cost"], change)
         # Free this iteration's ensemble and adjoint before the next
         # forward pass and sweep allocate theirs.
         del path, adj
@@ -320,6 +331,10 @@ def solve_lq(
         if tol > 0.0 and change <= tol * scale:
             converged = True
             break
+        # The safeguarded step of the docstring: change / step is the
+        # undamped change, and a full step follows one that fell.
+        rate = change / step
+        step, last_rate = (1.0 if rate < last_rate else damping), rate
 
     path = _forward(spec, grid, n_paths, seed, policy, dnu)
     adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)

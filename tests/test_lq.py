@@ -258,9 +258,33 @@ class TestSolveLq:
         _, sol = solved
         assert sorted(sol.trace[0]) == ["cost", "cost_se", "fit_residual",
                                         "iteration", "r2_min", "residual",
-                                        "sup_change"]
+                                        "step", "sup_change"]
         assert [row["iteration"] for row in sol.trace] == \
             list(range(1, len(sol.trace) + 1))
+
+    def test_safeguarded_step_converges_in_at_most_17_iterations(self, solved):
+        # a fixed step of 0.5 takes 21 iterations here
+        _, sol = solved
+        assert sol.converged
+        assert sol.iterations <= 17
+
+    def test_step_rule_reads_off_the_trace(self, solved):
+        # row 1 takes the damping; a later row takes a full step exactly
+        # when the previous row's undamped change sup_change / step fell
+        # below the one before it (infinite before row 1), else the damping
+        _, sol = solved
+        rates = [math.inf] + [row["sup_change"] / row["step"] for row in sol.trace]
+        assert sol.trace[0]["step"] == 0.5
+        for i, row in enumerate(sol.trace[1:], start=2):
+            assert row["step"] == (1.0 if rates[i - 1] < rates[i - 2] else 0.5), i
+        # the fixture's solve exercises both branches
+        assert {row["step"] for row in sol.trace} == {0.5, 1.0}
+
+    def test_unit_damping_is_plain_picard(self, lq):
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, TimeGrid(1.0, 20), n_paths=200, seed=5, damping=1.0,
+                     tol=0.0, max_iter=4)
+        assert [row["step"] for row in exc.value.solution.trace] == [1.0] * 4
 
     def test_policy_tracks_stationary_formula(self, lq, solved):
         # the fitted feedback surface must agree with the explicit

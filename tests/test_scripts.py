@@ -19,5 +19,31 @@ def test_lq_experiment_prints_trace_and_verdict(capsys):
     code = _load("lq_experiment").main(["--n-steps", "20", "--n-paths", "300"])
     assert code in (0, 1)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["iter", "cost", "SE", "residual", "sup-change"]
+    assert lines[0].split() == ["iter", "step", "cost", "SE", "residual", "sup-change"]
     assert any(line.startswith("converged: ") for line in lines)
+
+
+def test_lq_experiment_gates_every_seed(capsys):
+    # one summary row per seed, whose verdict is the rule applied to its
+    # printed columns (converged, ratio <= 1e-2, tail R^2 >= 0.5); the
+    # exit code is 1 iff some seed fails
+    module = _load("lq_experiment")
+    argv = ["--n-steps", "20", "--n-paths", "300", "--seed", "1", "2"]
+    code = module.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[:2] == ["seed", "iters"])
+    assert lines[at].split() == ["seed", "iters", "converged", "ratio", "tail-R2", "cost",
+                                 "verdict"]
+    rows = [line.split() for line in lines[at + 1:at + 3]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    for row in rows:
+        ok = row[2] == "True" and float(row[3]) <= 1e-2 and float(row[4]) >= 0.5
+        assert row[-1] == ("pass" if ok else "FAIL")
+    passed = sum(row[-1] == "pass" for row in rows)
+    assert lines[at + 3] == f"{passed} of 2 seeds pass"
+    assert code == (0 if passed == 2 else 1)
+
+    # a ratio bound nothing meets fails every seed
+    module.MAX_RATIO = 0.0
+    assert module.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 seeds pass"
