@@ -67,7 +67,7 @@ class CompactCoeffs:
         spec, n = self.spec, x.shape[0]
 
         def drift(x, u):
-            return drift_table(spec, t, x, u).T
+            return drift_table(spec, t, x, u)
 
         def cost(x, u):
             return _assemble(n, *(spec.running_cost(t, x, i, u) for i in (1, 2))).T

@@ -419,7 +419,7 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     ]
 
 
-def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
+def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
     spec = cfg.problem
     tol = cfg.tolerances
     n_check = min(cfg.n_paths, 100)
@@ -449,12 +449,15 @@ def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Pat
             monotone, tol.get("oracle_rmse_monotone", 1.0), "=="
         ),
     }
-    return metrics, [_write_csv(out / "sweep.csv",
-                                ["n_steps", "oracle_rmse", "cost_mean", "cost_se"], rows)]
+    header = ["n_steps", "oracle_rmse", "cost_mean", "cost_se"]
+    # full precision in results.json: sweep.csv's %.10g hides last digits
+    return (metrics, [_write_csv(out / "sweep.csv", header, rows)],
+            {"sweep": [dict(zip(header, row)) for row in rows]})
 
 
 # Each suite's runner, and the metrics whose tolerance a config may
-# override (lq-solve's ``converged`` has none).
+# override (lq-solve's ``converged`` has none).  A runner returns its
+# metrics, its artifact files and, optionally, more results.json fields.
 SUITES = {
     "filter-check": (_filter_check, ("tower_property_z", "qv_error", "ks_zakai_sup_gap",
                                      "oracle_rmse_ratio")),
@@ -489,7 +492,7 @@ def run_suite(cfg: ExperimentConfig) -> int:
             raise ConfigError("spec violates standing assumptions: "
                               + "; ".join(problems))
         out.mkdir(parents=True, exist_ok=True)
-        metrics, files = runner(cfg, out)
+        metrics, files, *extra = runner(cfg, out)
     except HybridMPError as exc:
         write_error(cfg.out_dir, exc)
         return 2
@@ -502,6 +505,7 @@ def run_suite(cfg: ExperimentConfig) -> int:
         "grid": {"n_steps": cfg.n_steps, "n_paths": cfg.n_paths},
         "metrics": metrics,
         "pass": all_pass,
+        **(extra[0] if extra else {}),
     }
     results_path = _write_json(out / "results.json", results)
     _write_json(out / "manifest.json", {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NumericalError
 from .model import GeneratorSpec, ProblemSpec, eval_sigma
-from .parallel import RunningMoments, run_blocks
+from .parallel import DEFAULT_BLOCK_SIZE, RunningMoments, run_blocks
 
 Array = NDArray[np.float64]
 
@@ -27,29 +27,43 @@ TAG_INNOVATION = 2
 # |X| beyond this aborts the simulation rather than overflowing silently.
 BLOWUP_LIMIT = 1e8
 
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at a stream's start
 
-def path_rng(seed: int, path_index: int, tag: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, path, tag); independent across keys."""
+
+def path_rng(seed: int, path_index: int, tag: int,
+             generator: np.random.Generator | None = None) -> np.random.Generator:
+    """Philox stream keyed by (seed, path, tag); independent across keys.
+    Philox is counter-based, so re-keying a given ``generator`` to the
+    stream's start gives the same stream as a new one, at less cost."""
     if not 0 <= tag < 4:
         raise ConfigError(f"stream tag must be in 0..3, got {tag}")
     key = np.array([seed, (np.uint64(path_index) << np.uint64(2)) | np.uint64(tag)],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if generator is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    generator.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+def _draw(seed: int, path_indices, tag: int, n: int, method: str) -> Array:
+    """``method`` draws of n per path into one row each, one re-keyed generator."""
+    out = np.empty((len(path_indices), n))
+    rng = None
+    for row, idx in enumerate(path_indices):
+        rng = path_rng(seed, int(idx), tag, rng)
+        getattr(rng, method)(out=out[row])
+    return out
 
 
 def draw_normals(seed: int, path_indices, tag: int, n_steps: int) -> Array:
     """Standard normals, shape (len(path_indices), n_steps), one stream per path."""
-    out = np.empty((len(path_indices), n_steps))
-    for row, idx in enumerate(path_indices):
-        out[row] = path_rng(seed, int(idx), tag).standard_normal(n_steps)
-    return out
+    return _draw(seed, path_indices, tag, n_steps, "standard_normal")
 
 
 def draw_uniforms(seed: int, path_indices, tag: int, n_draws: int) -> Array:
-    out = np.empty((len(path_indices), n_draws))
-    for row, idx in enumerate(path_indices):
-        out[row] = path_rng(seed, int(idx), tag).random(n_draws)
-    return out
+    return _draw(seed, path_indices, tag, n_draws, "random")
 
 
 @dataclass(frozen=True)
@@ -161,11 +175,19 @@ def simulate_chain(
         pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
         alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
         np.clip(alpha[:, 0], 0, q.n_states - 1, out=alpha[:, 0])
+    # successor[s, p, k]: the state that path p moves to at node k from
+    # state s, i.e. the count of cdf[s, j] <= u[p, k], capped at d - 1
+    successor = np.zeros((q.n_states, n_paths, grid.n_steps + 1),
+                         dtype=np.min_scalar_type(q.n_states))
+    for s, row_cdf in enumerate(cdf):
+        for c in row_cdf:
+            successor[s] += u >= c
+    np.minimum(successor, q.n_states - 1, out=successor)
+    rows = np.arange(n_paths)
     for k in range(grid.n_steps):
-        row_cdf = cdf[alpha[:, k]]
-        nxt = (u[:, k + 1, None] >= row_cdf).sum(axis=1)
-        alpha[:, k + 1] = np.minimum(nxt, q.n_states - 1)
-    return alpha + 1
+        alpha[:, k + 1] = successor[alpha[:, k], rows, k + 1]
+    alpha += 1
+    return alpha
 
 
 def chain_marginal(spec: ProblemSpec, t: float) -> Array:
@@ -192,7 +214,9 @@ def brownian_increments(seed: int, grid: TimeGrid, n_paths: int, tag: int,
     if override is not None:
         return check_override(name, override, (n_paths, grid.n_steps))
     indices = range(path_offset, path_offset + n_paths)
-    return draw_normals(seed, indices, tag, grid.n_steps) * np.sqrt(grid.dt)
+    dW = draw_normals(seed, indices, tag, grid.n_steps)
+    dW *= np.sqrt(grid.dt)
+    return dW
 
 
 def draw_drivers(spec: ProblemSpec, grid: TimeGrid, n_paths: int, seed: int,
@@ -244,20 +268,19 @@ def control_at(spec: ProblemSpec, k: int, t: float, x: Array, pi,
 
 
 def drift_table(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
-    """b(t, x, i, u) for every regime i, shape (n_paths, d)."""
-    table = np.empty((x.shape[0], spec.n_regimes))
+    """b(t, x, i, u) for every regime i, regime-major: shape (d, n_paths)."""
+    table = np.empty((spec.n_regimes, x.shape[0]))
     for i in range(1, spec.n_regimes + 1):
-        table[:, i - 1] = spec.drift(t, x, i, u)
+        table[i - 1] = spec.drift(t, x, i, u)
     return table
 
 
 def euler_step(x: Array, drift: Array, sig, dw: Array, dt: float, t_next: float) -> Array:
     """X + b dt + sigma dW; |X| beyond ``BLOWUP_LIMIT`` raises ``NumericalError``."""
     x = x + drift * dt + sig * dw
-    if not np.all(np.isfinite(x)) or np.any(np.abs(x) > BLOWUP_LIMIT):
-        raise NumericalError(
-            f"state blow-up at t={t_next:.4g}: max |X| = {np.max(np.abs(x)):.3g}"
-        )
+    top = np.abs(x).max(initial=0.0)
+    if not top <= BLOWUP_LIMIT:  # a NaN fails the comparison too
+        raise NumericalError(f"state blow-up at t={t_next:.4g}: max |X| = {top:.3g}")
     return x
 
 
@@ -300,7 +323,7 @@ def simulate_state(
     for k in range(grid.n_steps):
         t = times[k]
         u = used[:, k] = control_at(spec, k, t, x, None, policy, controls)
-        b = drift_table(spec, t, x, u)[rows, alpha[:, k] - 1]
+        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
         x = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k], grid.dt, times[k + 1])
         states[:, k + 1] = x
 
@@ -343,7 +366,7 @@ def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
                             bundle.regimes[..., None] == labels)
 
 
-def blocked_cost(path_costs, n_paths: int, block_size: int = 4096,
+def blocked_cost(path_costs, n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE,
                  workers: int = 1) -> CostEstimate:
     """Mean and standard error of ``path_costs(offset, count)`` (per-path
     costs of one block of paths), merged in block order so the result
@@ -364,7 +387,7 @@ def estimate_cost(
     n_paths: int,
     seed: int,
     policy=None,
-    block_size: int = 4096,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
 ) -> CostEstimate:
     """Monte Carlo cost of a policy, blocked so memory stays flat.

@@ -15,6 +15,7 @@ updates) serves as the convergence oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
     ``states`` must have shape (n_paths, N+1) and ``controls`` (n_paths,
     N); anything else raises ``ConfigError`` before any work is done.
     ``steps`` yields, per step k, the left-endpoint (sigma_k, drift table
-    (n_paths, d), Delta X_k).
+    (d, n_paths), Delta X_k).
     """
     states = np.asarray(states, dtype=np.float64)
     controls = np.asarray(controls, dtype=np.float64)
@@ -112,6 +113,11 @@ def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
     return states.shape[0], steps()
 
 
+def _prior(spec: ProblemSpec, n_paths: int) -> Array:
+    """pi0 per path, regime-major (d, n_paths) as every filter state here."""
+    return np.repeat(np.asarray(spec.pi0, dtype=np.float64)[:, None], n_paths, axis=1)
+
+
 def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
                             controls: Array) -> Array:
     """Delta Y_k = Delta X_k / sigma(t_k, X_k, u_k): the state path rescaled
@@ -121,19 +127,23 @@ def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
 
 
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
-    """Clip to the simplex; report how far outside the update landed."""
-    low = float(p.min())
+    """Clip p (d, n_paths) to the simplex in place; return the number of
+    paths that left it by more than ``excursion_tol`` and the worst excursion."""
+    low = float(p.min())  # a NaN propagates to both extremes
     high = float(p.max())
     excursion = max(0.0 - low if low < 0 else 0.0, high - 1.0 if high > 1.0 else 0.0)
-    if not np.isfinite(p).all() or low < -breakdown_tol or high > 1.0 + breakdown_tol:
+    if not (math.isfinite(low) and math.isfinite(high)
+            and -breakdown_tol <= low and high <= 1.0 + breakdown_tol):
         raise NumericalError(
             f"filter state left [{-breakdown_tol}, {1 + breakdown_tol}]: "
             f"range [{low:.4g}, {high:.4g}]"
         )
-    events = int(np.any((p < -excursion_tol) | (p > 1.0 + excursion_tol), axis=-1).sum())
+    events = 0
+    if low < -excursion_tol or high > 1.0 + excursion_tol:
+        events = int(np.any((p < -excursion_tol) | (p > 1.0 + excursion_tol), axis=0).sum())
     np.clip(p, 0.0, None, out=p)
-    total = p.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
+    total = p.sum(axis=0)
+    if not total.min() > 0:
         raise NumericalError("filter state collapsed to zero mass")
     p /= total
     return events, excursion
@@ -144,10 +154,11 @@ def _wonham_step(p: Array, h: Array, hbar: Array, dnu: Array, Q: Array, dt: floa
                  breakdown_tol: float = BREAKDOWN_TOL):
     """One normalized filter update, projected back onto the simplex.
 
-    p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i} (h_i - hbar_k) dnu_k.
+    p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i} (h_i - hbar_k) dnu_k, with
+    p and h regime-major (d, n_paths); ``Q.T @ p`` is ``p @ Q`` transposed.
     Returns (p_{k+1}, clamp events, worst excursion) of the step.
     """
-    p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, None]
+    p = p + (Q.T @ p) * dt + p * (h - hbar) * dnu
     events, excursion = _project_simplex(p, excursion_tol, breakdown_tol)
     return p, events, excursion
 
@@ -177,22 +188,22 @@ def run_normalized_filter(
     dt = grid.dt
     Q = spec.generator.matrix
 
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
+    p = _prior(spec, n_paths)
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    probs[:, 0] = p
+    probs[:, 0] = p.T
     dnu = np.empty((n_paths, grid.n_steps))
     events = 0
     worst = 0.0
 
     for k, (sig, table, dx) in enumerate(steps):
-        h = table / sig[..., None]
+        h = table / sig
         dY_k = dx / sig if dY is None else dY[:, k]
-        hbar = np.sum(p * h, axis=1)
+        hbar = np.sum(p * h, axis=0)
         dnu[:, k] = dY_k - hbar * dt
         p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt, excursion_tol, breakdown_tol)
         events += e
         worst = max(worst, w)
-        probs[:, k + 1] = p
+        probs[:, k + 1] = p.T
 
     return FilterPath(grid=grid, probs=probs, nu_increments=dnu,
                       clamp_events=events, max_excursion=worst)
@@ -222,28 +233,29 @@ def run_zakai_filter(
     times = grid.times
     Q = spec.generator.matrix
 
-    V = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
+    V = _prior(spec, n_paths)
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     masses = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     dnu = np.empty((n_paths, grid.n_steps))
-    total = V.sum(axis=1)
-    probs[:, 0] = V / total[:, None]
-    masses[:, 0] = V
+    p = V / V.sum(axis=0)
+    probs[:, 0] = p.T
+    masses[:, 0] = V.T
 
     for k, (sig, table, dx) in enumerate(steps):
-        h = table / sig[..., None]
+        h = table / sig
         dY_k = dx / sig if dY is None else dY[:, k]
-        hbar = np.sum(probs[:, k] * h, axis=1)
+        hbar = np.sum(p * h, axis=0)
         dnu[:, k] = dY_k - hbar * dt
-        V = V + (V @ Q) * dt + V * h * dY_k[:, None]
-        total = V.sum(axis=1)
+        V = V + (Q.T @ V) * dt + V * h * dY_k
+        total = V.sum(axis=0)
         if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
             raise NumericalError(
                 f"unnormalized filter mass left (0, inf) at t={times[k + 1]:.4g}"
             )
-        masses[:, k + 1] = V
-        probs[:, k + 1] = np.clip(V / total[:, None], 0.0, None)
-        probs[:, k + 1] /= probs[:, k + 1].sum(axis=1, keepdims=True)
+        masses[:, k + 1] = V.T
+        p = np.clip(V / total, 0.0, None)
+        p /= p.sum(axis=0)
+        probs[:, k + 1] = p.T
 
     return FilterPath(grid=grid, probs=probs, nu_increments=dnu, V=masses)
 
@@ -305,32 +317,33 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     rows = np.arange(n_paths)
 
     x = np.full(n_paths, spec.x0)
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
+    p = _prior(spec, n_paths)
     states = np.empty((n_paths, grid.n_steps + 1))
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     used = np.empty((n_paths, grid.n_steps))
     dnu = noise if alpha is None else np.empty((n_paths, grid.n_steps))
     states[:, 0] = x
-    probs[:, 0] = p
+    probs[:, 0] = p.T
     events = 0
     worst = 0.0
 
     for k in range(grid.n_steps):
         t = times[k]
-        u = used[:, k] = control_at(spec, k, t, x, p[:, 0], policy, controls)
+        u = used[:, k] = control_at(spec, k, t, x, p[0], policy, controls)
         sig = eval_sigma(spec, t, x, u)
         table = drift_table(spec, t, x, u)
-        h = table / sig[..., None]
-        hbar = np.sum(p * h, axis=1)
-        b = hbar * sig if alpha is None else table[rows, alpha[:, k] - 1]
-        x_next = euler_step(x, b, sig, noise[:, k], dt, times[k + 1])
+        h = table / sig
+        hbar = np.sum(p * h, axis=0)
+        b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
+        dw = np.ascontiguousarray(noise[:, k])  # one strided read, two uses
+        x_next = euler_step(x, b, sig, dw, dt, times[k + 1])
         if alpha is not None:
-            dnu[:, k] = (x_next - x) / sig - hbar * dt
-        p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt)
+            dw = dnu[:, k] = (x_next - x) / sig - hbar * dt
+        p, e, w = _wonham_step(p, h, hbar, dw, Q, dt)
         events += e
         worst = max(worst, w)
         x = states[:, k + 1] = x_next
-        probs[:, k + 1] = p
+        probs[:, k + 1] = p.T
 
     return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
                           dnu=dnu, seed=seed, path_offset=path_offset,
@@ -414,19 +427,19 @@ def discrete_bayes_oracle(
     P = spec.generator.transition_matrix(dt)
     log_eps = -745.0  # log of the smallest positive double, for zero probs
 
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (n_paths, 1))
+    p = _prior(spec, n_paths)
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    probs[:, 0] = p
+    probs[:, 0] = p.T
 
     for k, (sig, table, dx) in enumerate(steps):
         with np.errstate(divide="ignore"):
             logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), log_eps)
-        logp += -((dx[..., None] - table * dt) ** 2) / (2.0 * sig[..., None] ** 2 * dt)
-        logp -= logp.max(axis=1, keepdims=True)
+        logp += -((dx - table * dt) ** 2) / (2.0 * sig ** 2 * dt)
+        logp -= logp.max(axis=0)
         w = np.exp(logp)
-        w /= w.sum(axis=1, keepdims=True)
-        p = w @ P
-        probs[:, k + 1] = p
+        w /= w.sum(axis=0)
+        p = P.T @ w
+        probs[:, k + 1] = p.T
 
     return probs
 

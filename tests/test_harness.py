@@ -297,6 +297,13 @@ class TestRunSuite:
         assert rows[0] == "n_steps,oracle_rmse,cost_mean,cost_se"
         assert [r.split(",")[0] for r in rows[1:]] == \
             ["250", "500", "1000", "2000"]
+        # results.json holds the same rows at full precision, so the
+        # manifest sees digits that the CSV rounds away
+        sweep = json.loads((out / "results.json").read_text())["sweep"]
+        assert [row["n_steps"] for row in sweep] == [250, 500, 1000, 2000]
+        for row, line in zip(sweep, rows[1:]):
+            assert line == ",".join([str(row["n_steps"])] + [
+                f"{row[key]:.10g}" for key in ("oracle_rmse", "cost_mean", "cost_se")])
 
 
 class TestValidateSpecFile:

@@ -20,6 +20,16 @@ from hybridmp import (
     simulate_state,
     zero_policy,
 )
+from hybridmp import pathsim
+from hybridmp.pathsim import (
+    BLOWUP_LIMIT,
+    TAG_CHAIN,
+    TAG_NOISE,
+    draw_normals,
+    draw_uniforms,
+    euler_step,
+    path_rng,
+)
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +192,101 @@ class TestCost:
         threaded = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
                                  block_size=256, workers=3)
         assert serial == threaded
+
+
+def _chain_by_fresh_streams(generator, grid, n_paths, seed, alpha0=None, pi0=None,
+                            path_offset=0):
+    """The chain loop before the successor table: a fresh generator per
+    path, then one fancy-indexed cdf row per path and step, and a copy of
+    the labels for the +1."""
+    cdf = np.cumsum(generator.transition_matrix(grid.dt), axis=1)
+    u = np.stack([path_rng(seed, i, TAG_CHAIN).random(grid.n_steps + 1)
+                  for i in range(path_offset, path_offset + n_paths)])
+    alpha = np.empty((n_paths, grid.n_steps + 1), dtype=np.int64)
+    if alpha0 is not None:
+        alpha[:, 0] = alpha0 - 1
+    else:
+        alpha[:, 0] = np.searchsorted(np.cumsum(pi0), u[:, 0], side="right")
+        np.clip(alpha[:, 0], 0, generator.n_states - 1, out=alpha[:, 0])
+    for k in range(grid.n_steps):
+        row_cdf = cdf[alpha[:, k]]
+        nxt = (u[:, k + 1, None] >= row_cdf).sum(axis=1)
+        alpha[:, k + 1] = np.minimum(nxt, generator.n_states - 1)
+    return alpha + 1
+
+
+class TestKernelExactness:
+    """The forward kernel gives the draws and labels of the straightforward
+    per-path code bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_rows_are_the_path_streams(self, seed):
+        indices = [0, 1, 7, 4096, 2**40]
+        normals = draw_normals(seed, indices, TAG_NOISE, 37)
+        uniforms = draw_uniforms(seed, indices, TAG_CHAIN, 38)
+        for row, idx in enumerate(indices):
+            assert np.array_equal(normals[row],
+                                  path_rng(seed, idx, TAG_NOISE).standard_normal(37))
+            assert np.array_equal(uniforms[row], path_rng(seed, idx, TAG_CHAIN).random(38))
+
+    def test_rekeyed_generator_starts_its_stream_afresh(self):
+        # a generator left mid-buffer (half a 64-bit word, three words of
+        # the Philox block used) gives the new key's stream from its start
+        used = path_rng(5, 3, TAG_NOISE)
+        used.integers(0, 2**32, size=3, dtype=np.uint32)
+        again = path_rng(5, 9, TAG_CHAIN, used)
+        fresh = path_rng(5, 9, TAG_CHAIN)
+        assert again is used
+        for draw in (lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                     lambda g: g.random(11)):
+            assert np.array_equal(draw(again), draw(fresh))
+
+    def test_one_stream_lookup_per_row(self, monkeypatch):
+        # the benchmark counts streams by wrapping ``pathsim.path_rng``
+        calls = []
+        real = pathsim.path_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pathsim, "path_rng", counted)
+        draw_normals(1, range(4, 9), TAG_NOISE, 3)
+        draw_uniforms(1, [2, 0], TAG_CHAIN, 3)
+        assert calls == [(1, i, TAG_NOISE) for i in range(4, 9)] + \
+            [(1, 2, TAG_CHAIN), (1, 0, TAG_CHAIN)]
+
+    @pytest.mark.parametrize("tag", [-1, 4])
+    def test_bad_tag_raises(self, tag):
+        with pytest.raises(ConfigError, match="tag"):
+            draw_normals(0, [0, 1], tag, 5)
+        with pytest.raises(ConfigError, match="tag"):
+            draw_uniforms(0, [0, 1], tag, 5)
+
+    @pytest.mark.parametrize("generator", [
+        GeneratorSpec.two_state(1.0, 2.0),
+        GeneratorSpec(((-1.5, 1.0, 0.5), (0.3, -0.8, 0.5), (2.0, 0.0, -2.0))),
+    ], ids=["two-state", "three-state"])
+    def test_chain_matches_the_per_step_loop(self, generator):
+        grid = TimeGrid(1.0, 100)
+        d = generator.n_states
+        pi0 = np.full(d, 1.0 / d)
+        for kwargs in ({"alpha0": d}, {"pi0": pi0}, {"pi0": pi0, "path_offset": 17}):
+            got = simulate_chain(generator, grid, 300, 11, **kwargs)
+            want = _chain_by_fresh_streams(generator, grid, 300, 11, **kwargs)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert set(np.unique(got)) == set(range(1, d + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * BLOWUP_LIMIT,
+                                     -2 * BLOWUP_LIMIT])
+    def test_euler_step_raises_on_blow_up(self, bad):
+        dw = np.array([0.0, 0.0, bad, 0.0])
+        with pytest.raises(NumericalError, match="blow-up at t=0.5"):
+            euler_step(np.zeros(4), np.zeros(4), 1.0, dw, 0.01, 0.5)
+
+    def test_euler_step_keeps_the_limit_itself(self):
+        x = euler_step(np.zeros(3), np.zeros(3), 1.0,
+                       np.array([BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0]), 0.01, 0.5)
+        assert np.array_equal(x, [BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0])
+        assert euler_step(np.zeros(0), np.zeros(0), 1.0, np.zeros(0), 0.01, 0.5).shape == (0,)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -47,3 +48,45 @@ def test_lq_experiment_gates_every_seed(capsys):
     module.MAX_RATIO = 0.0
     assert module.main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 seeds pass"
+
+
+def test_compare_manifests_names_every_mismatch():
+    compare = _load("run_all_suites").compare_manifests
+    want = {"lq-solve": {"results.json": "a" * 64, "trace.csv": "b" * 64},
+            "mp-check": {"results.json": "c" * 64}}
+    assert compare(want, json.loads(json.dumps(want))) == []
+    got = {"lq-solve": {"results.json": "d" * 64, "surface.csv": "e" * 64},
+           "filter-check": {"results.json": "f" * 64}}
+    assert compare(want, got) == [
+        "filter-check: extra (not in the table)",
+        "lq-solve results.json: dddddddddddd differs from aaaaaaaaaaaa",
+        "lq-solve surface.csv: extra",
+        "lq-solve trace.csv: missing",
+        "mp-check: missing (no manifest.json)",
+    ]
+
+
+def test_run_all_suites_checks_against_a_recorded_table(tmp_path, capsys):
+    # one small config; --record writes its table, --check passes on a
+    # rerun and fails once a digest in the table is changed
+    module = _load("run_all_suites")
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    spec = SCRIPTS.parent / "specs" / "default_lq.json"
+    (configs / "mp.json").write_text(json.dumps(
+        {"suite": "mp-check", "spec": str(spec), "n_paths": 200, "n_steps": 20, "seed": 3}))
+    module.CONFIGS = configs
+    table = tmp_path / "table.json"
+    out = ["--out", str(tmp_path / "out")]
+    code = module.main(out + ["--record", str(table)])
+    recorded = json.loads(table.read_text())
+    assert set(recorded) == {"mp-check"} and set(recorded["mp-check"]) == {"results.json"}
+    assert module.main(out + ["--check", str(table)]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"check: 0 mismatches against {table}"
+
+    recorded["mp-check"]["results.json"] = "0" * 64
+    table.write_text(json.dumps(recorded))
+    assert module.main(out + ["--check", str(table)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("check: mp-check results.json: ")
+    assert lines[-1] == f"check: 1 mismatches against {table}"

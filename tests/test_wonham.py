@@ -21,6 +21,9 @@ from hybridmp import (
 )
 from hybridmp.model import eval_sigma
 from hybridmp.wonham import (
+    BREAKDOWN_TOL,
+    EXCURSION_TOL,
+    _project_simplex,
     coupled_forward,
     discrete_bayes_oracle,
     innovation_forward,
@@ -342,3 +345,87 @@ class TestForwardKernel:
         assert ip.clamp_events > 0
         assert ip.max_excursion > 0.0
         assert np.all(ip.probs >= 0.0) and np.all(ip.probs <= 1.0)
+
+
+def _project_path_major(p, excursion_tol, breakdown_tol):
+    """The projection before the regime-major state, on p (n_paths, d)."""
+    low, high = float(p.min()), float(p.max())
+    excursion = max(0.0 - low if low < 0 else 0.0, high - 1.0 if high > 1.0 else 0.0)
+    if not np.isfinite(p).all() or low < -breakdown_tol or high > 1.0 + breakdown_tol:
+        raise NumericalError("left")
+    events = int(np.any((p < -excursion_tol) | (p > 1.0 + excursion_tol), axis=-1).sum())
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise NumericalError("collapsed")
+    return p / total, events, excursion
+
+
+def _normalized_filter_path_major(spec, grid, states, controls):
+    """run_normalized_filter's recursion before the regime-major state:
+    p (n_paths, d), p @ Q, and sums over the last axis."""
+    Q = spec.generator.matrix
+    dt = grid.dt
+    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (states.shape[0], 1))
+    probs = [p]
+    for k in range(grid.n_steps):
+        t, x, u = grid.times[k], states[:, k], controls[:, k]
+        sig = eval_sigma(spec, t, x, u)
+        h = np.stack([spec.drift(t, x, i, u) for i in (1, 2)], axis=1) / sig[:, None]
+        hbar = np.sum(p * h, axis=1)
+        dnu = (states[:, k + 1] - x) / sig - hbar * dt
+        p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, None]
+        p, _, _ = _project_path_major(p, EXCURSION_TOL, BREAKDOWN_TOL)
+        probs.append(p)
+    return np.stack(probs, axis=1)
+
+
+class TestRegimeMajorState:
+    """The filters keep p as (d, n_paths); every result is the path-major
+    recursion's, bit for bit."""
+
+    def test_normalized_filter_matches_the_path_major_recursion(self, spec, coupled):
+        grid, cp = coupled
+        states, controls = cp.bundle.states, cp.bundle.controls
+        want = _normalized_filter_path_major(spec, grid, states, controls)
+        got = run_normalized_filter(spec, grid, states, controls).probs
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(cp.filter_path.probs, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 2 * BREAKDOWN_TOL,
+                                     -2 * BREAKDOWN_TOL])
+    def test_projection_raises_on_breakdown(self, bad):
+        p = np.full((2, 5), 0.5)
+        p[1, 3] = bad
+        with pytest.raises(NumericalError, match="filter state left"):
+            _project_simplex(p, EXCURSION_TOL, BREAKDOWN_TOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_projection_raises_on_non_finite_without_a_breakdown_bound(self, bad):
+        p = np.full((2, 5), 0.5)
+        p[0, 0] = bad
+        with pytest.raises(NumericalError, match="filter state left"):
+            _project_simplex(p, EXCURSION_TOL, np.inf)
+
+    def test_projection_raises_on_zero_mass(self):
+        p = np.full((2, 4), 0.5)
+        p[:, 2] = [-0.1, 0.0]
+        with pytest.raises(NumericalError, match="zero mass"):
+            _project_simplex(p, EXCURSION_TOL, BREAKDOWN_TOL)
+
+    @given(p=hnp.arrays(np.float64, st.tuples(st.integers(2, 3), st.integers(1, 12)),
+                        elements=st.floats(-0.45, 1.45) | st.sampled_from(
+                            [0.0, 1.0, -EXCURSION_TOL, 1.0 + EXCURSION_TOL,
+                             -2 * EXCURSION_TOL, 1.0 + 2 * EXCURSION_TOL])))
+    def test_clamp_counts_and_excursion_match_the_path_major_expressions(self, p):
+        try:
+            want = _project_path_major(p.T.copy(), EXCURSION_TOL, BREAKDOWN_TOL)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                _project_simplex(p.copy(), EXCURSION_TOL, BREAKDOWN_TOL)
+            return
+        got = p.copy()
+        events, excursion = _project_simplex(got, EXCURSION_TOL, BREAKDOWN_TOL)
+        assert (events, excursion) == want[1:]
+        assert np.array_equal(got.T, want[0])
