@@ -10,11 +10,15 @@ override the config file; explicit flags override both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
+import os
 import sys
+from pathlib import Path
 
 from .errors import HybridMPError
-from .harness import ExperimentConfig, run_suite, validate_spec_file, write_error
+from .harness import ENV_PREFIX, ExperimentConfig, run_suite, validate_spec_file, write_error
+from .model import read_json_object
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +61,10 @@ def main(argv: list[str] | None = None) -> int:
             args.config, seed=args.seed, workers=args.workers, out=args.out
         )
     except HybridMPError as exc:
-        write_error(args.out or "results", exc)
+        out = args.out if args.out is not None else os.environ.get(ENV_PREFIX + "OUT")
+        with contextlib.suppress(HybridMPError):  # else the config's own out, if it reads
+            out = read_json_object(Path(args.config), "config").get("out") if out is None else out
+        write_error(out if isinstance(out, str) else "results", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     code = run_suite(cfg)

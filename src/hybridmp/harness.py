@@ -103,8 +103,9 @@ class ExperimentConfig:
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0 (0 means the core count), "
                               f"got {self.workers}")
-        if self.workers == 0:
-            self.workers = os.cpu_count() or 1
+        if self.workers == 0:  # the cores this process may run on
+            self.workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count() or 1)
 
     @property
     def grid(self) -> TimeGrid:

@@ -7,6 +7,7 @@ on how paths are batched across blocks or workers.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,9 @@ TAG_INNOVATION = 2
 # |X| beyond this aborts the simulation rather than overflowing silently.
 BLOWUP_LIMIT = 1e8
 
+STAGE_STEPS = 16  # steps per time-major block of staged_steps
+STAGE_ROWS = 1024  # paths per read copy of staged_steps
+
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at a stream's start
 
 
@@ -35,10 +39,9 @@ def path_rng(seed: int, path_index: int, tag: int,
     """Philox stream keyed by (seed, path, tag); independent across keys.
     Philox is counter-based, so re-keying a given ``generator`` to the
     stream's start gives the same stream as a new one, at less cost."""
-    if not 0 <= tag < 4:
-        raise ConfigError(f"stream tag must be in 0..3, got {tag}")
-    key = np.array([seed, (np.uint64(path_index) << np.uint64(2)) | np.uint64(tag)],
-                   dtype=np.uint64)
+    if not (0 <= tag < 4 and 0 <= path_index < 2**62):  # two key bits hold the tag
+        raise ConfigError(f"stream tag {tag} or path index {path_index} outside 0..3 or [0, 2**62)")
+    key = np.array([seed, int(path_index) << 2 | tag], dtype=np.uint64)
     if generator is None:
         return np.random.Generator(np.random.Philox(key=key))
     generator.bit_generator.state = {
@@ -52,7 +55,7 @@ def _draw(seed: int, path_indices, tag: int, n: int, method: str) -> Array:
     out = np.empty((len(path_indices), n))
     rng = None
     for row, idx in enumerate(path_indices):
-        rng = path_rng(seed, int(idx), tag, rng)
+        rng = path_rng(seed, idx, tag, rng)
         getattr(rng, method)(out=out[row])
     return out
 
@@ -200,6 +203,39 @@ def chain_marginal(spec: ProblemSpec, t: float) -> Array:
 # ---------------------------------------------------------------------------
 
 
+def _mapped_empty(shape, dtype: np.dtype) -> np.ndarray:
+    """Uninitialized array in its own anonymous map: freed, it leaves no hole in the heap."""
+    count = int(np.prod(shape))  # and one spare byte below, so that an empty array maps too
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize + 1), dtype, count).reshape(shape)
+
+
+def staged_steps(n_steps: int, reads, writes=()):
+    """Yield k and row k of every array, contiguous, for each step k < n_steps.
+
+    Arrays have shape (n_paths, >= n_steps, *rest) (pass ``states[:, 1:]``
+    to shift one by a node), rows (*rest, n_paths), a None array's rows None.
+    ``reads`` rows hold the array's values; the caller fills ``writes`` rows.
+    Each block of ``STAGE_STEPS`` steps fills buffers, allocated once per
+    pass, from ``reads`` by transposed copies of ``STAGE_ROWS`` paths (whose
+    rows stay cached) and empties them into ``writes`` by one per array.
+    """
+    size = min(STAGE_STEPS, n_steps)
+    bufs = [[None] * size if a is None else _mapped_empty((size, *a.shape[2:], a.shape[0]), a.dtype)
+            for a in (*reads, *writes)]
+    for k0 in range(0, n_steps, size):
+        m = min(size, n_steps - k0)
+        for a, buf in zip(reads, bufs):
+            if a is not None:
+                for r in range(0, a.shape[0], STAGE_ROWS):
+                    block = slice(r, r + STAGE_ROWS)
+                    buf[:m, ..., block] = np.moveaxis(a[block, k0:k0 + m], 0, -1)
+        for j in range(m):
+            yield (k0 + j, *(buf[j] for buf in bufs))
+        for a, buf in zip(writes, bufs[len(reads):]):
+            if a is not None:
+                np.moveaxis(a[:, k0:k0 + m], 0, -1)[...] = buf[:m]
+
+
 def check_override(name: str, value, shape: tuple[int, ...], dtype=np.float64):
     """``value`` as an array of the given shape, or ``ConfigError``."""
     value = np.asarray(value, dtype=dtype)
@@ -243,16 +279,15 @@ def check_controls(policy, controls, n_paths: int, grid: TimeGrid):
     return check_override("controls", controls, (n_paths, grid.n_steps))
 
 
-def control_at(spec: ProblemSpec, k: int, t: float, x: Array, pi,
-               policy=None, controls=None) -> Array:
-    """Control of step k, clamped to the control domain.
+def control_at(spec: ProblemSpec, t: float, x: Array, pi, policy=None, control=None) -> Array:
+    """Control of the step at t, clamped to the control domain.
 
-    Explicit ``controls`` win, then ``policy(t, x, pi)``, then zero.  A
-    control that is not finite after clamping raises ``DomainError``
+    An explicit ``control`` row wins, then ``policy(t, x, pi)``, then zero.
+    A control that is not finite after clamping raises ``DomainError``
     naming its source rather than surfacing later as a state blow-up.
     """
-    if controls is not None:
-        u = controls[:, k]
+    if control is not None:
+        u = control
     elif policy is not None:
         u = policy(t, x, pi)
     else:
@@ -261,7 +296,7 @@ def control_at(spec: ProblemSpec, k: int, t: float, x: Array, pi,
     if u.shape != x.shape:
         raise ConfigError(f"control at t={t:.4g} has shape {u.shape}, expected {x.shape}")
     if not np.all(np.isfinite(u)):
-        source = ("explicit controls" if controls is not None
+        source = ("explicit controls" if control is not None
                   else f"policy {getattr(policy, 'name', '') or policy!r}")
         raise DomainError(f"{source} gave a non-finite control at t={t:.4g}")
     return u
@@ -320,12 +355,12 @@ def simulate_state(
     times = grid.times
     rows = np.arange(n_paths)
 
-    for k in range(grid.n_steps):
+    for k, dw, a, c, u_row, x_row in staged_steps(grid.n_steps, (dW, alpha, controls),
+                                                   (used, states[:, 1:])):
         t = times[k]
-        u = used[:, k] = control_at(spec, k, t, x, None, policy, controls)
-        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
-        x = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k], grid.dt, times[k + 1])
-        states[:, k + 1] = x
+        u = u_row[...] = control_at(spec, t, x, None, policy, c)
+        b = drift_table(spec, t, x, u)[a - 1, rows]
+        x = x_row[...] = euler_step(x, b, eval_sigma(spec, t, x, u), dw, grid.dt, times[k + 1])
 
     return PathBundle(
         grid=grid, states=states, regimes=alpha, controls=used,
@@ -349,10 +384,10 @@ def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
     dt = grid.dt
     times = grid.times
     total = np.zeros(states.shape[0])
-    for k in range(grid.n_steps):
+    for k, x, u, w in staged_steps(grid.n_steps, (states, controls, weights)):
         for i in range(1, spec.n_regimes + 1):
-            f = spec.running_cost(times[k], states[:, k], i, controls[:, k])
-            total += dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
+            f = spec.running_cost(times[k], x, i, u)
+            total += dt * w[i - 1] * np.asarray(f, dtype=np.float64)
     for i in range(1, spec.n_regimes + 1):
         g = spec.terminal_cost(states[:, -1], i)
         total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)

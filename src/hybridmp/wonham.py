@@ -37,6 +37,7 @@ from .pathsim import (
     draw_drivers,
     drift_table,
     euler_step,
+    staged_steps,
 )
 
 Array = NDArray[np.float64]
@@ -327,23 +328,24 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     events = 0
     worst = 0.0
 
-    for k in range(grid.n_steps):
+    steps = staged_steps(grid.n_steps, (noise, alpha, controls),
+                         (used, states[:, 1:], probs[:, 1:], None if alpha is None else dnu))
+    for k, dw, a, c, u_row, x_row, p_row, nu_row in steps:
         t = times[k]
-        u = used[:, k] = control_at(spec, k, t, x, p[0], policy, controls)
+        u = u_row[...] = control_at(spec, t, x, p[0], policy, c)
         sig = eval_sigma(spec, t, x, u)
         table = drift_table(spec, t, x, u)
         h = table / sig
         hbar = np.sum(p * h, axis=0)
-        b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
-        dw = np.ascontiguousarray(noise[:, k])  # one strided read, two uses
+        b = hbar * sig if alpha is None else table[a - 1, rows]
         x_next = euler_step(x, b, sig, dw, dt, times[k + 1])
         if alpha is not None:
-            dw = dnu[:, k] = (x_next - x) / sig - hbar * dt
+            dw = nu_row[...] = (x_next - x) / sig - hbar * dt
         p, e, w = _wonham_step(p, h, hbar, dw, Q, dt)
         events += e
         worst = max(worst, w)
-        x = states[:, k + 1] = x_next
-        probs[:, k + 1] = p.T
+        x = x_row[...] = x_next
+        p_row[...] = p
 
     return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
                           dnu=dnu, seed=seed, path_offset=path_offset,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,16 @@ class TestExperimentConfig:
     def test_nonpositive_workers_resolve_to_cpu_count(self, lq):
         cfg = ExperimentConfig(suite="filter-check", spec=lq, workers=0)
         assert cfg.workers >= 1
+
+    def test_zero_workers_count_the_cores_this_process_may_use(self, lq, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 1
+
+    def test_zero_workers_without_an_affinity_call_count_the_machine(self, lq, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 64
 
     def test_from_file_reads_inline_spec(self, tmp_path):
         path = _write_config(tmp_path, seed=7)
@@ -373,6 +384,36 @@ class TestCli:
         doc = json.loads((out / "error.json").read_text())
         assert doc["error"] == "ConfigError"
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env, out, want", [
+        ("flagout", "envout", "cfgout", "flagout"),
+        (None, "envout", "cfgout", "envout"),
+        (None, None, "cfgout", "cfgout"),
+        (None, None, None, "results"),
+        (None, None, 5, "results"),
+    ], ids=["flag", "env", "config-out", "default", "config-out-not-a-string"])
+    def test_unloadable_config_writes_error_where_out_resolves(
+            self, tmp_path, monkeypatch, flag, env, out, want):
+        # the config fails to load (unknown key), yet error.json goes where
+        # --out, then HYBRIDMP_OUT, then the config's own out would put results
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("HYBRIDMP_OUT", env)
+        doc = {"suite": "filter-check", "spec": DEFAULT_SPEC, "n_path": 500}
+        if out is not None:
+            doc["out"] = out
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(path),
+                     *(["--out", flag] if flag else [])]) == 2
+        assert json.loads((tmp_path / want / "error.json").read_text())["error"] == "ConfigError"
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [want]
+
+    def test_unreadable_config_writes_error_to_results(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": "cfgout", ', encoding="utf-8")
+        assert main(["run", "--config", "cfg.json"]) == 2
+        assert (tmp_path / "results" / "error.json").exists()
 
     @pytest.mark.parametrize("flags, env, overrides", [
         (["--workers", "-3"], {}, {}),

@@ -21,15 +21,26 @@ from hybridmp import (
     zero_policy,
 )
 from hybridmp import pathsim
+from hybridmp.model import eval_sigma
 from hybridmp.pathsim import (
     BLOWUP_LIMIT,
+    STAGE_STEPS,
     TAG_CHAIN,
     TAG_NOISE,
+    control_at,
+    draw_drivers,
     draw_normals,
     draw_uniforms,
+    drift_table,
     euler_step,
     path_rng,
+    staged_steps,
 )
+from hybridmp.wonham import coupled_forward, transformed_cost_paths
+
+# Step counts around the staging block: one step, a block less or more
+# one step, a whole block, and two blocks and a part.
+STAGED_N = [1, STAGE_STEPS - 1, STAGE_STEPS, STAGE_STEPS + 1, 2 * STAGE_STEPS + 3]
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +226,28 @@ def _chain_by_fresh_streams(generator, grid, n_paths, seed, alpha0=None, pi0=Non
     return alpha + 1
 
 
+class TestPathRngKey:
+    """The stream key is built from Python ints: the same words as the
+    numpy scalar expression, and no wrap-around past the key's range."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("idx", [0, 1, 2**62 - 1])
+    def test_key_is_the_numpy_scalar_expression(self, seed, idx):
+        for tag in range(4):
+            want = np.array([seed, (np.uint64(idx) << np.uint64(2)) | np.uint64(tag)],
+                            dtype=np.uint64)
+            for rng in (path_rng(seed, idx, tag), path_rng(seed, idx, tag, path_rng(1, 2, 3))):
+                assert np.array_equal(rng.bit_generator.state["state"]["key"], want)
+
+    @pytest.mark.parametrize("idx", [2**62, -1])
+    def test_path_index_outside_the_key_raises(self, idx):
+        # 2**62 would wrap onto path 0's stream, -1 overflow the key word
+        with pytest.raises(ConfigError, match="path index"):
+            path_rng(0, idx, TAG_NOISE)
+        with pytest.raises(ConfigError, match="path index"):
+            draw_normals(0, [0, idx], TAG_NOISE, 3)
+
+
 class TestKernelExactness:
     """The forward kernel gives the draws and labels of the straightforward
     per-path code bit for bit."""
@@ -290,3 +323,104 @@ class TestKernelExactness:
                        np.array([BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0]), 0.01, 0.5)
         assert np.array_equal(x, [BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0])
         assert euler_step(np.zeros(0), np.zeros(0), 1.0, np.zeros(0), 0.01, 0.5).shape == (0,)
+
+
+def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=None, dW=None):
+    """simulate_state's loop before staging: a strided column of each
+    history array per step."""
+    alpha, dW = draw_drivers(spec, grid, n_paths, seed, dW=dW)
+    x = np.full(n_paths, spec.x0)
+    states = np.empty((n_paths, grid.n_steps + 1))
+    states[:, 0] = x
+    used = np.empty((n_paths, grid.n_steps))
+    times = grid.times
+    rows = np.arange(n_paths)
+    for k in range(grid.n_steps):
+        t = times[k]
+        u = used[:, k] = control_at(spec, t, x, None, policy,
+                                    None if controls is None else controls[:, k])
+        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
+        x = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k], grid.dt, times[k + 1])
+        states[:, k + 1] = x
+    return states, used
+
+
+def _cost_per_column(spec, grid, states, controls, weights):
+    """_cost_quadrature's loop before staging."""
+    total = np.zeros(states.shape[0])
+    for k in range(grid.n_steps):
+        for i in range(1, spec.n_regimes + 1):
+            f = spec.running_cost(grid.times[k], states[:, k], i, controls[:, k])
+            total += grid.dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
+    for i in range(1, spec.n_regimes + 1):
+        g = spec.terminal_cost(states[:, -1], i)
+        total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)
+    return total
+
+
+def _staged_grid(n_steps):
+    return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
+
+
+class TestStagedSteps:
+    """The step loops read and write time-major blocks; every output is the
+    per-column loop's, bit for bit."""
+
+    @pytest.fixture(autouse=True, params=[16, pathsim.STAGE_ROWS], ids=["rows16", "rows-default"])
+    def stage_rows(self, request, monkeypatch):
+        # 16 rows per read copy splits every ensemble here into several copies
+        monkeypatch.setattr(pathsim, "STAGE_ROWS", request.param)
+
+    @pytest.mark.parametrize("n_steps", STAGED_N)
+    def test_rows_are_the_columns_and_writes_land(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        a = rng.normal(size=(37, n_steps + 1))
+        b = rng.integers(0, 9, size=(37, n_steps, 3))
+        out = np.full((37, n_steps + 1), np.nan)
+        out3 = np.zeros((37, n_steps, 3), dtype=np.int64)
+        seen = []
+        for k, ra, rb, rn, wo, wn, w3 in staged_steps(n_steps, (a, b, None),
+                                                       (out[:, 1:], None, out3)):
+            assert ra.flags.c_contiguous and rb.flags.c_contiguous and w3.flags.c_contiguous
+            assert rb.shape == (3, 37) and w3.shape == (3, 37) and rn is None and wn is None
+            assert np.array_equal(ra, a[:, k]) and np.array_equal(rb, b[:, k].T)
+            wo[...] = ra * 2.0
+            w3[...] = rb + 1
+            seen.append(k)
+        assert seen == list(range(n_steps))
+        assert np.array_equal(out[:, 1:], a[:, :-1] * 2.0) and np.isnan(out[:, 0]).all()
+        assert np.array_equal(out3, b + 1)
+
+    @pytest.mark.parametrize("n_steps", STAGED_N)
+    def test_simulate_state_and_costs_match_the_per_column_loops(self, spec, n_steps):
+        grid = _staged_grid(n_steps)
+        policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x + t)
+        controls = np.sin(np.arange(40 * n_steps, dtype=np.float64)).reshape(40, n_steps)
+        for kwargs in ({"policy": policy}, {"controls": controls}):
+            bundle = simulate_state(spec, grid, 40, 3, **kwargs)
+            states, used = _simulate_state_per_column(spec, grid, 40, 3, **kwargs)
+            assert np.array_equal(bundle.states, states) and np.array_equal(bundle.controls, used)
+            assert bundle.states.flags.c_contiguous and bundle.controls.flags.c_contiguous
+            labels = np.arange(1, spec.n_regimes + 1)
+            assert np.array_equal(cost_from_paths(spec, bundle), _cost_per_column(
+                spec, grid, states, used, bundle.regimes[..., None] == labels))
+        cp = coupled_forward(spec, grid, 40, 3, policy=FeedbackPolicy(lambda t, x, pi: pi - x))
+        states, probs, used = cp.bundle.states, cp.filter_path.probs, cp.bundle.controls
+        assert np.array_equal(transformed_cost_paths(spec, grid, states, probs, used),
+                              _cost_per_column(spec, grid, states, used, probs))
+
+    @pytest.mark.parametrize("step", [STAGE_STEPS // 2, STAGE_STEPS + 5])
+    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
+        grid = _staged_grid(2 * STAGE_STEPS + 3)
+        dW = np.zeros((6, grid.n_steps))
+        dW[4, step] = 1e12
+        controls = np.ones((6, grid.n_steps))
+        controls[2, step] = np.nan
+        for kwargs, error in (({"dW": dW}, NumericalError),
+                              ({"controls": controls}, DomainError)):
+            with pytest.raises(error) as want:
+                _simulate_state_per_column(spec, grid, 6, 0, **kwargs)
+            with pytest.raises(error) as got:
+                simulate_state(spec, grid, 6, 0, **kwargs)
+            assert str(got.value) == str(want.value)
+            assert f"t={grid.times[step + (error is NumericalError)]:.4g}" in str(got.value)

@@ -19,11 +19,22 @@ from hybridmp import (
     simulate_state,
     zero_policy,
 )
+from hybridmp import pathsim
 from hybridmp.model import eval_sigma
+from hybridmp.pathsim import (
+    STAGE_STEPS,
+    TAG_INNOVATION,
+    brownian_increments,
+    control_at,
+    draw_drivers,
+    drift_table,
+    euler_step,
+)
 from hybridmp.wonham import (
     BREAKDOWN_TOL,
     EXCURSION_TOL,
     _project_simplex,
+    _wonham_step,
     coupled_forward,
     discrete_bayes_oracle,
     innovation_forward,
@@ -429,3 +440,118 @@ class TestRegimeMajorState:
         events, excursion = _project_simplex(got, EXCURSION_TOL, BREAKDOWN_TOL)
         assert (events, excursion) == want[1:]
         assert np.array_equal(got.T, want[0])
+
+
+def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
+    """_observer_pass's loop before staging: strided history columns, read
+    and written once per step.  Returns (states, probs, controls, dnu,
+    clamp events, worst excursion)."""
+    n_paths = noise.shape[0]
+    dt, times, Q = grid.dt, grid.times, spec.generator.matrix
+    rows = np.arange(n_paths)
+    x = np.full(n_paths, spec.x0)
+    p = np.repeat(np.asarray(spec.pi0, dtype=np.float64)[:, None], n_paths, axis=1)
+    states = np.empty((n_paths, grid.n_steps + 1))
+    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
+    used = np.empty((n_paths, grid.n_steps))
+    dnu = noise if alpha is None else np.empty((n_paths, grid.n_steps))
+    states[:, 0] = x
+    probs[:, 0] = p.T
+    events, worst = 0, 0.0
+    for k in range(grid.n_steps):
+        t = times[k]
+        u = used[:, k] = control_at(spec, t, x, p[0], policy,
+                                    None if controls is None else controls[:, k])
+        sig = eval_sigma(spec, t, x, u)
+        table = drift_table(spec, t, x, u)
+        h = table / sig
+        hbar = np.sum(p * h, axis=0)
+        b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
+        dw = np.ascontiguousarray(noise[:, k])
+        x_next = euler_step(x, b, sig, dw, dt, times[k + 1])
+        if alpha is not None:
+            dw = dnu[:, k] = (x_next - x) / sig - hbar * dt
+        p, e, w = _wonham_step(p, h, hbar, dw, Q, dt)
+        events += e
+        worst = max(worst, w)
+        x = states[:, k + 1] = x_next
+        probs[:, k + 1] = p.T
+    return states, probs, used, dnu, events, worst
+
+
+def _staged_grid(n_steps):
+    return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
+
+
+class TestStagedObserverPass:
+    """The coupled and innovation passes read and write time-major blocks;
+    every output is the per-column loop's, bit for bit."""
+
+    @pytest.fixture(autouse=True, params=[16, pathsim.STAGE_ROWS], ids=["rows16", "rows-default"])
+    def stage_rows(self, request, monkeypatch):
+        # 16 rows per read copy splits every ensemble here into several copies
+        monkeypatch.setattr(pathsim, "STAGE_ROWS", request.param)
+
+    @staticmethod
+    def _assert_same(got, want):
+        for a, b in zip(got[:4], want[:4]):
+            assert a.flags.c_contiguous and a.shape == b.shape and np.array_equal(a, b)
+        assert got[4:] == want[4:]
+
+    @pytest.mark.parametrize("n_steps", [1, STAGE_STEPS - 1, STAGE_STEPS, STAGE_STEPS + 1,
+                                         2 * STAGE_STEPS + 3])
+    def test_passes_match_the_per_column_loop(self, spec, n_steps):
+        grid, n = _staged_grid(n_steps), 48
+        policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x * pi + t)
+        controls = np.cos(np.arange(n * n_steps, dtype=np.float64)).reshape(n, n_steps)
+        for kwargs in ({"policy": policy}, {"controls": controls}, {}):
+            cp = coupled_forward(spec, grid, n, 9, path_offset=3, **kwargs)
+            alpha, dW = draw_drivers(spec, grid, n, 9, path_offset=3)
+            want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
+                                             kwargs.get("controls"), dW, alpha)
+            fp = cp.filter_path
+            self._assert_same((cp.bundle.states, fp.probs, cp.bundle.controls,
+                               fp.nu_increments, fp.clamp_events, fp.max_excursion), want)
+            assert np.array_equal(cp.bundle.noise, dW) and np.array_equal(cp.bundle.regimes, alpha)
+
+            ip = innovation_forward(spec, grid, n, 9, path_offset=3, **kwargs)
+            drawn = brownian_increments(9, grid, n, TAG_INNOVATION, 3)
+            want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
+                                             kwargs.get("controls"), drawn)
+            self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
+                               ip.max_excursion), want)
+
+        # hot innovation noise, so clamps are counted too; dnu is the override itself
+        dnu = np.random.default_rng(n_steps).normal(0.0, 1.5 * math.sqrt(grid.dt), (n, n_steps))
+        ip = innovation_forward(spec, grid, n, 9, policy=policy, dnu=dnu)
+        assert ip.dnu is dnu
+        self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
+                           ip.max_excursion),
+                          _observer_pass_per_column(spec, grid, policy, None, dnu))
+
+    @pytest.mark.parametrize("step", [STAGE_STEPS // 2, STAGE_STEPS + 5])
+    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
+        grid, n = _staged_grid(2 * STAGE_STEPS + 3), 6
+        controls = np.zeros((n, grid.n_steps))
+        controls[3, step] = np.nan
+        blow_up = np.zeros((n, grid.n_steps))
+        blow_up[1, step] = 1e12
+        breakdown = np.zeros((n, grid.n_steps))
+        breakdown[2, step] = 50.0
+        alpha, dW = draw_drivers(spec, grid, n, 0)
+        cases = [
+            (NumericalError, "blow-up", lambda: innovation_forward(spec, grid, n, 0, dnu=blow_up),
+             lambda: _observer_pass_per_column(spec, grid, None, None, blow_up)),
+            (NumericalError, "filter state left",
+             lambda: innovation_forward(spec, grid, n, 0, dnu=breakdown),
+             lambda: _observer_pass_per_column(spec, grid, None, None, breakdown)),
+            (DomainError, "explicit controls",
+             lambda: coupled_forward(spec, grid, n, 0, controls=controls),
+             lambda: _observer_pass_per_column(spec, grid, None, controls, dW, alpha)),
+        ]
+        for error, match, staged, per_column in cases:
+            with pytest.raises(error, match=match) as want:
+                per_column()
+            with pytest.raises(error, match=match) as got:
+                staged()
+            assert str(got.value) == str(want.value)
