@@ -25,7 +25,6 @@ from .harness import ExperimentConfig, run_suite
 from .lq import (
     LQSolution,
     PiecewisePolyPolicy,
-    default_spec,
     full_observation_baseline,
     riccati_backward,
     riccati_cost,
@@ -38,8 +37,6 @@ from .model import (
     ProblemSpec,
     constant_policy,
     load_spec,
-    spec_from_json,
-    spec_to_json,
     validate_spec,
     zero_policy,
 )
@@ -60,7 +57,6 @@ from .wonham import (
     coupled_forward,
     discrete_bayes_oracle,
     innovation_forward,
-    observation_increments,
     run_normalized_filter,
     run_zakai_filter,
     transformed_cost,

@@ -27,7 +27,8 @@ from .adjoint import (
 )
 from .errors import ConfigError, HybridMPError, NonConvergence
 from .lq import PiecewisePolyPolicy, solve_lq
-from .model import LQSpec, ProblemSpec, load_spec, read_json_object, validate_spec, zero_policy
+from .model import (LQSpec, ProblemSpec, json_value, load_spec, read_json_object, validate_spec,
+                    zero_policy)
 from .pathsim import TimeGrid, chain_marginal, estimate_cost
 from .parallel import RunningMoments, run_blocks
 from .wonham import (
@@ -54,9 +55,7 @@ CONFIG_KEYS = frozenset({
 
 
 def _cast(name: str, value, cast):
-    """``cast(value)`` for config field ``name``, or ``ConfigError``."""
-    if cast is bool and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    """``cast(value)`` for a flag or environment value ``name``, or ``ConfigError``."""
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -155,14 +154,14 @@ class ExperimentConfig:
             elif env is not None:
                 value = _cast(env_name, env, cast)
             elif key in doc:
-                value = _cast(key, doc[key], cast)
+                value = json_value(key, doc[key], cast)
             else:
                 continue
             given["out_dir" if key == "out" else key] = value
         if "tolerances" in given:
-            given["tolerances"] = {name: _cast(f"tolerances.{name}", value, float)
+            given["tolerances"] = {name: json_value(f"tolerances.{name}", value, float)
                                    for name, value in given["tolerances"].items()}
-        return cls(suite=doc.get("suite", ""), spec=spec, **given)
+        return cls(suite=json_value("suite", doc.get("suite", ""), str), spec=spec, **given)
 
 
 def _metric(value: float, tolerance: float, comparator: str) -> dict:

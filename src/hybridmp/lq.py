@@ -45,25 +45,6 @@ LATTICE_X_BINS = 9
 LATTICE_P_QUANTILES = 5
 
 
-def default_spec() -> LQSpec:
-    """Reference two-regime problem used across the test suite: regime 1
-    expands while regime 2 contracts, control is twice as effective (and
-    running control cost twice as cheap) in regime 1, symmetric switching."""
-    return LQSpec(
-        a=(0.5, -0.5),
-        b=(1.0, 0.5),
-        sigma=0.3,
-        Q=(1.0, 1.0),
-        R=(1.0, 2.0),
-        G=(1.0, 1.0),
-        lambda1=1.0,
-        lambda2=1.0,
-        horizon=1.0,
-        x0=1.0,
-        pi0=0.5,
-    )
-
-
 def stationary_control(lq: LQSpec, p, u, dH_dv):
     """The control minimizing H given its gradient dH/dv at ``u``: H is
     quadratic in v with curvature Rbar = R1 p + R2 (1 - p), so one Newton
@@ -399,7 +380,7 @@ def riccati_backward(lq: LQSpec, grid: TimeGrid) -> tuple[Array, Array]:
 
 
 def riccati_cost(lq: LQSpec, K: Array, c: Array) -> float:
-    """Optimal full-observation cost: E[ K_alpha0(0) x0^2 / 2 + c_alpha0(0) ]."""
+    """Optimal full-observation cost: E[ K_{alpha_0}(0) x0^2 / 2 + c_{alpha_0}(0) ]."""
     pi0 = np.array([lq.pi0, 1.0 - lq.pi0])
     return float(np.sum(pi0 * (0.5 * K[0] * lq.x0**2 + c[0])))
 

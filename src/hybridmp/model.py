@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -250,13 +250,7 @@ class LQSpec:
                               f"allowed: {sorted(LQ_SPEC_KEYS)}")
 
         def num(key: str, default: float | None = None) -> float:
-            value = doc.get(key, default)
-            try:
-                return float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"LQ spec field {key} must be a number, got {value!r}"
-                ) from exc
+            return json_value(f"LQ spec field {key}", doc[key], float) if key in doc else default
 
         kwargs = {}
         if "u_lo" in doc or "u_hi" in doc:
@@ -344,9 +338,6 @@ class ProblemSpec:
     def clamp_control(self, u):
         lo, hi = self.control_domain
         return np.clip(u, lo, hi)
-
-    def with_lq(self, lq: LQSpec | None) -> "ProblemSpec":
-        return replace(self, lq=lq)
 
 
 def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
@@ -498,23 +489,29 @@ def zero_policy(control_domain=(-math.inf, math.inf)) -> FeedbackPolicy:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON documents
 # ---------------------------------------------------------------------------
 
 
-def spec_to_json(spec: ProblemSpec) -> dict:
-    """Serialize a problem spec.  Only LQ-tagged specs round-trip: general
-    coefficient callables are opaque."""
-    if spec.lq is None:
-        raise ConfigError(
-            "only LQ-tagged specs serialize to JSON; general coefficient "
-            "callables have no document form"
-        )
-    return spec.lq.to_json()
+# The schema's JSON type of a value read as each Python type.
+JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
 
 
-def spec_from_json(doc: dict) -> ProblemSpec:
-    return LQSpec.from_json(doc).to_problem_spec()
+def json_value(name: str, value, cast):
+    """``cast(value)`` if ``value``, read from a JSON document, has the JSON
+    type of ``cast``: an integer is a number without a fraction, NaN is no
+    number and a bool neither; ``ConfigError`` naming ``name`` otherwise."""
+    if isinstance(value, bool):
+        ok = cast is bool
+    elif cast is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif cast is float:
+        ok = isinstance(value, (int, float)) and value == value
+    else:
+        ok = isinstance(value, cast)
+    if not ok:
+        raise ConfigError(f"{name} must be a JSON {JSON_TYPES[cast]}, got {value!r}")
+    return cast(value)
 
 
 def read_json_object(path, what: str) -> dict:
@@ -532,4 +529,4 @@ def read_json_object(path, what: str) -> dict:
 
 
 def load_spec(path: str) -> ProblemSpec:
-    return spec_from_json(read_json_object(path, "spec file"))
+    return LQSpec.from_json(read_json_object(path, "spec file")).to_problem_spec()

@@ -90,9 +90,6 @@ class TimeGrid:
     def times(self) -> Array:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def refine(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.n_steps * factor)
-
 
 class CostEstimate(NamedTuple):
     mean: float
@@ -139,21 +136,20 @@ def simulate_chain(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    alpha0: int | None = None,
-    pi0=None,
+    pi0,
     path_offset: int = 0,
 ) -> NDArray[np.int64]:
     """Sample the hidden chain at the grid nodes, shape (n_paths, N+1).
 
-    The initial regime is either fixed (``alpha0``, label in 1..d) or
-    drawn from ``pi0``.  Node-to-node moves use the exact transition
-    kernel exp(Q*dt), so the node marginals carry no discretization
-    error.  The step constraint dt * max_i(-q_ii) < 0.5 guards against
-    grids so coarse that multiple switches per step dominate.
+    The initial regime is drawn from ``pi0``; a vertex of the simplex
+    fixes it.  Node-to-node moves use the exact transition kernel
+    exp(Q*dt), so the node marginals carry no discretization error.  The
+    step constraint dt * max_i(-q_ii) < 0.5 guards against grids so
+    coarse that multiple switches per step dominate.
 
-    One uniform per node is consumed from the path's chain stream
-    regardless of how the initial regime is set, so overriding alpha0
-    does not shift the transition draws.
+    One uniform per node is consumed from the path's chain stream, the
+    first for the initial regime, so the transition draws do not depend
+    on ``pi0``.
     """
     q = generator
     if grid.dt * q.max_exit_rate >= 0.5:
@@ -161,8 +157,6 @@ def simulate_chain(
             f"grid too coarse for the chain: dt*max_rate = "
             f"{grid.dt * q.max_exit_rate:.3g} >= 0.5"
         )
-    if (alpha0 is None) == (pi0 is None):
-        raise ConfigError("give exactly one of alpha0 or pi0")
     P = q.transition_matrix(grid.dt)
     cdf = np.cumsum(P, axis=1)
 
@@ -170,14 +164,9 @@ def simulate_chain(
     u = draw_uniforms(seed, indices, TAG_CHAIN, grid.n_steps + 1)
 
     alpha = np.empty((n_paths, grid.n_steps + 1), dtype=np.int64)
-    if alpha0 is not None:
-        if not 1 <= int(alpha0) <= q.n_states:
-            raise ConfigError(f"alpha0 must be a label in 1..{q.n_states}")
-        alpha[:, 0] = int(alpha0) - 1
-    else:
-        pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
-        alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
-        np.clip(alpha[:, 0], 0, q.n_states - 1, out=alpha[:, 0])
+    pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
+    alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
+    np.clip(alpha[:, 0], 0, q.n_states - 1, out=alpha[:, 0])
     # successor[s, p, k]: the state that path p moves to at node k from
     # state s, i.e. the count of cdf[s, j] <= u[p, k], capped at d - 1
     successor = np.zeros((q.n_states, n_paths, grid.n_steps + 1),

@@ -70,21 +70,9 @@ class FilterPath:
     def n_paths(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def pi(self) -> Array:
-        """Conditional probability of regime 1 per node, shape (n_paths, N+1)."""
-        return self.probs[:, :, 0]
-
     def innovation_qv(self) -> Array:
         """Realized quadratic variation of the innovation per path."""
         return np.sum(self.nu_increments**2, axis=1)
-
-    def diagnostics(self) -> dict:
-        return {
-            "clamp_count": int(self.clamp_events),
-            "max_excursion": float(self.max_excursion),
-            "qv_of_innovation": float(np.mean(self.innovation_qv())),
-        }
 
 
 def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
@@ -117,14 +105,6 @@ def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
 def _prior(spec: ProblemSpec, n_paths: int) -> Array:
     """pi0 per path, regime-major (d, n_paths) as every filter state here."""
     return np.repeat(np.asarray(spec.pi0, dtype=np.float64)[:, None], n_paths, axis=1)
-
-
-def observation_increments(spec: ProblemSpec, grid: TimeGrid, states: Array,
-                            controls: Array) -> Array:
-    """Delta Y_k = Delta X_k / sigma(t_k, X_k, u_k): the state path rescaled
-    to unit noise intensity, which is all the filter ever sees."""
-    _, steps = _replay(spec, grid, states, controls)
-    return np.stack([dx / sig for sig, _, dx in steps], axis=1)
 
 
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from hybridmp import LQSpec, TimeGrid, default_spec
+from hybridmp import LQSpec, TimeGrid, load_spec
 
 import _report
 
@@ -14,7 +16,8 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def lq() -> LQSpec:
-    return default_spec()
+    """The package's reference problem, as its spec file states it."""
+    return load_spec(Path(__file__).resolve().parents[1] / "specs" / "default_lq.json").lq
 
 
 @pytest.fixture(scope="session")

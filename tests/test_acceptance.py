@@ -25,7 +25,6 @@ from hybridmp import (
 from hybridmp.adjoint import gateaux_derivative, solve_adjoint_bsde
 from hybridmp.harness import ExperimentConfig, _direction_set, run_suite
 from hybridmp.lq import (
-    default_spec,
     full_observation_baseline,
     riccati_backward,
     riccati_cost,
@@ -308,8 +307,8 @@ def test_11_information_monotonicity(lq, solved):
     assert ok
 
 
-def test_12_determinism(tmp_path):
-    spec_doc = default_spec().to_json()
+def test_12_determinism(tmp_path, lq):
+    spec_doc = lq.to_json()
     digests = []
     for tag, workers in (("a", 1), ("b", 4), ("c", 1)):
         out = tmp_path / tag

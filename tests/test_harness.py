@@ -371,9 +371,23 @@ class TestCli:
         ({"suite": "lq-solve", "lq_damping": 1.5}, {}),
         ({"seed": -1}, {}),
         ({}, {"HYBRIDMP_SEED": str(2**64)}),
+        ({"n_steps": 200.5}, {}),
+        ({"seed": True}, {}),
+        ({"n_paths": "1000"}, {}),
+        ({"suite": "lq-solve", "lq_damping": True}, {}),
+        ({"tolerances": {"qv_error": True}}, {}),
+        ({"tolerances": {"qv_error": "0.1"}}, {}),
+        ({"suite": "mp-check", "n_steps": 20, "n_paths": 200,
+          "tolerances": {"duality_rel_gap": float("nan")}}, {}),
+        ({"spec": dict(DEFAULT_SPEC, sigma=True)}, {}),
+        ({"spec": dict(DEFAULT_SPEC, a1="0.5")}, {}),
+        ({"spec": dict(DEFAULT_SPEC, x0=False)}, {}),
+        ({"suite": ["filter-check"]}, {}),
     ], ids=["bad-int", "bad-env-seed", "unknown-key", "unknown-spec-key",
             "zero-max-iter", "negative-tol", "damping-above-1", "negative-seed",
-            "env-seed-2**64"])
+            "env-seed-2**64", "fractional-n-steps", "bool-seed", "string-n-paths",
+            "bool-damping", "bool-tolerance", "string-tolerance", "nan-tolerance",
+            "bool-sigma", "string-a1", "bool-x0", "list-suite"])
     def test_bad_config_field_returns_2_and_writes_error(
             self, tmp_path, monkeypatch, capsys, overrides, env):
         for name, value in env.items():
@@ -476,6 +490,12 @@ class TestCli:
         path = _write_config(tmp_path, spec=spec)
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+    def test_validate_rejects_a_constant_of_the_wrong_json_type(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(DEFAULT_SPEC, sigma=True)), encoding="utf-8")
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert "sigma must be a JSON number" in capsys.readouterr().out
 
     def test_validate_rejects_unknown_spec_key(self, tmp_path, capsys):
         typo = tmp_path / "typo.json"

@@ -17,7 +17,6 @@ from hybridmp.lq import (
     PiecewisePolyPolicy,
     _policy_sup_change,
     _quantile_lattice,
-    default_spec,
     full_observation_baseline,
     riccati_backward,
     riccati_cost,
@@ -490,8 +489,7 @@ class TestSolveLq:
         assert sol.converged
         assert sol.cost.mean == pytest.approx(0.80, abs=0.06)
 
-    def test_default_spec_constants(self):
-        lq = default_spec()
+    def test_default_spec_constants(self, lq):
         assert lq.a == (0.5, -0.5)
         assert lq.b == (1.0, 0.5)
         assert lq.sigma == 0.3

@@ -18,8 +18,6 @@ from hybridmp import (
     chain_marginal,
     constant_policy,
     load_spec,
-    spec_from_json,
-    spec_to_json,
     validate_spec,
     zero_policy,
 )
@@ -139,7 +137,7 @@ class TestProblemSpec:
 
     def test_eval_sigma_floor(self, spec):
         assert eval_sigma(spec, 0.0, 1.0, 0.0) == pytest.approx(0.3)
-        degenerate = spec.with_lq(None)
+        degenerate = dataclasses.replace(spec, lq=None)
         object.__setattr__(degenerate, "vol", lambda t, x, v: 0.0)
         with pytest.raises(DomainError):
             eval_sigma(degenerate, 0.0, 1.0, 0.0)
@@ -208,14 +206,10 @@ class TestPolicies:
 
 class TestSerialization:
     def test_spec_json_round_trip(self, spec):
-        doc = spec_to_json(spec)
-        again = spec_from_json(doc)
+        doc = spec.lq.to_json()
+        again = LQSpec.from_json(doc).to_problem_spec()
         assert again.lq == spec.lq
         assert again.horizon == spec.horizon
-
-    def test_untagged_spec_refuses_json(self, spec):
-        with pytest.raises(ConfigError):
-            spec_to_json(spec.with_lq(None))
 
     def test_load_spec_file(self, tmp_path, lq):
         path = tmp_path / "prob.json"

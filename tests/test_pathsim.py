@@ -59,12 +59,6 @@ class TestTimeGrid:
         assert grid.times[-1] == pytest.approx(2.0)
         assert len(grid.times) == 401
 
-    def test_refine_doubles_steps(self):
-        grid = TimeGrid(1.0, 100)
-        fine = grid.refine(2)
-        assert fine.n_steps == 200
-        assert fine.horizon == grid.horizon
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
             TimeGrid(0.0, 100)
@@ -76,22 +70,14 @@ class TestTimeGrid:
 
 
 class TestSimulateChain:
-    def test_requires_exactly_one_start(self):
-        g = GeneratorSpec.two_state(1.0, 1.0)
-        grid = TimeGrid(1.0, 50)
-        with pytest.raises(ConfigError):
-            simulate_chain(g, grid, 10, 0)
-        with pytest.raises(ConfigError):
-            simulate_chain(g, grid, 10, 0, alpha0=1, pi0=(0.5, 0.5))
-
     def test_rejects_coarse_grid_for_fast_chain(self):
         g = GeneratorSpec.two_state(100.0, 100.0)
         with pytest.raises(ConfigError):
-            simulate_chain(g, TimeGrid(1.0, 50), 10, 0, alpha0=1)
+            simulate_chain(g, TimeGrid(1.0, 50), 10, 0, pi0=(1.0, 0.0))
 
     def test_shapes_and_values(self):
         g = GeneratorSpec.two_state(1.0, 2.0)
-        alpha = simulate_chain(g, TimeGrid(1.0, 50), 32, 0, alpha0=2)
+        alpha = simulate_chain(g, TimeGrid(1.0, 50), 32, 0, pi0=(0.0, 1.0))
         assert alpha.shape == (32, 51)
         assert set(np.unique(alpha)) <= {1, 2}
         assert np.all(alpha[:, 0] == 2)
@@ -109,7 +95,7 @@ class TestSimulateChain:
         # time is Exp(2); grid censoring adds ~dt/2
         g = GeneratorSpec.two_state(2.0, 0.0)
         grid = TimeGrid(4.0, 2000)
-        alpha = simulate_chain(g, grid, 10_000, 11, alpha0=1)
+        alpha = simulate_chain(g, grid, 10_000, 11, pi0=(1.0, 0.0))
         exit_steps = np.argmax(alpha == 2, axis=1)
         exit_steps[exit_steps == 0] = grid.n_steps
         holding = exit_steps * grid.dt
@@ -120,7 +106,7 @@ class TestSimulateChain:
         # P(state 1 at t=1 | start in 1) = 0.5 + 0.5 e^{-2} for unit rates
         g = GeneratorSpec.two_state(1.0, 1.0)
         grid = TimeGrid(1.0, 50)
-        alpha = simulate_chain(g, grid, 20_000, 5, alpha0=1)
+        alpha = simulate_chain(g, grid, 20_000, 5, pi0=(1.0, 0.0))
         occ = (alpha[:, -1] == 1).astype(float)
         se = occ.std(ddof=1) / math.sqrt(len(occ))
         assert abs(occ.mean() - (0.5 + 0.5 * math.exp(-2.0))) <= 3.0 * se
@@ -304,12 +290,24 @@ class TestKernelExactness:
         grid = TimeGrid(1.0, 100)
         d = generator.n_states
         pi0 = np.full(d, 1.0 / d)
-        for kwargs in ({"alpha0": d}, {"pi0": pi0}, {"pi0": pi0, "path_offset": 17}):
+        last = np.eye(d)[d - 1]  # the start in regime d, as the reference's alpha0=d
+        for kwargs, ref in (({"pi0": last}, {"alpha0": d}), ({"pi0": pi0}, None),
+                            ({"pi0": pi0, "path_offset": 17}, None)):
             got = simulate_chain(generator, grid, 300, 11, **kwargs)
-            want = _chain_by_fresh_streams(generator, grid, 300, 11, **kwargs)
+            want = _chain_by_fresh_streams(generator, grid, 300, 11, **(ref or kwargs))
             assert got.dtype == np.int64 and got.flags.c_contiguous
             assert np.array_equal(got, want)
             assert set(np.unique(got)) == set(range(1, d + 1))
+
+    @pytest.mark.parametrize("rates", [(1.0, 2.0), (2.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("seed", [0, 5, 11, 2**63])
+    def test_vertex_pi0_is_a_known_start(self, rates, seed):
+        # the chain of a fixed start regime, drawn from a vertex of pi0
+        g = GeneratorSpec.two_state(*rates)
+        grid = TimeGrid(1.0, 200)
+        for alpha0, vertex in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
+            assert np.array_equal(simulate_chain(g, grid, 500, seed, pi0=vertex),
+                                  _chain_by_fresh_streams(g, grid, 500, seed, alpha0=alpha0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * BLOWUP_LIMIT,
                                      -2 * BLOWUP_LIMIT])
