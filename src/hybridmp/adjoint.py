@@ -61,8 +61,8 @@ class CompactCoeffs:
 
     def at(self, t, x, p, u) -> StepCoeffs:
         """The coefficient table at (t, x, p, u), arrays of shape (n,)."""
-        # contiguous copies: step slices of the path arrays are strided,
-        # and the table reads each of them many times
+        # contiguous copies of strided step slices (those of a path-major
+        # path; a step-major one's are already rows), read many times here
         x, p, u = np.ascontiguousarray(x), np.ascontiguousarray(p), np.ascontiguousarray(u)
         spec, n = self.spec, x.shape[0]
 
@@ -366,8 +366,10 @@ class AdjointPath:
     has shape (n_paths, N, 2): the second adjoint (P, K) per step.
     ``phi_pred`` is the regression of phi_{k+1} on node-k information
     (the predictable projection the discrete duality identity pairs with
-    the step-k coefficients).  ``dH_dv`` has shape (N, n_paths): the
-    Hamiltonian's control gradient at (phi_pred, lam) per step, step-major.
+    the step-k coefficients).  All three are stored step-major, so that
+    ``[:, k]`` is a contiguous (n_paths, 2) row.  ``dH_dv`` has shape
+    (N, n_paths): the Hamiltonian's control gradient at (phi_pred, lam)
+    per step, step-major.
     ``r_squared`` and ``ranks`` record the regression quality and the
     effective design rank at each backward step.
     """
@@ -432,9 +434,9 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
             f"least {MIN_PATHS_PER_TERM * basis.n_terms}"
         )
 
-    phi = np.empty((n, grid.n_steps + 1, 2))
-    lam = np.empty((n, grid.n_steps, 2))
-    phi_pred = np.empty((n, grid.n_steps, 2))
+    phi = np.empty((grid.n_steps + 1, n, 2)).transpose(1, 0, 2)
+    lam = np.empty((grid.n_steps, n, 2)).transpose(1, 0, 2)
+    phi_pred = np.empty((grid.n_steps, n, 2)).transpose(1, 0, 2)
     dH_dv = np.empty((grid.n_steps, n))
     r2 = np.empty(grid.n_steps)
     ranks = np.empty(grid.n_steps, dtype=np.int64)

@@ -313,7 +313,9 @@ def _direction_set(grid: TimeGrid, base) -> np.ndarray:
     ]
     n = base.n_paths
     directions = [np.tile(s, (n, 1)) for s in shapes]
-    directions.append(base.probs[:, :-1, 0])
+    # path-major, so the per-path sums below add in one order whatever the
+    # layout of base.probs (innovation passes store it step-major)
+    directions.append(np.ascontiguousarray(base.probs[:, :-1, 0]))
     scaled = []
     for w in directions:
         rms = math.sqrt(float(np.mean(np.sum(w * w, axis=1) * grid.dt)))

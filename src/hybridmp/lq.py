@@ -32,8 +32,8 @@ from .adjoint import (
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
-from .pathsim import (TAG_INNOVATION, CostEstimate, PathBundle, TimeGrid, blocked_cost,
-                      brownian_increments, cost_from_paths, draw_drivers, euler_step)
+from .pathsim import (CostEstimate, PathBundle, TimeGrid, blocked_cost, cost_from_paths,
+                      draw_drivers, euler_step)
 from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
@@ -205,13 +205,15 @@ def _policy_sup_change(
     manifold where neither fit is constrained; the conditional lattice
     keeps every probe where paths actually live.  Both policies are
     evaluated on the whole lattice through ``on_lattice``.  Returns
-    (sup |new - old|, sup |new|).
+    (sup |new - old|, sup |new|, the step whose lattice row attains the
+    first of them).
     """
     X, P = _quantile_lattice(states, probs, grid.n_steps)
     times = grid.times[:grid.n_steps]
     u_new = new_policy.on_lattice(times, X, P)
-    u_old = old_policy.on_lattice(times, X, P)
-    return float(np.max(np.abs(u_new - u_old))), float(np.max(np.abs(u_new)))
+    diff = np.abs(u_new - old_policy.on_lattice(times, X, P))
+    return (float(np.max(diff)), float(np.max(np.abs(u_new))),
+            int(np.argmax(diff)) // diff.shape[1])
 
 
 def solve_lq(
@@ -265,7 +267,7 @@ def solve_lq(
         basis = PolyBasis()
     coeffs = CompactCoeffs(spec)
 
-    dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION)
+    dnu = None  # drawn by the first forward pass, then common to every pass
     policy = zero_policy(spec.control_domain)
     trace: list[dict] = []
     converged = False
@@ -273,6 +275,7 @@ def solve_lq(
 
     for it in range(1, max_iter + 1):
         path = _forward(spec, grid, n_paths, seed, policy, dnu)
+        dnu = path.dnu
         u_prev = path.controls
         u_new = np.empty_like(u_prev)
         candidate = PiecewisePolyPolicy._blank(grid, basis.degree, spec.control_domain)
@@ -287,7 +290,7 @@ def solve_lq(
             candidate._fit_step(k, proj, x, p, u_new[:, k])
         residual = stationarity_report(spec, path, adj)["residual"]
 
-        change, u_scale = _policy_sup_change(
+        change, u_scale, at = _policy_sup_change(
             grid, policy, candidate, path.states, path.probs)
         scale = max(1.0, u_scale)
 
@@ -302,8 +305,8 @@ def solve_lq(
             "fit_residual": candidate.fit_max_residual,
             "r2_min": float(adj.r_squared.min()),
         })
-        logger.info("iteration %d: step %.3g, cost %.6f, sup-change %.3g", it,
-                    step, trace[-1]["cost"], change)
+        logger.info("iteration %d: step %.3g, cost %.6f, sup-change %.3g at k=%d (t=%.4g)",
+                    it, step, trace[-1]["cost"], change, at, grid.times[at])
         # Free this iteration's ensemble and adjoint before the next
         # forward pass and sweep allocate theirs.
         del path, adj

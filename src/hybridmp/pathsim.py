@@ -234,10 +234,10 @@ def check_override(name: str, value, shape: tuple[int, ...], dtype=np.float64):
 
 
 def brownian_increments(seed: int, grid: TimeGrid, n_paths: int, tag: int,
-                        path_offset: int = 0, override=None, name: str = "dW") -> Array:
+                        path_offset: int = 0, override=None) -> Array:
     """Increments of the path streams ``tag``, shape (n_paths, N), or the checked override."""
     if override is not None:
-        return check_override(name, override, (n_paths, grid.n_steps))
+        return check_override("dW", override, (n_paths, grid.n_steps))
     indices = range(path_offset, path_offset + n_paths)
     dW = draw_normals(seed, indices, tag, grid.n_steps)
     dW *= np.sqrt(grid.dt)

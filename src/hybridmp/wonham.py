@@ -264,6 +264,12 @@ class InnovationPath:
     feedback policies agree in law with the physical system, and the
     map (dnu paths) -> (X, p) is deterministic, which is what pathwise
     derivative checks need.  Clamp diagnostics are those of FilterPath.
+
+    ``states`` (n_paths, N+1), ``probs`` (n_paths, N+1, d), ``controls``
+    and ``dnu`` (n_paths, N) are indexed path first, but the pass stores
+    them step-major (drawn ``dnu`` too; a given one is kept as given), so
+    that ``[:, k]`` is a contiguous row for the per-step loops downstream:
+    the backward sweep, the variational pass and the Picard update.
     """
 
     grid: TimeGrid
@@ -281,6 +287,14 @@ class InnovationPath:
         return self.states.shape[0]
 
 
+def _history(step_major: bool, n_paths: int, *shape: int) -> Array:
+    """Empty (n_paths, *shape) history; a step-major one stores the path
+    axis last, so that each step's row ``[:, k]`` is contiguous."""
+    if step_major:
+        return np.moveaxis(np.empty((*shape, n_paths)), -1, 0)
+    return np.empty((n_paths, *shape))
+
+
 def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: int,
                    policy, controls, noise: Array, alpha=None) -> InnovationPath:
     """Euler and Wonham steps of (X, p) under feedback on (t, X, p_1).
@@ -288,7 +302,9 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     Given the hidden chain ``alpha``, X moves with the realized regime's
     drift, ``noise`` is dW and the innovation is read off the observation
     increment.  Without it, X moves with the filtered drift
-    bbar = sum_i p_i b_i and ``noise`` is the innovation itself.
+    bbar = sum_i p_i b_i and ``noise`` is the innovation itself, and the
+    histories are stored step-major (see ``InnovationPath``); the coupled
+    ones stay path-major, as their consumers sum each path along time.
     """
     n_paths = noise.shape[0]
     controls = check_controls(policy, controls, n_paths, grid)
@@ -299,9 +315,10 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
 
     x = np.full(n_paths, spec.x0)
     p = _prior(spec, n_paths)
-    states = np.empty((n_paths, grid.n_steps + 1))
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    used = np.empty((n_paths, grid.n_steps))
+    step_major = alpha is None
+    states = _history(step_major, n_paths, grid.n_steps + 1)
+    probs = _history(step_major, n_paths, grid.n_steps + 1, spec.n_regimes)
+    used = _history(step_major, n_paths, grid.n_steps)
     dnu = noise if alpha is None else np.empty((n_paths, grid.n_steps))
     states[:, 0] = x
     probs[:, 0] = p.T
@@ -375,8 +392,11 @@ def innovation_forward(
     X_{k+1} = X_k + bbar_k dt + sigma_k dnu_k, bbar = sum_i p_i b(i);
     p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i}(h_i - hbar_k) dnu_k.
     """
-    dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset,
-                              dnu, name="dnu")
+    if dnu is None:  # drawn path by path, stored step-major
+        dnu = np.ascontiguousarray(
+            brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset).T).T
+    else:
+        dnu = check_override("dnu", dnu, (n_paths, grid.n_steps))
     return _observer_pass(spec, grid, seed, path_offset, policy, controls, dnu)
 
 

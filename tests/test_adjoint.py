@@ -268,6 +268,20 @@ class TestAdjointBsde:
             assert together.shape == (5,)
             assert np.array_equal(together, alone), fn.__name__
 
+    def test_direction_set_does_not_depend_on_the_probs_layout(self):
+        grid, n = TimeGrid(1.0, 200), 2048
+        pi = np.random.default_rng(7).uniform(0.0, 1.0, (n, grid.n_steps + 1))
+        probs = np.stack([pi, 1.0 - pi], axis=2)
+        step_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(probs, 0, -1)), -1, 0)
+        # on this data the per-path sums over time of the two layouts round
+        # apart, and so does the mean square that scales a direction
+        w, w_sm = probs[:, :-1, 0], step_major[:, :-1, 0]
+        assert (np.mean(np.sum(w * w, axis=1) * grid.dt)
+                != np.mean(np.sum(w_sm * w_sm, axis=1) * grid.dt))
+        got = _direction_set(grid, types.SimpleNamespace(n_paths=n, probs=step_major))
+        want = _direction_set(grid, types.SimpleNamespace(n_paths=n, probs=probs))
+        assert np.array_equal(got, want)
+
     def test_residual_positive_away_from_optimum(self, spec, ensemble):
         _, path, adj = ensemble
         rep = stationarity_report(spec, path, adj)
@@ -333,6 +347,32 @@ class TestAdjointBsde:
         adj2 = solve_adjoint_bsde(spec, shuffled)
         assert np.max(np.abs(adj2.phi - adj.phi[perm])) <= 1e-8
         assert np.max(np.abs(adj2.lam - adj.lam[perm])) <= 1e-8
+
+
+class TestStepMajorSweep:
+    """The sweep stores its adjoints step-major and reads the path's rows;
+    its output does not depend on how the path is stored."""
+
+    def test_adjoint_keeps_its_shapes_with_contiguous_rows(self, ensemble):
+        grid, path, adj = ensemble
+        n, N = path.n_paths, grid.n_steps
+        assert adj.phi.shape == (n, N + 1, 2) and adj.dH_dv.shape == (N, n)
+        assert adj.lam.shape == adj.phi_pred.shape == (n, N, 2)
+        assert adj.phi[:, N].flags.c_contiguous
+        for k in range(N):
+            assert (adj.phi[:, k].flags.c_contiguous and adj.lam[:, k].flags.c_contiguous
+                    and adj.phi_pred[:, k].flags.c_contiguous and adj.dH_dv[k].flags.c_contiguous)
+
+    def test_sweep_on_a_path_major_copy_is_bit_identical(self, spec, ensemble):
+        grid, path, adj = ensemble
+        copy = InnovationPath(grid=grid, states=path.states.copy(), probs=path.probs.copy(),
+                              controls=path.controls.copy(), dnu=path.dnu.copy(), seed=path.seed)
+        assert not copy.states[:, 0].flags.c_contiguous  # a path-major copy
+        other = solve_adjoint_bsde(spec, copy)
+        # rank-deficient steps near the start are covered too
+        assert np.array_equal(other.ranks, adj.ranks) and adj.ranks.min() < PolyBasis().n_terms
+        for name in ("phi", "lam", "phi_pred", "dH_dv", "r_squared"):
+            assert np.array_equal(getattr(other, name), getattr(adj, name)), name
 
 
 def _synthetic_path(grid: TimeGrid, n: int, sigma: float,

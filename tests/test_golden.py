@@ -23,6 +23,16 @@ def test_artifacts_match_the_golden_table():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     want = json.loads((TESTS / "golden_artifacts.json").read_text())
-    assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], name
+    # every entry and file that moved, not only the first
+    moved = []
+    for name in sorted(want.keys() | got.keys()):
+        old, new = want.get(name, {}), got.get(name, {})
+        old_files, new_files = old.get("sha256", {}), new.get("sha256", {})
+        if old.get("exit") != new.get("exit"):
+            moved.append(f"{name}: exit {new.get('exit')}, golden {old.get('exit')}")
+        moved += [f"{name} {file}: {str(new_files.get(file))[:12]}, "
+                  f"golden {str(old_files.get(file))[:12]}"
+                  for file in sorted(old_files.keys() | new_files.keys())
+                  if old_files.get(file) != new_files.get(file)]
+    assert not moved, "artifacts differ from the golden table:\n" + "\n".join(moved)
+    assert got == want

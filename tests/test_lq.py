@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,9 +215,10 @@ class TestQuantileLattice:
         probs = np.stack([pi, 1.0 - pi], axis=2)
         policy = PiecewisePolyPolicy.fit(grid, states, probs, rng.normal(0.0, 1.0, (300, 4)))
         X, P = _quantile_lattice(states, probs, grid.n_steps)
-        sup = float(np.max(np.abs(policy.on_lattice(grid.times[:-1], X, P))))
-        assert _policy_sup_change(grid, zero_policy(), policy, states, probs) == (sup, sup)
-        assert _policy_sup_change(grid, policy, policy, states, probs) == (0.0, sup)
+        U = np.abs(policy.on_lattice(grid.times[:-1], X, P))
+        sup, at = float(np.max(U)), int(np.argmax(np.max(U, axis=1)))
+        assert _policy_sup_change(grid, zero_policy(), policy, states, probs) == (sup, sup, at)
+        assert _policy_sup_change(grid, policy, policy, states, probs) == (0.0, sup, 0)
 
 
 class TestStepProjectorCoef:
@@ -424,6 +427,31 @@ class TestSolveLq:
         sol = exc.value.solution
         assert not sol.converged
         assert [row["iteration"] for row in sol.trace] == [1, 2, 3]
+
+    def test_iteration_log_names_the_step_of_the_sup_change(self, lq, caplog):
+        grid = TimeGrid(1.0, 20)
+        with caplog.at_level(logging.INFO, logger="hybridmp.lq"), pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "hybridmp.lq"]
+        assert len(lines) == 2
+        for line, row in zip(lines, exc.value.solution.trace):
+            found = re.fullmatch(r"iteration (\d+): step \S+, cost \S+, sup-change (\S+) "
+                                 r"at k=(\d+) \(t=(\S+)\)", line)
+            assert found, line
+            assert int(found[1]) == row["iteration"]
+            assert float(found[2]) == float(f"{row['sup_change']:.3g}")
+            k = int(found[3])
+            assert 0 <= k < grid.n_steps and float(found[4]) == float(f"{grid.times[k]:.4g}")
+
+        # iteration 1 moves away from the zero policy on the zero-policy
+        # pass, so its step is the lattice row where the first fit peaks
+        with pytest.raises(NonConvergence) as first:
+            solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=1)
+        spec = lq.to_problem_spec()
+        path = innovation_forward(spec, grid, 200, 5, policy=zero_policy(spec.control_domain))
+        X, P = _quantile_lattice(path.states, path.probs, grid.n_steps)
+        U = np.abs(first.value.solution.policy.on_lattice(grid.times[:-1], X, P))
+        assert f" at k={int(np.argmax(np.max(U, axis=1)))} " in lines[0]
 
     def test_policy_is_the_fit_of_the_damped_targets(self, lq):
         grid = TimeGrid(1.0, 30)

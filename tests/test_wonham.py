@@ -479,9 +479,12 @@ class TestStagedObserverPass:
         monkeypatch.setattr(pathsim, "STAGE_ROWS", request.param)
 
     @staticmethod
-    def _assert_same(got, want):
-        for a, b in zip(got[:4], want[:4]):
-            assert a.flags.c_contiguous and a.shape == b.shape and np.array_equal(a, b)
+    def _assert_same(got, want, step_major=0):
+        # the first ``step_major`` arrays are innovation histories: indexed
+        # path first, stored step-major; the others are C-contiguous
+        for i, (a, b) in enumerate(zip(got[:4], want[:4])):
+            stored = np.moveaxis(a, 0, -1) if i < step_major else a
+            assert stored.flags.c_contiguous and a.shape == b.shape and np.array_equal(a, b)
         assert got[4:] == want[4:]
 
     @pytest.mark.parametrize("n_steps", [1, STAGE_STEPS - 1, STAGE_STEPS, STAGE_STEPS + 1,
@@ -505,7 +508,7 @@ class TestStagedObserverPass:
             want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
                                              kwargs.get("controls"), drawn)
             self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
-                               ip.max_excursion), want)
+                               ip.max_excursion), want, step_major=4)
 
         # hot innovation noise, so clamps are counted too; dnu is the override itself
         dnu = np.random.default_rng(n_steps).normal(0.0, 1.5 * math.sqrt(grid.dt), (n, n_steps))
@@ -513,7 +516,7 @@ class TestStagedObserverPass:
         assert ip.dnu is dnu
         self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
                            ip.max_excursion),
-                          _observer_pass_per_column(spec, grid, policy, None, dnu))
+                          _observer_pass_per_column(spec, grid, policy, None, dnu), step_major=3)
 
     @pytest.mark.parametrize("step", [STAGE_STEPS // 2, STAGE_STEPS + 5])
     def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
@@ -541,3 +544,41 @@ class TestStagedObserverPass:
             with pytest.raises(error, match=match) as got:
                 staged()
             assert str(got.value) == str(want.value)
+
+
+class TestHistoryLayout:
+    """Innovation passes store their histories step-major, so that every
+    step's row ``[:, k]`` is contiguous; the coupled pass and
+    simulate_state stay C-contiguous."""
+
+    def test_innovation_histories_keep_their_shapes_with_contiguous_rows(self, spec):
+        grid, n = TimeGrid(1.0, 30), 64
+        given = np.random.default_rng(0).normal(0.0, math.sqrt(grid.dt), (n, grid.n_steps))
+        for dnu in (None, given):
+            ip = innovation_forward(spec, grid, n, 2, policy=zero_policy(), dnu=dnu)
+            assert ip.states.shape == (n, 31) and ip.probs.shape == (n, 31, 2)
+            assert ip.controls.shape == ip.dnu.shape == (n, 30)
+            rows = [ip.states, ip.probs[..., 0], ip.probs[..., 1], ip.controls]
+            if dnu is None:
+                rows.append(ip.dnu)
+            else:
+                assert ip.dnu is given  # a given noise is kept as given
+            for a in rows:
+                assert all(a[:, k].flags.c_contiguous for k in range(a.shape[1]))
+
+    def test_costs_do_not_depend_on_the_layout(self, spec):
+        grid = TimeGrid(1.0, 40)
+        ip = innovation_forward(spec, grid, 300, 4, policy=FeedbackPolicy(lambda t, x, pi: pi - x))
+        copies = (ip.states.copy(), ip.probs.copy(), ip.controls.copy())
+        assert all(a.flags.c_contiguous for a in copies)
+        assert np.array_equal(transformed_cost_paths(spec, grid, ip.states, ip.probs, ip.controls),
+                              transformed_cost_paths(spec, grid, *copies))
+
+    def test_coupled_and_simulated_histories_stay_c_contiguous(self, spec):
+        grid = TimeGrid(1.0, 30)
+        cp = coupled_forward(spec, grid, 64, 2, policy=zero_policy())
+        bundle = simulate_state(spec, grid, 64, 2)
+        for a in (cp.bundle.states, cp.bundle.regimes, cp.bundle.controls, cp.bundle.noise,
+                  cp.filter_path.probs, cp.filter_path.nu_increments,
+                  bundle.states, bundle.regimes, bundle.controls, bundle.noise):
+            assert a.flags.c_contiguous
