@@ -8,20 +8,21 @@ baseline (an information lower bound).  Then prints one summary row
 per seed and exits 1 if any seed fails the lq-solve suite's checks at
 their default tolerances: not converged, stationarity ratio above 1e-2
 or tail regression R^2 below 0.5.  So ``--seed 0 1 2 ...`` is a
-repeatable seed gate for the solver.
+repeatable seed gate for the solver.  A ``--spec`` file that cannot be
+read or is not a valid spec, or a setting the solver rejects, prints the
+error and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from hybridmp.errors import NonConvergence
+from hybridmp.errors import ConfigError, NonConvergence
 from hybridmp.harness import tail_r2_min
 from hybridmp.lq import full_observation_baseline, solve_lq
-from hybridmp.model import LQSpec
+from hybridmp.model import LQSpec, load_spec
 from hybridmp.pathsim import TimeGrid
 
 # lq-solve's default tolerances on stationarity_ratio and bsde_tail_r2_min
@@ -68,9 +69,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--damping", type=float, default=0.5)
     args = parser.parse_args(argv)
 
-    lq = LQSpec.from_json(json.loads(Path(args.spec).read_text()))
-    grid = TimeGrid(lq.horizon, args.n_steps)
-    rows = [_report(lq, grid, args.n_paths, seed, args.damping) for seed in args.seed]
+    try:
+        lq = load_spec(args.spec).lq
+        grid = TimeGrid(lq.horizon, args.n_steps)
+        rows = [_report(lq, grid, args.n_paths, seed, args.damping) for seed in args.seed]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'seed':>10s} {'iters':>5s} {'converged':>9s} {'ratio':>9s} {'tail-R2':>7s} "
           f"{'cost':>12s}  verdict")

@@ -45,14 +45,14 @@ class CompactCoeffs:
     either way because every compact coefficient is affine in pi.
     """
 
-    def __init__(self, spec: ProblemSpec, force_fd: bool = False):
+    def __init__(self, spec: ProblemSpec):
         if spec.n_regimes != 2:
             raise ConfigError(
                 "the compact observable form needs exactly two regimes, "
                 f"got {spec.n_regimes}"
             )
         self.spec = spec
-        self.analytic = spec.lq is not None and not force_fd
+        self.analytic = spec.lq is not None
 
     def _slope(self, table, z, closed_form):
         """d table(z) / dz: ``closed_form(lq)`` of the tagged constants,
@@ -61,9 +61,6 @@ class CompactCoeffs:
 
     def at(self, t, x, p, u) -> StepCoeffs:
         """The coefficient table at (t, x, p, u), arrays of shape (n,)."""
-        # contiguous copies of strided step slices (those of a path-major
-        # path; a step-major one's are already rows), read many times here
-        x, p, u = np.ascontiguousarray(x), np.ascontiguousarray(p), np.ascontiguousarray(u)
         spec, n = self.spec, x.shape[0]
 
         def drift(x, u):

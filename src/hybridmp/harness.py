@@ -303,7 +303,8 @@ DIRECTION_NORM = 0.15
 
 def _direction_set(grid: TimeGrid, base) -> np.ndarray:
     """Perturbation directions scaled to ``DIRECTION_NORM``, stacked as
-    (5, n_paths, n_steps)."""
+    (5, n_paths, n_steps) and stored step-major, so that each step's
+    ``[..., k]`` is a contiguous (5, n_paths) row."""
     times = grid.times[:-1]
     shapes = [
         np.ones_like(times),
@@ -314,13 +315,13 @@ def _direction_set(grid: TimeGrid, base) -> np.ndarray:
     n = base.n_paths
     directions = [np.tile(s, (n, 1)) for s in shapes]
     # path-major, so the per-path sums below add in one order whatever the
-    # layout of base.probs (innovation passes store it step-major)
+    # layout of base.probs (forward passes store it step-major)
     directions.append(np.ascontiguousarray(base.probs[:, :-1, 0]))
-    scaled = []
-    for w in directions:
+    stack = np.empty((grid.n_steps, len(directions), n))
+    for j, w in enumerate(directions):
         rms = math.sqrt(float(np.mean(np.sum(w * w, axis=1) * grid.dt)))
-        scaled.append(w * (DIRECTION_NORM / max(rms, 1e-300)))
-    return np.stack(scaled)
+        stack[:, j] = (w * (DIRECTION_NORM / max(rms, 1e-300))).T
+    return np.moveaxis(stack, 0, -1)
 
 
 def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:

@@ -33,7 +33,7 @@ from .adjoint import (
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
 from .pathsim import (CostEstimate, PathBundle, TimeGrid, blocked_cost, cost_from_paths,
-                      draw_drivers, euler_step)
+                      draw_drivers, euler_step, history)
 from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
@@ -277,7 +277,6 @@ def solve_lq(
         path = _forward(spec, grid, n_paths, seed, policy, dnu)
         dnu = path.dnu
         u_prev = path.controls
-        u_new = np.empty_like(u_prev)
         candidate = PiecewisePolyPolicy._blank(grid, basis.degree, spec.control_domain)
         # The stationary control, the damped update and the policy row of
         # step k all regress on node-k information, so they run inside
@@ -286,8 +285,8 @@ def solve_lq(
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
-            u_new[:, k] = (1.0 - step) * u_prev[:, k] + step * u_star
-            candidate._fit_step(k, proj, x, p, u_new[:, k])
+            u_new = (1.0 - step) * u_prev[:, k] + step * u_star
+            candidate._fit_step(k, proj, x, p, u_new)
         residual = stationarity_report(spec, path, adj)["residual"]
 
         change, u_scale, at = _policy_sup_change(
@@ -416,8 +415,8 @@ def full_observation_baseline(
 
     def path_costs(offset: int, count: int) -> Array:
         alpha, dW = draw_drivers(spec, grid, count, seed, path_offset=offset)
-        states = np.empty((count, grid.n_steps + 1))
-        controls = np.empty((count, grid.n_steps))
+        states = history(count, grid.n_steps + 1)
+        controls = history(count, grid.n_steps)
         x = states[:, 0] = np.full(count, lq.x0)
         for k in range(grid.n_steps):
             idx = alpha[:, k] - 1

@@ -7,7 +7,6 @@ on how paths are batched across blocks or workers.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,8 +27,7 @@ TAG_INNOVATION = 2
 # |X| beyond this aborts the simulation rather than overflowing silently.
 BLOWUP_LIMIT = 1e8
 
-STAGE_STEPS = 16  # steps per time-major block of staged_steps
-STAGE_ROWS = 1024  # paths per read copy of staged_steps
+DRAW_ROWS = 256  # paths drawn into a buffer before one transposed copy into the history
 
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at a stream's start
 
@@ -50,13 +48,27 @@ def path_rng(seed: int, path_index: int, tag: int,
     return generator
 
 
+def history(n_paths: int, *shape: int, dtype=np.float64) -> np.ndarray:
+    """Empty (n_paths, *shape) path history, stored step-major: the path
+    axis is last in memory, so that each step's row ``[:, k]`` is contiguous."""
+    return np.moveaxis(np.empty((*shape, n_paths), dtype), -1, 0)
+
+
 def _draw(seed: int, path_indices, tag: int, n: int, method: str) -> Array:
-    """``method`` draws of n per path into one row each, one re-keyed generator."""
-    out = np.empty((len(path_indices), n))
+    """``method`` draws of n per path, a (len(path_indices), n) history.
+
+    Each path's stream fills one row of a buffer of ``DRAW_ROWS`` paths
+    from one re-keyed generator; a full buffer is copied in transposed.
+    """
+    out = history(len(path_indices), n)
+    buf = np.empty((min(DRAW_ROWS, len(path_indices)), n))
     rng = None
-    for row, idx in enumerate(path_indices):
-        rng = path_rng(seed, idx, tag, rng)
-        getattr(rng, method)(out=out[row])
+    for r0 in range(0, len(path_indices), DRAW_ROWS):
+        block = path_indices[r0:r0 + DRAW_ROWS]
+        for row, idx in enumerate(block):
+            rng = path_rng(seed, idx, tag, rng)
+            getattr(rng, method)(out=buf[row])
+        out[r0:r0 + len(block)] = buf[:len(block)]
     return out
 
 
@@ -103,7 +115,8 @@ class PathBundle:
 
     ``states`` has shape (n_paths, N+1); ``regimes`` the hidden chain as
     integer labels 1..d (same shape); ``controls`` and ``noise`` are the
-    per-step values, shape (n_paths, N).
+    per-step values, shape (n_paths, N).  Drawn and simulated histories
+    are stored step-major (see ``history``).
     """
 
     grid: TimeGrid
@@ -163,21 +176,21 @@ def simulate_chain(
     indices = range(path_offset, path_offset + n_paths)
     u = draw_uniforms(seed, indices, TAG_CHAIN, grid.n_steps + 1)
 
-    alpha = np.empty((n_paths, grid.n_steps + 1), dtype=np.int64)
+    alpha = history(n_paths, grid.n_steps + 1, dtype=np.int64)
     pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
     alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
     np.clip(alpha[:, 0], 0, q.n_states - 1, out=alpha[:, 0])
-    # successor[s, p, k]: the state that path p moves to at node k from
+    # successor[s, k, p]: the state that path p moves to at node k from
     # state s, i.e. the count of cdf[s, j] <= u[p, k], capped at d - 1
-    successor = np.zeros((q.n_states, n_paths, grid.n_steps + 1),
+    successor = np.zeros((q.n_states, grid.n_steps + 1, n_paths),
                          dtype=np.min_scalar_type(q.n_states))
     for s, row_cdf in enumerate(cdf):
         for c in row_cdf:
-            successor[s] += u >= c
+            successor[s] += u.T >= c
     np.minimum(successor, q.n_states - 1, out=successor)
     rows = np.arange(n_paths)
     for k in range(grid.n_steps):
-        alpha[:, k + 1] = successor[alpha[:, k], rows, k + 1]
+        alpha[:, k + 1] = successor[alpha[:, k], k + 1, rows]
     alpha += 1
     return alpha
 
@@ -190,39 +203,6 @@ def chain_marginal(spec: ProblemSpec, t: float) -> Array:
 # ---------------------------------------------------------------------------
 # Step kernel shared by every forward pass
 # ---------------------------------------------------------------------------
-
-
-def _mapped_empty(shape, dtype: np.dtype) -> np.ndarray:
-    """Uninitialized array in its own anonymous map: freed, it leaves no hole in the heap."""
-    count = int(np.prod(shape))  # and one spare byte below, so that an empty array maps too
-    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize + 1), dtype, count).reshape(shape)
-
-
-def staged_steps(n_steps: int, reads, writes=()):
-    """Yield k and row k of every array, contiguous, for each step k < n_steps.
-
-    Arrays have shape (n_paths, >= n_steps, *rest) (pass ``states[:, 1:]``
-    to shift one by a node), rows (*rest, n_paths), a None array's rows None.
-    ``reads`` rows hold the array's values; the caller fills ``writes`` rows.
-    Each block of ``STAGE_STEPS`` steps fills buffers, allocated once per
-    pass, from ``reads`` by transposed copies of ``STAGE_ROWS`` paths (whose
-    rows stay cached) and empties them into ``writes`` by one per array.
-    """
-    size = min(STAGE_STEPS, n_steps)
-    bufs = [[None] * size if a is None else _mapped_empty((size, *a.shape[2:], a.shape[0]), a.dtype)
-            for a in (*reads, *writes)]
-    for k0 in range(0, n_steps, size):
-        m = min(size, n_steps - k0)
-        for a, buf in zip(reads, bufs):
-            if a is not None:
-                for r in range(0, a.shape[0], STAGE_ROWS):
-                    block = slice(r, r + STAGE_ROWS)
-                    buf[:m, ..., block] = np.moveaxis(a[block, k0:k0 + m], 0, -1)
-        for j in range(m):
-            yield (k0 + j, *(buf[j] for buf in bufs))
-        for a, buf in zip(writes, bufs[len(reads):]):
-            if a is not None:
-                np.moveaxis(a[:, k0:k0 + m], 0, -1)[...] = buf[:m]
 
 
 def check_override(name: str, value, shape: tuple[int, ...], dtype=np.float64):
@@ -337,19 +317,19 @@ def simulate_state(
     """
     controls = check_controls(policy, controls, n_paths, grid)
     alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha, dW)
-    x = np.full(n_paths, spec.x0)
-    states = np.empty((n_paths, grid.n_steps + 1))
-    states[:, 0] = x
-    used = np.empty((n_paths, grid.n_steps))
+    states = history(n_paths, grid.n_steps + 1)
+    used = history(n_paths, grid.n_steps)
+    x = states[:, 0] = np.full(n_paths, spec.x0)
     times = grid.times
     rows = np.arange(n_paths)
 
-    for k, dw, a, c, u_row, x_row in staged_steps(grid.n_steps, (dW, alpha, controls),
-                                                   (used, states[:, 1:])):
+    for k in range(grid.n_steps):
         t = times[k]
-        u = u_row[...] = control_at(spec, t, x, None, policy, c)
-        b = drift_table(spec, t, x, u)[a - 1, rows]
-        x = x_row[...] = euler_step(x, b, eval_sigma(spec, t, x, u), dw, grid.dt, times[k + 1])
+        u = used[:, k] = control_at(spec, t, x, None, policy,
+                                    None if controls is None else controls[:, k])
+        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
+        x = states[:, k + 1] = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k],
+                                          grid.dt, times[k + 1])
 
     return PathBundle(
         grid=grid, states=states, regimes=alpha, controls=used,
@@ -373,10 +353,10 @@ def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
     dt = grid.dt
     times = grid.times
     total = np.zeros(states.shape[0])
-    for k, x, u, w in staged_steps(grid.n_steps, (states, controls, weights)):
+    for k in range(grid.n_steps):
         for i in range(1, spec.n_regimes + 1):
-            f = spec.running_cost(times[k], x, i, u)
-            total += dt * w[i - 1] * np.asarray(f, dtype=np.float64)
+            f = spec.running_cost(times[k], states[:, k], i, controls[:, k])
+            total += dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
     for i in range(1, spec.n_regimes + 1):
         g = spec.terminal_cost(states[:, -1], i)
         total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)

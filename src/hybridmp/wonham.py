@@ -37,7 +37,7 @@ from .pathsim import (
     draw_drivers,
     drift_table,
     euler_step,
-    staged_steps,
+    history,
 )
 
 Array = NDArray[np.float64]
@@ -56,7 +56,8 @@ class FilterPath:
     node k on path p.  ``nu_increments`` are the innovation increments
     (observation increments minus the filter-predicted drift).  ``V``
     holds the unnormalized indicator masses when the linear recursion
-    produced the path, and is None for the normalized recursion.
+    produced the path, and is None for the normalized recursion.  The
+    filters store all three step-major (see ``pathsim.history``).
     """
 
     grid: TimeGrid
@@ -71,8 +72,10 @@ class FilterPath:
         return self.probs.shape[0]
 
     def innovation_qv(self) -> Array:
-        """Realized quadratic variation of the innovation per path."""
-        return np.sum(self.nu_increments**2, axis=1)
+        """Realized quadratic variation of the innovation per path, summed
+        pairwise along each path's row of a path-major copy of the squares."""
+        sq = np.array(self.nu_increments, order="C")
+        return np.sum(np.square(sq, out=sq), axis=1)
 
 
 def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
@@ -170,9 +173,9 @@ def run_normalized_filter(
     Q = spec.generator.matrix
 
     p = _prior(spec, n_paths)
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
+    probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
     probs[:, 0] = p.T
-    dnu = np.empty((n_paths, grid.n_steps))
+    dnu = history(n_paths, grid.n_steps)
     events = 0
     worst = 0.0
 
@@ -215,9 +218,9 @@ def run_zakai_filter(
     Q = spec.generator.matrix
 
     V = _prior(spec, n_paths)
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    masses = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
-    dnu = np.empty((n_paths, grid.n_steps))
+    probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
+    masses = history(n_paths, grid.n_steps + 1, spec.n_regimes)
+    dnu = history(n_paths, grid.n_steps)
     p = V / V.sum(axis=0)
     probs[:, 0] = p.T
     masses[:, 0] = V.T
@@ -267,9 +270,10 @@ class InnovationPath:
 
     ``states`` (n_paths, N+1), ``probs`` (n_paths, N+1, d), ``controls``
     and ``dnu`` (n_paths, N) are indexed path first, but the pass stores
-    them step-major (drawn ``dnu`` too; a given one is kept as given), so
-    that ``[:, k]`` is a contiguous row for the per-step loops downstream:
-    the backward sweep, the variational pass and the Picard update.
+    them step-major (see ``pathsim.history``; a given ``dnu`` is kept as
+    given), so that ``[:, k]`` is a contiguous row for the per-step loops
+    downstream: the backward sweep, the variational pass and the Picard
+    update.
     """
 
     grid: TimeGrid
@@ -287,14 +291,6 @@ class InnovationPath:
         return self.states.shape[0]
 
 
-def _history(step_major: bool, n_paths: int, *shape: int) -> Array:
-    """Empty (n_paths, *shape) history; a step-major one stores the path
-    axis last, so that each step's row ``[:, k]`` is contiguous."""
-    if step_major:
-        return np.moveaxis(np.empty((*shape, n_paths)), -1, 0)
-    return np.empty((n_paths, *shape))
-
-
 def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: int,
                    policy, controls, noise: Array, alpha=None) -> InnovationPath:
     """Euler and Wonham steps of (X, p) under feedback on (t, X, p_1).
@@ -302,9 +298,8 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     Given the hidden chain ``alpha``, X moves with the realized regime's
     drift, ``noise`` is dW and the innovation is read off the observation
     increment.  Without it, X moves with the filtered drift
-    bbar = sum_i p_i b_i and ``noise`` is the innovation itself, and the
-    histories are stored step-major (see ``InnovationPath``); the coupled
-    ones stay path-major, as their consumers sum each path along time.
+    bbar = sum_i p_i b_i and ``noise`` is the innovation itself.  Every
+    history it writes is stored step-major (see ``pathsim.history``).
     """
     n_paths = noise.shape[0]
     controls = check_controls(policy, controls, n_paths, grid)
@@ -313,36 +308,33 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     Q = spec.generator.matrix
     rows = np.arange(n_paths)
 
-    x = np.full(n_paths, spec.x0)
+    states = history(n_paths, grid.n_steps + 1)
+    probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
+    used = history(n_paths, grid.n_steps)
+    dnu = noise if alpha is None else history(n_paths, grid.n_steps)
+    x = states[:, 0] = np.full(n_paths, spec.x0)
     p = _prior(spec, n_paths)
-    step_major = alpha is None
-    states = _history(step_major, n_paths, grid.n_steps + 1)
-    probs = _history(step_major, n_paths, grid.n_steps + 1, spec.n_regimes)
-    used = _history(step_major, n_paths, grid.n_steps)
-    dnu = noise if alpha is None else np.empty((n_paths, grid.n_steps))
-    states[:, 0] = x
     probs[:, 0] = p.T
     events = 0
     worst = 0.0
 
-    steps = staged_steps(grid.n_steps, (noise, alpha, controls),
-                         (used, states[:, 1:], probs[:, 1:], None if alpha is None else dnu))
-    for k, dw, a, c, u_row, x_row, p_row, nu_row in steps:
+    for k in range(grid.n_steps):
         t = times[k]
-        u = u_row[...] = control_at(spec, t, x, p[0], policy, c)
+        u = used[:, k] = control_at(spec, t, x, p[0], policy,
+                                    None if controls is None else controls[:, k])
         sig = eval_sigma(spec, t, x, u)
         table = drift_table(spec, t, x, u)
         h = table / sig
         hbar = np.sum(p * h, axis=0)
-        b = hbar * sig if alpha is None else table[a - 1, rows]
-        x_next = euler_step(x, b, sig, dw, dt, times[k + 1])
+        b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
+        x_next = euler_step(x, b, sig, noise[:, k], dt, times[k + 1])
         if alpha is not None:
-            dw = nu_row[...] = (x_next - x) / sig - hbar * dt
-        p, e, w = _wonham_step(p, h, hbar, dw, Q, dt)
+            dnu[:, k] = (x_next - x) / sig - hbar * dt
+        p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt)
         events += e
         worst = max(worst, w)
-        x = x_row[...] = x_next
-        p_row[...] = p
+        x = states[:, k + 1] = x_next
+        probs[:, k + 1] = p.T
 
     return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
                           dnu=dnu, seed=seed, path_offset=path_offset,
@@ -392,9 +384,8 @@ def innovation_forward(
     X_{k+1} = X_k + bbar_k dt + sigma_k dnu_k, bbar = sum_i p_i b(i);
     p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i}(h_i - hbar_k) dnu_k.
     """
-    if dnu is None:  # drawn path by path, stored step-major
-        dnu = np.ascontiguousarray(
-            brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset).T).T
+    if dnu is None:
+        dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset)
     else:
         dnu = check_override("dnu", dnu, (n_paths, grid.n_steps))
     return _observer_pass(spec, grid, seed, path_offset, policy, controls, dnu)
@@ -430,7 +421,7 @@ def discrete_bayes_oracle(
     log_eps = -745.0  # log of the smallest positive double, for zero probs
 
     p = _prior(spec, n_paths)
-    probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
+    probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
     probs[:, 0] = p.T
 
     for k, (sig, table, dx) in enumerate(steps):

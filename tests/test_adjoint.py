@@ -110,7 +110,7 @@ class TestCompactCoeffs:
         assert np.allclose(Bt[:, 0, 1], 0.0, atol=1e-12)
 
     def test_finite_difference_route_agrees(self, spec, coeffs, points):
-        fd = CompactCoeffs(spec, force_fd=True)
+        fd = CompactCoeffs(dataclasses.replace(spec, lq=None))
         t, x, p, u = points
         for name in ("B_theta", "B_v", "Sigma_theta", "Sigma_v",
                      "F_theta", "F_v"):
@@ -119,7 +119,7 @@ class TestCompactCoeffs:
             assert np.allclose(got, want, atol=1e-5), name
 
     def test_terminal_gradient_fd_route(self, spec, coeffs, points):
-        fd = CompactCoeffs(spec, force_fd=True)
+        fd = CompactCoeffs(dataclasses.replace(spec, lq=None))
         _, x, p, _ = points
         assert np.allclose(fd.G_theta(x, p), coeffs.G_theta(x, p),
                            atol=1e-5)
@@ -180,11 +180,11 @@ class TestHamiltonian:
         for num, col in ((num_x, ana[:, 0]), (num_p, ana[:, 1])):
             assert np.max(np.abs(num - col)) <= 1e-6 * (1.0 + np.max(np.abs(col)))
 
-    @pytest.mark.parametrize("force_fd", [False, True], ids=["analytic", "fd"])
-    def test_driver_is_the_transpose_of_the_tangent(self, spec, rng, force_fd):
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_driver_is_the_transpose_of_the_tangent(self, spec, rng, fd):
         # <phi, dB> + <lam, dSigma> + dF = <H_Theta(phi, lam), g> + H_v(phi, lam) w
         n = 500
-        tab = CompactCoeffs(spec, force_fd=force_fd).at(
+        tab = CompactCoeffs(dataclasses.replace(spec, lq=None) if fd else spec).at(
             0.3, rng.normal(0.0, 1.0, n), rng.uniform(0.05, 0.95, n), rng.normal(0.0, 0.8, n))
         phi, lam, g = (rng.normal(0.0, 1.0, (n, 2)) for _ in range(3))
         w = rng.normal(0.0, 1.0, n)
@@ -262,6 +262,7 @@ class TestAdjointBsde:
         grid, path, adj = ensemble
         stack = _direction_set(grid, path)
         assert stack.shape == (5, path.n_paths, grid.n_steps)
+        assert all(stack[..., k].flags.c_contiguous for k in range(grid.n_steps))
         for fn, args in ((gateaux_derivative, ()), (hamiltonian_direction_value, (adj,))):
             together = fn(spec, path, *args, stack)
             alone = np.array([fn(spec, path, *args, w) for w in stack])
@@ -320,7 +321,8 @@ class TestAdjointBsde:
 
     def test_finite_difference_route_through_the_sweep(self, spec, ensemble):
         _, path, adj = ensemble
-        fd = solve_adjoint_bsde(spec, path, coeffs=CompactCoeffs(spec, force_fd=True))
+        fd_coeffs = CompactCoeffs(dataclasses.replace(spec, lq=None))
+        fd = solve_adjoint_bsde(spec, path, coeffs=fd_coeffs)
         for name in ("phi", "lam", "dH_dv"):
             assert np.max(np.abs(getattr(fd, name) - getattr(adj, name))) <= 1e-8, name
 

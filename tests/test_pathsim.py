@@ -24,7 +24,7 @@ from hybridmp import pathsim
 from hybridmp.model import eval_sigma
 from hybridmp.pathsim import (
     BLOWUP_LIMIT,
-    STAGE_STEPS,
+    DRAW_ROWS,
     TAG_CHAIN,
     TAG_NOISE,
     control_at,
@@ -33,14 +33,20 @@ from hybridmp.pathsim import (
     draw_uniforms,
     drift_table,
     euler_step,
+    history,
     path_rng,
-    staged_steps,
 )
 from hybridmp.wonham import coupled_forward, transformed_cost_paths
 
-# Step counts around the staging block: one step, a block less or more
-# one step, a whole block, and two blocks and a part.
-STAGED_N = [1, STAGE_STEPS - 1, STAGE_STEPS, STAGE_STEPS + 1, 2 * STAGE_STEPS + 3]
+# Step counts of the per-column reference comparisons: one step, odd and
+# even counts, and a longer odd one.
+STEP_COUNTS = [1, 15, 16, 17, 35]
+
+
+def _rows_are_contiguous(a) -> bool:
+    """Each step's row ``a[:, k]`` of a (n_paths, steps, ...) history is
+    contiguous, with the path axis last in memory."""
+    return all(np.moveaxis(a[:, k], 0, -1).flags.c_contiguous for k in range(a.shape[1]))
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +254,24 @@ class TestKernelExactness:
                                   path_rng(seed, idx, TAG_NOISE).standard_normal(37))
             assert np.array_equal(uniforms[row], path_rng(seed, idx, TAG_CHAIN).random(38))
 
+    @pytest.mark.parametrize("n_paths", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1,
+                                         2 * DRAW_ROWS + 3])
+    def test_buffered_draws_are_the_path_streams_step_major(self, n_paths):
+        # paths around the draw buffer's size: a part, a whole buffer, a
+        # buffer and one path, and two buffers and a part
+        indices = range(5, 5 + n_paths)
+        for draw, tag, method in ((draw_normals, TAG_NOISE, "standard_normal"),
+                                  (draw_uniforms, TAG_CHAIN, "random")):
+            got = draw(3, indices, tag, 9)
+            want = np.stack([getattr(path_rng(3, i, tag), method)(9) for i in indices])
+            assert got.shape == (n_paths, 9) and _rows_are_contiguous(got)
+            assert np.array_equal(got, want)
+
+    def test_history_is_step_major(self):
+        a = history(7, 4, 3, dtype=np.int64)
+        assert a.shape == (7, 4, 3) and a.dtype == np.int64
+        assert np.moveaxis(a, 0, -1).flags.c_contiguous and _rows_are_contiguous(a)
+
     def test_rekeyed_generator_starts_its_stream_afresh(self):
         # a generator left mid-buffer (half a 64-bit word, three words of
         # the Philox block used) gives the new key's stream from its start
@@ -295,7 +319,7 @@ class TestKernelExactness:
                             ({"pi0": pi0, "path_offset": 17}, None)):
             got = simulate_chain(generator, grid, 300, 11, **kwargs)
             want = _chain_by_fresh_streams(generator, grid, 300, 11, **(ref or kwargs))
-            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.dtype == np.int64 and _rows_are_contiguous(got)
             assert np.array_equal(got, want)
             assert set(np.unique(got)) == set(range(1, d + 1))
 
@@ -324,8 +348,8 @@ class TestKernelExactness:
 
 
 def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=None, dW=None):
-    """simulate_state's loop before staging: a strided column of each
-    history array per step."""
+    """simulate_state's loop on path-major histories: a strided column of
+    each history array per step."""
     alpha, dW = draw_drivers(spec, grid, n_paths, seed, dW=dW)
     x = np.full(n_paths, spec.x0)
     states = np.empty((n_paths, grid.n_steps + 1))
@@ -344,7 +368,7 @@ def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=
 
 
 def _cost_per_column(spec, grid, states, controls, weights):
-    """_cost_quadrature's loop before staging."""
+    """_cost_quadrature's loop on path-major weights."""
     total = np.zeros(states.shape[0])
     for k in range(grid.n_steps):
         for i in range(1, spec.n_regimes + 1):
@@ -356,49 +380,24 @@ def _cost_per_column(spec, grid, states, controls, weights):
     return total
 
 
-def _staged_grid(n_steps):
+def _step_grid(n_steps):
     return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
 
 
-class TestStagedSteps:
-    """The step loops read and write time-major blocks; every output is the
-    per-column loop's, bit for bit."""
+class TestStepLoops:
+    """The step loops read and write each step's row of step-major
+    histories; every output is the per-column loop's, bit for bit."""
 
-    @pytest.fixture(autouse=True, params=[16, pathsim.STAGE_ROWS], ids=["rows16", "rows-default"])
-    def stage_rows(self, request, monkeypatch):
-        # 16 rows per read copy splits every ensemble here into several copies
-        monkeypatch.setattr(pathsim, "STAGE_ROWS", request.param)
-
-    @pytest.mark.parametrize("n_steps", STAGED_N)
-    def test_rows_are_the_columns_and_writes_land(self, n_steps):
-        rng = np.random.default_rng(n_steps)
-        a = rng.normal(size=(37, n_steps + 1))
-        b = rng.integers(0, 9, size=(37, n_steps, 3))
-        out = np.full((37, n_steps + 1), np.nan)
-        out3 = np.zeros((37, n_steps, 3), dtype=np.int64)
-        seen = []
-        for k, ra, rb, rn, wo, wn, w3 in staged_steps(n_steps, (a, b, None),
-                                                       (out[:, 1:], None, out3)):
-            assert ra.flags.c_contiguous and rb.flags.c_contiguous and w3.flags.c_contiguous
-            assert rb.shape == (3, 37) and w3.shape == (3, 37) and rn is None and wn is None
-            assert np.array_equal(ra, a[:, k]) and np.array_equal(rb, b[:, k].T)
-            wo[...] = ra * 2.0
-            w3[...] = rb + 1
-            seen.append(k)
-        assert seen == list(range(n_steps))
-        assert np.array_equal(out[:, 1:], a[:, :-1] * 2.0) and np.isnan(out[:, 0]).all()
-        assert np.array_equal(out3, b + 1)
-
-    @pytest.mark.parametrize("n_steps", STAGED_N)
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
     def test_simulate_state_and_costs_match_the_per_column_loops(self, spec, n_steps):
-        grid = _staged_grid(n_steps)
+        grid = _step_grid(n_steps)
         policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x + t)
         controls = np.sin(np.arange(40 * n_steps, dtype=np.float64)).reshape(40, n_steps)
         for kwargs in ({"policy": policy}, {"controls": controls}):
             bundle = simulate_state(spec, grid, 40, 3, **kwargs)
             states, used = _simulate_state_per_column(spec, grid, 40, 3, **kwargs)
             assert np.array_equal(bundle.states, states) and np.array_equal(bundle.controls, used)
-            assert bundle.states.flags.c_contiguous and bundle.controls.flags.c_contiguous
+            assert _rows_are_contiguous(bundle.states) and _rows_are_contiguous(bundle.controls)
             labels = np.arange(1, spec.n_regimes + 1)
             assert np.array_equal(cost_from_paths(spec, bundle), _cost_per_column(
                 spec, grid, states, used, bundle.regimes[..., None] == labels))
@@ -407,9 +406,9 @@ class TestStagedSteps:
         assert np.array_equal(transformed_cost_paths(spec, grid, states, probs, used),
                               _cost_per_column(spec, grid, states, used, probs))
 
-    @pytest.mark.parametrize("step", [STAGE_STEPS // 2, STAGE_STEPS + 5])
-    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
-        grid = _staged_grid(2 * STAGE_STEPS + 3)
+    @pytest.mark.parametrize("step", [8, 21])
+    def test_mid_pass_failures_raise_the_per_column_errors(self, spec, step):
+        grid = _step_grid(35)
         dW = np.zeros((6, grid.n_steps))
         dW[4, step] = 1e12
         controls = np.ones((6, grid.n_steps))

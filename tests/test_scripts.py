@@ -50,6 +50,22 @@ def test_lq_experiment_gates_every_seed(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 seeds pass"
 
 
+def test_lq_experiment_exits_2_on_bad_input(tmp_path, capsys):
+    # a missing or malformed --spec, or a setting the solver rejects,
+    # prints the error and exits 2, no traceback
+    module = _load("lq_experiment")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    small = ["--n-steps", "20", "--n-paths", "300"]
+    for argv, message in ((["--spec", str(tmp_path / "missing.json")], "cannot read spec file"),
+                          (["--spec", str(bad)], "is not valid JSON"),
+                          (["--n-steps", "0"], "at least one step"),
+                          (["--damping", "2"], "damping must be in (0, 1]")):
+        assert module.main(small + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 def test_compare_manifests_names_every_mismatch():
     compare = _load("run_all_suites").compare_manifests
     want = {"lq-solve": {"results.json": "a" * 64, "trace.csv": "b" * 64},

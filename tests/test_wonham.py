@@ -19,10 +19,8 @@ from hybridmp import (
     simulate_state,
     zero_policy,
 )
-from hybridmp import pathsim
 from hybridmp.model import eval_sigma
 from hybridmp.pathsim import (
-    STAGE_STEPS,
     TAG_INNOVATION,
     brownian_increments,
     control_at,
@@ -33,6 +31,7 @@ from hybridmp.pathsim import (
 from hybridmp.wonham import (
     BREAKDOWN_TOL,
     EXCURSION_TOL,
+    FilterPath,
     _project_simplex,
     _wonham_step,
     coupled_forward,
@@ -386,7 +385,7 @@ class TestRegimeMajorState:
         states, controls = cp.bundle.states, cp.bundle.controls
         want = _normalized_filter_path_major(spec, grid, states, controls)
         got = run_normalized_filter(spec, grid, states, controls).probs
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape and _rows_are_contiguous(got)
         assert np.array_equal(got, want)
         assert np.array_equal(cp.filter_path.probs, want)
 
@@ -428,8 +427,14 @@ class TestRegimeMajorState:
         assert np.array_equal(got.T, want[0])
 
 
+def _rows_are_contiguous(a) -> bool:
+    """Each step's row ``a[:, k]`` of a (n_paths, steps, ...) history is
+    contiguous, with the path axis last in memory."""
+    return all(np.moveaxis(a[:, k], 0, -1).flags.c_contiguous for k in range(a.shape[1]))
+
+
 def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
-    """_observer_pass's loop before staging: strided history columns, read
+    """_observer_pass's loop on path-major histories: strided columns, read
     and written once per step.  Returns (states, probs, controls, dnu,
     clamp events, worst excursion)."""
     n_paths = noise.shape[0]
@@ -465,32 +470,26 @@ def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
     return states, probs, used, dnu, events, worst
 
 
-def _staged_grid(n_steps):
+def _step_grid(n_steps):
     return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
 
 
-class TestStagedObserverPass:
-    """The coupled and innovation passes read and write time-major blocks;
-    every output is the per-column loop's, bit for bit."""
-
-    @pytest.fixture(autouse=True, params=[16, pathsim.STAGE_ROWS], ids=["rows16", "rows-default"])
-    def stage_rows(self, request, monkeypatch):
-        # 16 rows per read copy splits every ensemble here into several copies
-        monkeypatch.setattr(pathsim, "STAGE_ROWS", request.param)
+class TestObserverPassLoop:
+    """The coupled and innovation passes read and write each step's row of
+    step-major histories; every output is the per-column loop's, bit for bit."""
 
     @staticmethod
-    def _assert_same(got, want, step_major=0):
-        # the first ``step_major`` arrays are innovation histories: indexed
-        # path first, stored step-major; the others are C-contiguous
+    def _assert_same(got, want, written=4):
+        # the first ``written`` arrays are histories the pass stored itself,
+        # step-major; a given noise is kept as given
         for i, (a, b) in enumerate(zip(got[:4], want[:4])):
-            stored = np.moveaxis(a, 0, -1) if i < step_major else a
-            assert stored.flags.c_contiguous and a.shape == b.shape and np.array_equal(a, b)
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert i >= written or _rows_are_contiguous(a)
         assert got[4:] == want[4:]
 
-    @pytest.mark.parametrize("n_steps", [1, STAGE_STEPS - 1, STAGE_STEPS, STAGE_STEPS + 1,
-                                         2 * STAGE_STEPS + 3])
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 35])
     def test_passes_match_the_per_column_loop(self, spec, n_steps):
-        grid, n = _staged_grid(n_steps), 48
+        grid, n = _step_grid(n_steps), 48
         policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x * pi + t)
         controls = np.cos(np.arange(n * n_steps, dtype=np.float64)).reshape(n, n_steps)
         for kwargs in ({"policy": policy}, {"controls": controls}, {}):
@@ -508,7 +507,7 @@ class TestStagedObserverPass:
             want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
                                              kwargs.get("controls"), drawn)
             self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
-                               ip.max_excursion), want, step_major=4)
+                               ip.max_excursion), want)
 
         # hot innovation noise, so clamps are counted too; dnu is the override itself
         dnu = np.random.default_rng(n_steps).normal(0.0, 1.5 * math.sqrt(grid.dt), (n, n_steps))
@@ -516,11 +515,11 @@ class TestStagedObserverPass:
         assert ip.dnu is dnu
         self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
                            ip.max_excursion),
-                          _observer_pass_per_column(spec, grid, policy, None, dnu), step_major=3)
+                          _observer_pass_per_column(spec, grid, policy, None, dnu), written=3)
 
-    @pytest.mark.parametrize("step", [STAGE_STEPS // 2, STAGE_STEPS + 5])
-    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
-        grid, n = _staged_grid(2 * STAGE_STEPS + 3), 6
+    @pytest.mark.parametrize("step", [8, 21])
+    def test_mid_pass_failures_raise_the_per_column_errors(self, spec, step):
+        grid, n = _step_grid(35), 6
         controls = np.zeros((n, grid.n_steps))
         controls[3, step] = np.nan
         blow_up = np.zeros((n, grid.n_steps))
@@ -538,18 +537,17 @@ class TestStagedObserverPass:
              lambda: coupled_forward(spec, grid, n, 0, controls=controls),
              lambda: _observer_pass_per_column(spec, grid, None, controls, dW, alpha)),
         ]
-        for error, match, staged, per_column in cases:
+        for error, match, by_rows, per_column in cases:
             with pytest.raises(error, match=match) as want:
                 per_column()
             with pytest.raises(error, match=match) as got:
-                staged()
+                by_rows()
             assert str(got.value) == str(want.value)
 
 
 class TestHistoryLayout:
-    """Innovation passes store their histories step-major, so that every
-    step's row ``[:, k]`` is contiguous; the coupled pass and
-    simulate_state stay C-contiguous."""
+    """Every forward pass stores its histories step-major, so that every
+    step's row ``[:, k]`` is contiguous."""
 
     def test_innovation_histories_keep_their_shapes_with_contiguous_rows(self, spec):
         grid, n = TimeGrid(1.0, 30), 64
@@ -574,11 +572,37 @@ class TestHistoryLayout:
         assert np.array_equal(transformed_cost_paths(spec, grid, ip.states, ip.probs, ip.controls),
                               transformed_cost_paths(spec, grid, *copies))
 
-    def test_coupled_and_simulated_histories_stay_c_contiguous(self, spec):
+    def test_coupled_and_simulated_histories_have_contiguous_rows(self, spec):
         grid = TimeGrid(1.0, 30)
         cp = coupled_forward(spec, grid, 64, 2, policy=zero_policy())
         bundle = simulate_state(spec, grid, 64, 2)
         for a in (cp.bundle.states, cp.bundle.regimes, cp.bundle.controls, cp.bundle.noise,
                   cp.filter_path.probs, cp.filter_path.nu_increments,
                   bundle.states, bundle.regimes, bundle.controls, bundle.noise):
-            assert a.flags.c_contiguous
+            assert _rows_are_contiguous(a)
+
+    def test_replayed_histories_have_contiguous_rows(self, spec):
+        grid = TimeGrid(0.3, 30)  # dt = 0.01, as the oracle needs
+        cp = coupled_forward(spec, grid, 64, 2, policy=zero_policy())
+        states, controls = cp.bundle.states.copy(), cp.bundle.controls.copy()  # path-major
+        zakai = run_zakai_filter(spec, grid, states, controls)
+        normalized = run_normalized_filter(spec, grid, states, controls)
+        for a in (zakai.probs, zakai.V, zakai.nu_increments, normalized.probs,
+                  normalized.nu_increments, discrete_bayes_oracle(spec, grid, states, controls)):
+            assert _rows_are_contiguous(a)
+
+    def test_innovation_qv_sums_each_path_in_path_order(self, coupled):
+        # on a step-major history the plain per-path sum adds in another
+        # order and rounds apart; the quadratic variation is the path-major sum
+        _, cp = coupled
+        nu = cp.filter_path.nu_increments
+        assert _rows_are_contiguous(nu)
+        before = nu.copy()
+        want = np.sum(np.ascontiguousarray(nu)**2, axis=1)
+        assert not np.array_equal(np.sum(nu**2, axis=1), want)
+        assert np.array_equal(cp.filter_path.innovation_qv(), want)
+        assert np.array_equal(nu, before)  # squared in a copy
+        # a path-major history is squared in a copy too
+        fp = FilterPath(grid=cp.filter_path.grid, probs=cp.filter_path.probs,
+                        nu_increments=before)
+        assert np.array_equal(fp.innovation_qv(), want) and np.array_equal(before, nu)
