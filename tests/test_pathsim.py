@@ -28,7 +28,6 @@ from hybridmp.pathsim import (
     TAG_CHAIN,
     TAG_NOISE,
     control_at,
-    draw_drivers,
     draw_normals,
     draw_uniforms,
     drift_table,
@@ -349,8 +348,12 @@ class TestKernelExactness:
 
 def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=None, dW=None):
     """simulate_state's loop on path-major histories: a strided column of
-    each history array per step."""
-    alpha, dW = draw_drivers(spec, grid, n_paths, seed, dW=dW)
+    each history array per step, with drivers drawn path by path from fresh
+    streams."""
+    alpha = _chain_by_fresh_streams(spec.generator, grid, n_paths, seed, pi0=spec.pi0)
+    if dW is None:
+        dW = np.sqrt(grid.dt) * np.stack([path_rng(seed, i, TAG_NOISE).standard_normal(
+            grid.n_steps) for i in range(n_paths)])
     x = np.full(n_paths, spec.x0)
     states = np.empty((n_paths, grid.n_steps + 1))
     states[:, 0] = x
@@ -384,9 +387,36 @@ def _step_grid(n_steps):
     return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
 
 
-class TestStepLoops:
+class TestStagedSteps:
     """The step loops read and write each step's row of step-major
-    histories; every output is the per-column loop's, bit for bit."""
+    histories, drawn through buffers of ``DRAW_ROWS`` paths; every output
+    is the per-column loop's, bit for bit."""
+
+    @pytest.fixture(autouse=True, params=[16, pathsim.DRAW_ROWS], ids=["rows16", "rows-default"])
+    def draw_rows(self, request, monkeypatch):
+        # 16 paths per draw buffer splits every ensemble here into several copies
+        monkeypatch.setattr(pathsim, "DRAW_ROWS", request.param)
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    def test_rows_are_the_columns_and_writes_land(self, n_steps):
+        # row k of a drawn or allocated history is its column k, contiguous,
+        # and a write to it lands in that column
+        a = draw_normals(n_steps, range(37), TAG_NOISE, n_steps + 1)
+        want = np.stack([path_rng(n_steps, i, TAG_NOISE).standard_normal(n_steps + 1)
+                         for i in range(37)])
+        b = np.random.default_rng(n_steps).integers(0, 9, size=(37, n_steps, 3))
+        out = history(37, n_steps + 1)
+        out[:, 0] = np.nan
+        out3 = history(37, n_steps, 3, dtype=np.int64)
+        for k in range(n_steps):
+            row, row3 = np.moveaxis(a[:, k], 0, -1), np.moveaxis(out3[:, k], 0, -1)
+            assert row.flags.c_contiguous and row3.flags.c_contiguous and row3.shape == (3, 37)
+            assert np.array_equal(a[:, k], want[:, k])
+            out[:, k + 1] = a[:, k] * 2.0
+            out3[:, k] = b[:, k] + 1
+        assert np.array_equal(out[:, 1:], want[:, :-1] * 2.0) and np.isnan(out[:, 0]).all()
+        assert np.array_equal(out3, b + 1)
+        assert _rows_are_contiguous(out) and _rows_are_contiguous(out3)
 
     @pytest.mark.parametrize("n_steps", STEP_COUNTS)
     def test_simulate_state_and_costs_match_the_per_column_loops(self, spec, n_steps):
@@ -407,7 +437,7 @@ class TestStepLoops:
                               _cost_per_column(spec, grid, states, used, probs))
 
     @pytest.mark.parametrize("step", [8, 21])
-    def test_mid_pass_failures_raise_the_per_column_errors(self, spec, step):
+    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
         grid = _step_grid(35)
         dW = np.zeros((6, grid.n_steps))
         dW[4, step] = 1e12

@@ -19,14 +19,16 @@ from hybridmp import (
     simulate_state,
     zero_policy,
 )
+from hybridmp import pathsim
 from hybridmp.model import eval_sigma
 from hybridmp.pathsim import (
     TAG_INNOVATION,
-    brownian_increments,
+    TAG_NOISE,
     control_at,
     draw_drivers,
     drift_table,
     euler_step,
+    path_rng,
 )
 from hybridmp.wonham import (
     BREAKDOWN_TOL,
@@ -474,9 +476,21 @@ def _step_grid(n_steps):
     return TimeGrid(0.01 * n_steps, n_steps)  # dt = 0.01 keeps the chain check quiet
 
 
-class TestObserverPassLoop:
+def _normals_by_fresh_streams(seed, grid, n_paths, tag, path_offset=0):
+    """Increments drawn path by path, each from a fresh stream."""
+    return np.sqrt(grid.dt) * np.stack([path_rng(seed, i, tag).standard_normal(grid.n_steps)
+                                        for i in range(path_offset, path_offset + n_paths)])
+
+
+class TestStagedObserverPass:
     """The coupled and innovation passes read and write each step's row of
-    step-major histories; every output is the per-column loop's, bit for bit."""
+    step-major histories, drawn through buffers of ``DRAW_ROWS`` paths;
+    every output is the per-column loop's, bit for bit."""
+
+    @pytest.fixture(autouse=True, params=[16, pathsim.DRAW_ROWS], ids=["rows16", "rows-default"])
+    def draw_rows(self, request, monkeypatch):
+        # 16 paths per draw buffer splits every ensemble here into several copies
+        monkeypatch.setattr(pathsim, "DRAW_ROWS", request.param)
 
     @staticmethod
     def _assert_same(got, want, written=4):
@@ -494,7 +508,8 @@ class TestObserverPassLoop:
         controls = np.cos(np.arange(n * n_steps, dtype=np.float64)).reshape(n, n_steps)
         for kwargs in ({"policy": policy}, {"controls": controls}, {}):
             cp = coupled_forward(spec, grid, n, 9, path_offset=3, **kwargs)
-            alpha, dW = draw_drivers(spec, grid, n, 9, path_offset=3)
+            alpha, _ = draw_drivers(spec, grid, n, 9, path_offset=3)
+            dW = _normals_by_fresh_streams(9, grid, n, TAG_NOISE, 3)
             want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
                                              kwargs.get("controls"), dW, alpha)
             fp = cp.filter_path
@@ -503,7 +518,7 @@ class TestObserverPassLoop:
             assert np.array_equal(cp.bundle.noise, dW) and np.array_equal(cp.bundle.regimes, alpha)
 
             ip = innovation_forward(spec, grid, n, 9, path_offset=3, **kwargs)
-            drawn = brownian_increments(9, grid, n, TAG_INNOVATION, 3)
+            drawn = _normals_by_fresh_streams(9, grid, n, TAG_INNOVATION, 3)
             want = _observer_pass_per_column(spec, grid, kwargs.get("policy"),
                                              kwargs.get("controls"), drawn)
             self._assert_same((ip.states, ip.probs, ip.controls, ip.dnu, ip.clamp_events,
@@ -518,7 +533,7 @@ class TestObserverPassLoop:
                           _observer_pass_per_column(spec, grid, policy, None, dnu), written=3)
 
     @pytest.mark.parametrize("step", [8, 21])
-    def test_mid_pass_failures_raise_the_per_column_errors(self, spec, step):
+    def test_mid_block_failures_raise_the_per_column_errors(self, spec, step):
         grid, n = _step_grid(35), 6
         controls = np.zeros((n, grid.n_steps))
         controls[3, step] = np.nan
