@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Solve the partially observed LQ problem and compare against baselines.
 
-For each seed, prints the Picard trace (with each iteration's step),
+For each seed, prints the Picard trace (with each iteration's step,
+its lattice sup-change and the ensemble change the solver stops on),
 the converged cost with its standard error, the stationarity residual
 relative to the uncontrolled residual, and the fully observed Riccati
 baseline (an information lower bound).  Then prints one summary row
-per seed and exits 1 if any seed fails the lq-solve suite's checks at
-their default tolerances: not converged, stationarity ratio above 1e-2
-or tail regression R^2 below 0.5.  So ``--seed 0 1 2 ...`` is a
+per seed, ending with the median iteration count over the seeds, and
+exits 1 if any seed fails the lq-solve suite's checks at their default
+tolerances: not converged, stationarity ratio above 1e-2 or tail
+regression R^2 below 0.5.  So ``--seed 0 1 2 ...`` is a
 repeatable seed gate for the solver.  A ``--spec`` file that cannot be
 read or is not a valid spec, or a setting the solver rejects, prints the
 error and exits 2.
@@ -16,6 +18,7 @@ error and exits 2.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 
@@ -39,10 +42,11 @@ def _report(lq: LQSpec, grid: TimeGrid, n_paths: int, seed: int, damping: float)
         sol = exc.solution
 
     print(f"{'iter':>4s} {'step':>5s} {'cost':>12s} {'SE':>10s} {'residual':>12s} "
-          f"{'sup-change':>12s}")
+          f"{'sup-change':>12s} {'ensemble-change':>15s}")
     for row in sol.trace:
         print(f"{row['iteration']:4d} {row['step']:5.2f} {row['cost']:12.6f} "
-              f"{row['cost_se']:10.2e} {row['residual']:12.6f} {row['sup_change']:12.6f}")
+              f"{row['cost_se']:10.2e} {row['residual']:12.6f} {row['sup_change']:12.6f} "
+              f"{row['ensemble_change']:15.3e}")
 
     ratio = sol.residual["residual"] / max(sol.trace[0]["residual"], 1e-300)
     print(f"\nconverged: {sol.converged} after {sol.iterations} iterations")
@@ -88,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['ratio']:9.2e} {row['tail_r2']:7.4f} {row['cost']:12.6f}  "
               f"{'pass' if ok else 'FAIL'}")
     print(f"{len(rows) - failed} of {len(rows)} seeds pass")
+    median = statistics.median(row["iterations"] for row in rows)
+    print(f"median iterations over {len(rows)} seeds: {median:g}")
     return 1 if failed else 0
 
 

@@ -414,9 +414,11 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     x_hi = float(np.quantile(solution.path.states, 0.99))
     return metrics, [
         _write_csv(out / "trace.csv",
-                   ["iter", "step", "cost", "SE", "residual", "sup_control_change"],
+                   ["iter", "step", "cost", "SE", "residual", "sup_control_change",
+                    "ensemble_change"],
                    ([row["iteration"], row["step"], row["cost"], row["cost_se"],
-                     row["residual"], row["sup_change"]] for row in solution.trace)),
+                     row["residual"], row["sup_change"], row["ensemble_change"]]
+                    for row in solution.trace)),
         _write_csv(out / "control_surface.csv", ["t", "x", "pi", "u"],
                    _control_surface(solution.policy, grid, x_lo, x_hi)),
     ]

@@ -16,6 +16,7 @@ observed one.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,13 @@ class PiecewisePolyPolicy:
                    x_range=np.zeros((n, 2)), p_range=np.zeros((n, 2)),
                    u_range=np.zeros((n, 2)), control_domain=control_domain)
 
-    def _fit_step(self, k: int, proj: StepProjector, x: Array, p: Array, u: Array) -> None:
+    def _fit_step(self, k: int, proj: StepProjector, x: Array, p: Array, u: Array) -> Array:
         """Row k: the coefficients of ``u`` on ``proj``'s design, its
-        standardization and training envelope, and the fit residual."""
+        standardization and training envelope, and the fit residual.
+
+        Returns the row's feedback on the training paths, which equals
+        ``on_lattice`` at (t_k, x, p): the x and pi clips are no-ops
+        there, so only the output clips apply to the fitted values."""
         beta = proj.coef(u)
         self.coeffs[k] = beta
         self.locs[k] = proj.loc
@@ -140,8 +145,9 @@ class PiecewisePolyPolicy:
         self.p_range[k] = (p.min(), p.max())
         span = float(u.max() - u.min())
         self.u_range[k] = (u.min() - 0.05 * span, u.max() + 0.05 * span)
-        self.fit_max_residual = max(self.fit_max_residual,
-                                    float(np.max(np.abs(proj.A @ beta - u))))
+        fit = proj.A @ beta
+        self.fit_max_residual = max(self.fit_max_residual, float(np.max(np.abs(fit - u))))
+        return np.clip(np.clip(fit, *self.u_range[k]), *self.control_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +239,31 @@ def solve_lq(
     compared on common randomness), solve the adjoint equation backward,
     take the stationary control from the sweep's dH/dv, move the
     previous controls a fraction ``step`` of the way toward it, refit
-    the per-step polynomial feedback, and stop once the sup-change of
-    the feedback surface over a (t, x, pi) quantile lattice falls below
-    ``tol * max(1, control scale)``.
+    the per-step polynomial feedback, and stop once the feedback's RMS
+    change on this iteration's own paths,
 
-    The step is safeguarded.  The first iteration takes ``damping``.
-    Since the policy moves about ``step`` times its undamped change,
-    ``sup-change / step`` estimates that undamped change; the next step
-    is 1.0 if this estimate fell below the previous iteration's (the
-    first one always does) and ``damping`` otherwise.  The step never
-    goes below ``damping``, so the stopping test is never looser than
-    with a fixed ``damping``, and the fixed point is the same.
-    ``damping=1.0`` is plain Picard.  Each trace row records its step.
+        d = sqrt(E sum_k |u~_k - u_k|^2 dt)  <=  tol * max(1, |u~|),
+
+    where u_k is what the old policy did on the paths, u~_k is the
+    candidate's value on the same paths and |u~| = sqrt(E sum_k u~_k^2 dt)
+    is the candidate's size in the same norm.  Regression error sets
+    the useful tolerance, and it is measured where the paths live;
+    a sup over the horizon instead peaks at the earliest steps, where
+    the ensemble has barely spread and the fits are least constrained.
+    Each trace row records d (``ensemble_change``) and |u~|
+    (``ensemble_norm``).
+
+    The step is safeguarded.  Its input is the sup-change of the
+    feedback over a (t, x, pi) quantile lattice (``_policy_sup_change``),
+    which each trace row also records as a diagnostic.  The first
+    iteration takes ``damping``.  Since the policy moves about ``step``
+    times its undamped change, ``sup-change / step`` estimates that
+    undamped change; the next step is 1.0 if this estimate fell below
+    the previous iteration's (the first one always does) and
+    ``damping`` otherwise.  The step never goes below ``damping``, so
+    the stopping test is never looser than with a fixed ``damping``, and
+    the fixed point is the same.  ``damping=1.0`` is plain Picard.  Each
+    trace row records its step.
 
     Raises ``NonConvergence`` (carrying the best iterate in
     ``exc.solution``) if ``max_iter`` passes without meeting the
@@ -280,18 +299,24 @@ def solve_lq(
         candidate = PiecewisePolyPolicy._blank(grid, basis.degree, spec.control_domain)
         # The stationary control, the damped update and the policy row of
         # step k all regress on node-k information, so they run inside
-        # the backward sweep on that step's projector.
+        # the backward sweep on that step's projector.  The candidate row's
+        # values on the paths, which ``_fit_step`` returns, feed the sums
+        # of squares behind the stopping test.
+        moved = size = 0.0
         for k, proj, adj in backward_sweep(spec, path, basis, coeffs):
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
             u_new = (1.0 - step) * u_prev[:, k] + step * u_star
-            candidate._fit_step(k, proj, x, p, u_new)
+            u_fit = candidate._fit_step(k, proj, x, p, u_new)
+            delta = u_fit - u_prev[:, k]
+            moved += float(delta @ delta)
+            size += float(u_fit @ u_fit)
         residual = stationarity_report(spec, path, adj)["residual"]
+        ensemble_change = math.sqrt(moved * grid.dt / n_paths)
+        ensemble_norm = math.sqrt(size * grid.dt / n_paths)
 
-        change, u_scale, at = _policy_sup_change(
-            grid, policy, candidate, path.states, path.probs)
-        scale = max(1.0, u_scale)
+        change, _, at = _policy_sup_change(grid, policy, candidate, path.states, path.probs)
 
         cost = transformed_cost(spec, grid, path.states, path.probs, u_prev)
         trace.append({
@@ -303,15 +328,18 @@ def solve_lq(
             "residual": residual,
             "fit_residual": candidate.fit_max_residual,
             "r2_min": float(adj.r_squared.min()),
+            "ensemble_change": ensemble_change,
+            "ensemble_norm": ensemble_norm,
         })
-        logger.info("iteration %d: step %.3g, cost %.6f, sup-change %.3g at k=%d (t=%.4g)",
-                    it, step, trace[-1]["cost"], change, at, grid.times[at])
+        logger.info("iteration %d: step %.3g, cost %.6f, ensemble-change %.3g, "
+                    "sup-change %.3g at k=%d (t=%.4g)", it, step, trace[-1]["cost"],
+                    ensemble_change, change, at, grid.times[at])
         # Free this iteration's ensemble and adjoint before the next
         # forward pass and sweep allocate theirs.
         del path, adj
 
         policy = candidate
-        if tol > 0.0 and change <= tol * scale:
+        if tol > 0.0 and ensemble_change <= tol * max(1.0, ensemble_norm):
             converged = True
             break
         # The safeguarded step of the docstring: change / step is the
@@ -328,9 +356,11 @@ def solve_lq(
         converged=converged, path=path, adjoint=adj, trace=trace,
     )
     if not converged:
+        last = trace[-1]
         raise NonConvergence(
-            f"no fixed point after {max_iter} iterations "
-            f"(last sup-change {trace[-1]['sup_change']:.3g})",
+            f"no fixed point after {max_iter} iterations (last ensemble change "
+            f"{last['ensemble_change']:.3g}, threshold "
+            f"{tol * max(1.0, last['ensemble_norm']):.3g})",
             solution=solution,
         )
     return solution

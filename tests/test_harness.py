@@ -291,7 +291,7 @@ class TestRunSuite:
             "converged", "cost_mean", "stationarity_ratio",
             "bsde_tail_r2_min"}
         trace = (out / "trace.csv").read_text().strip().splitlines()
-        assert trace[0] == "iter,step,cost,SE,residual,sup_control_change"
+        assert trace[0] == "iter,step,cost,SE,residual,sup_control_change,ensemble_change"
         assert len(trace) >= 2
         assert (out / "control_surface.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())

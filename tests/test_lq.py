@@ -143,6 +143,27 @@ class TestPiecewisePolicy:
         lo, hi = policy.u_range[0]
         assert lo <= far[0] <= hi
 
+    @pytest.mark.parametrize("domain", [(-np.inf, np.inf), (-0.5, 0.5)],
+                             ids=["unbounded", "bounded"])
+    def test_fit_step_returns_the_policy_on_its_paths(self, lq, domain):
+        # what _fit_step returns is on_lattice on the training paths, bit
+        # for bit; the cubic fit of a step target overshoots the widened
+        # target range, so the u_range clip acts
+        grid = TimeGrid(1.0, 50)
+        spec = lq.to_problem_spec()
+        path = innovation_forward(spec, grid, 300, 3, policy=zero_policy(spec.control_domain))
+        policy = PiecewisePolyPolicy._blank(grid, 3, domain)
+        clipped = 0
+        for k in range(grid.n_steps):
+            x, p = path.states[:, k], path.probs[:, k, 0]
+            proj = StepProjector.on_basis(PolyBasis(3), x, p)
+            got = policy._fit_step(k, proj, x, p, np.where(x > np.median(x), 1.0, -1.0))
+            assert np.array_equal(got, policy.on_lattice([grid.times[k]], x[None], p[None])[0]), k
+            fit = proj.A @ policy.coeffs[k]
+            lo, hi = policy.u_range[k]
+            clipped += np.count_nonzero((fit < lo) | (fit > hi))
+        assert clipped > 0
+
     def test_collinear_design_uses_the_sweeps_rank_rule(self, rng):
         grid, states, probs, controls = _collinear_case(rng)
         policy = PiecewisePolyPolicy.fit(grid, states, probs, controls)
@@ -258,11 +279,30 @@ class TestSolveLq:
 
     def test_trace_row_contract(self, solved):
         _, sol = solved
-        assert sorted(sol.trace[0]) == ["cost", "cost_se", "fit_residual",
+        assert sorted(sol.trace[0]) == ["cost", "cost_se", "ensemble_change",
+                                        "ensemble_norm", "fit_residual",
                                         "iteration", "r2_min", "residual",
                                         "step", "sup_change"]
         assert [row["iteration"] for row in sol.trace] == \
             list(range(1, len(sol.trace) + 1))
+
+    def test_ensemble_stop_converges_in_at_most_9_iterations(self, solved):
+        # stopping on the lattice sup-change takes 16 iterations here
+        _, sol = solved
+        assert sol.converged
+        assert sol.iterations <= 9
+
+    def test_stops_at_the_first_small_ensemble_change(self, lq, solved):
+        # tol only decides where the loop stops, so the default solve's
+        # trace is the tol=0 trace cut at the first row whose ensemble
+        # change is within tol * max(1, ensemble norm)
+        grid, sol = solved
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, grid, n_paths=1024, seed=3, tol=0.0, max_iter=16)
+        full = exc.value.solution.trace
+        stop = next(i for i, row in enumerate(full)
+                    if row["ensemble_change"] <= 1e-3 * max(1.0, row["ensemble_norm"]))
+        assert sol.trace == full[:stop + 1]
 
     def test_safeguarded_step_converges_in_at_most_17_iterations(self, solved):
         # a fixed step of 0.5 takes 21 iterations here
@@ -318,6 +358,15 @@ class TestSolveLq:
         assert not sol.converged
         assert sol.iterations == 2
         assert len(sol.trace) == 2
+
+    def test_nonconvergence_names_the_ensemble_change_and_threshold(self, lq):
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, TimeGrid(1.0, 20), n_paths=200, seed=5, tol=1e-4, max_iter=2)
+        last = exc.value.solution.trace[-1]
+        assert str(exc.value) == (
+            f"no fixed point after 2 iterations (last ensemble change "
+            f"{last['ensemble_change']:.3g}, threshold "
+            f"{1e-4 * max(1.0, last['ensemble_norm']):.3g})")
 
     def test_each_iteration_factors_each_step_once(self, lq, monkeypatch):
         # one SVD per backward step per iteration, plus the certificate
@@ -435,13 +484,14 @@ class TestSolveLq:
         lines = [r.getMessage() for r in caplog.records if r.name == "hybridmp.lq"]
         assert len(lines) == 2
         for line, row in zip(lines, exc.value.solution.trace):
-            found = re.fullmatch(r"iteration (\d+): step \S+, cost \S+, sup-change (\S+) "
-                                 r"at k=(\d+) \(t=(\S+)\)", line)
+            found = re.fullmatch(r"iteration (\d+): step \S+, cost \S+, ensemble-change (\S+), "
+                                 r"sup-change (\S+) at k=(\d+) \(t=(\S+)\)", line)
             assert found, line
             assert int(found[1]) == row["iteration"]
-            assert float(found[2]) == float(f"{row['sup_change']:.3g}")
-            k = int(found[3])
-            assert 0 <= k < grid.n_steps and float(found[4]) == float(f"{grid.times[k]:.4g}")
+            assert float(found[2]) == float(f"{row['ensemble_change']:.3g}")
+            assert float(found[3]) == float(f"{row['sup_change']:.3g}")
+            k = int(found[4])
+            assert 0 <= k < grid.n_steps and float(found[5]) == float(f"{grid.times[k]:.4g}")
 
         # iteration 1 moves away from the zero policy on the zero-policy
         # pass, so its step is the lattice row where the first fit peaks

@@ -20,7 +20,8 @@ def test_lq_experiment_prints_trace_and_verdict(capsys):
     code = _load("lq_experiment").main(["--n-steps", "20", "--n-paths", "300"])
     assert code in (0, 1)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["iter", "step", "cost", "SE", "residual", "sup-change"]
+    assert lines[0].split() == ["iter", "step", "cost", "SE", "residual", "sup-change",
+                                "ensemble-change"]
     assert any(line.startswith("converged: ") for line in lines)
 
 
@@ -43,11 +44,14 @@ def test_lq_experiment_gates_every_seed(capsys):
     passed = sum(row[-1] == "pass" for row in rows)
     assert lines[at + 3] == f"{passed} of 2 seeds pass"
     assert code == (0 if passed == 2 else 1)
+    # the summary ends with the median of the rows' iteration counts
+    median = (int(rows[0][1]) + int(rows[1][1])) / 2
+    assert lines[at + 4:] == [f"median iterations over 2 seeds: {median:g}"]
 
     # a ratio bound nothing meets fails every seed
     module.MAX_RATIO = 0.0
     assert module.main(argv) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 seeds pass"
+    assert capsys.readouterr().out.splitlines()[-2] == "0 of 2 seeds pass"
 
 
 def test_lq_experiment_exits_2_on_bad_input(tmp_path, capsys):
