@@ -1,5 +1,5 @@
 """Simulation, filtering, adjoint analysis and control of diffusions
-modulated by a hidden finite-state Markov chain."""
+modulated by a hidden two-state Markov chain."""
 
 import types
 

@@ -46,11 +46,6 @@ class CompactCoeffs:
     """
 
     def __init__(self, spec: ProblemSpec):
-        if spec.n_regimes != 2:
-            raise ConfigError(
-                "the compact observable form needs exactly two regimes, "
-                f"got {spec.n_regimes}"
-            )
         self.spec = spec
         self.analytic = spec.lq is not None
 

@@ -60,14 +60,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig.from_file(
             args.config, seed=args.seed, workers=args.workers, out=args.out
         )
-    except HybridMPError as exc:
+        code = run_suite(cfg)
+    except (HybridMPError, OSError) as exc:  # run_suite raises only if error.json is unwritable
         out = args.out if args.out is not None else os.environ.get(ENV_PREFIX + "OUT")
         with contextlib.suppress(HybridMPError):  # else the config's own out, if it reads
             out = read_json_object(Path(args.config), "config").get("out") if out is None else out
-        write_error(out if isinstance(out, str) else "results", exc)
+        out = out if isinstance(out, str) else "results"
+        if not write_error(out, exc):
+            print(f"error: cannot write {out}/error.json", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code = run_suite(cfg)
     if code == 2:
         print(f"error recorded in {cfg.out_dir}/error.json", file=sys.stderr)
     else:

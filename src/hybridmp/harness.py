@@ -477,14 +477,22 @@ SUITES = {
 # ---------------------------------------------------------------------------
 
 
-def write_error(out_dir: str, exc: Exception) -> None:
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    _write_json(Path(out_dir) / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+def write_error(out_dir: str, exc: Exception) -> bool:
+    """Record ``exc`` in ``out_dir``/error.json; False if that cannot be written."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        _write_json(Path(out_dir) / "error.json",
+                    {"error": type(exc).__name__, "message": str(exc)})
+    except OSError:
+        return False
+    return True
 
 
 def run_suite(cfg: ExperimentConfig) -> int:
     """Execute the configured suite; 0 all metrics pass, 1 any fail,
-    2 on configuration or spec errors (error.json written)."""
+    2 on configuration or spec errors or an unwritable output file
+    (error.json written).  If error.json cannot be written either, the
+    error is raised."""
     out = Path(cfg.out_dir)
     runner, metric_names = SUITES[cfg.suite]
     try:
@@ -498,8 +506,9 @@ def run_suite(cfg: ExperimentConfig) -> int:
                               + "; ".join(problems))
         out.mkdir(parents=True, exist_ok=True)
         metrics, files, *extra = runner(cfg, out)
-    except HybridMPError as exc:
-        write_error(cfg.out_dir, exc)
+    except (HybridMPError, OSError) as exc:
+        if not write_error(cfg.out_dir, exc):
+            raise
         return 2
 
     all_pass = all(m["pass"] for m in metrics.values())

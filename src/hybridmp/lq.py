@@ -201,7 +201,7 @@ def _policy_sup_change(
     new_policy,
     states: Array,
     probs: Array,
-) -> tuple[float, float]:
+) -> tuple[float, int]:
     """Sup difference of two feedback maps over a (t, x, pi) lattice.
 
     The lattice is conditional (``_quantile_lattice``): x points are
@@ -211,15 +211,12 @@ def _policy_sup_change(
     manifold where neither fit is constrained; the conditional lattice
     keeps every probe where paths actually live.  Both policies are
     evaluated on the whole lattice through ``on_lattice``.  Returns
-    (sup |new - old|, sup |new|, the step whose lattice row attains the
-    first of them).
+    (sup |new - old|, the step whose lattice row attains it).
     """
     X, P = _quantile_lattice(states, probs, grid.n_steps)
     times = grid.times[:grid.n_steps]
-    u_new = new_policy.on_lattice(times, X, P)
-    diff = np.abs(u_new - old_policy.on_lattice(times, X, P))
-    return (float(np.max(diff)), float(np.max(np.abs(u_new))),
-            int(np.argmax(diff)) // diff.shape[1])
+    diff = np.abs(new_policy.on_lattice(times, X, P) - old_policy.on_lattice(times, X, P))
+    return float(np.max(diff)), int(np.argmax(diff)) // diff.shape[1]
 
 
 def solve_lq(
@@ -316,7 +313,7 @@ def solve_lq(
         ensemble_change = math.sqrt(moved * grid.dt / n_paths)
         ensemble_norm = math.sqrt(size * grid.dt / n_paths)
 
-        change, _, at = _policy_sup_change(grid, policy, candidate, path.states, path.probs)
+        change, at = _policy_sup_change(grid, policy, candidate, path.states, path.probs)
 
         cost = transformed_cost(spec, grid, path.states, path.probs, u_prev)
         trace.append({

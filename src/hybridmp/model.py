@@ -1,7 +1,7 @@
 """Problem definition: coefficients, costs, regime generator, admissibility.
 
 A control problem is a diffusion whose drift, running cost and terminal
-cost switch with a hidden finite-state Markov chain:
+cost switch with a hidden two-state Markov chain:
 
     dX_t = b(t, X_t, alpha_t, v_t) dt + sigma(t, X_t, v_t) dW_t
     J(v) = E[ integral_0^T f(t, X_t, alpha_t, v_t) dt + g(X_T, alpha_T) ]
@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .errors import ConfigError, DomainError
 
@@ -58,77 +57,48 @@ def central_diff(fn: Callable, x):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Rate matrix of the modulating chain.
+    """Switching rates of the hidden two-state chain.
 
-    Rows sum to zero and off-diagonal entries are non-negative.  Rates of
-    zero are accepted (a frozen chain is the natural degenerate test
-    case), although the fully ergodic two-state model has both rates
-    strictly positive.
+    ``lambda1`` is the rate of the switch 1 -> 2 and ``lambda2`` that of
+    2 -> 1.  Rates of zero are accepted (a frozen chain is the natural
+    degenerate test case), although the fully ergodic model has both
+    rates strictly positive.
     """
 
-    rates: tuple[tuple[float, ...], ...]
+    lambda1: float
+    lambda2: float
 
     def __post_init__(self):
-        q = np.asarray(self.rates, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
-            raise ConfigError(f"rate matrix must be square, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ConfigError("rates must be finite")
-        off = q.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
-            raise ConfigError("off-diagonal rates must be non-negative")
-        scale = max(1.0, float(np.abs(q).max()))
-        if np.any(np.abs(q.sum(axis=1)) > 1e-10 * scale):
-            raise ConfigError("rate matrix rows must sum to zero")
-        object.__setattr__(self, "rates", tuple(tuple(float(v) for v in row) for row in q))
-
-    @classmethod
-    def two_state(cls, lambda1: float, lambda2: float) -> "GeneratorSpec":
-        """Two-state generator with rate ``lambda1`` for 1->2 and ``lambda2`` for 2->1."""
-        if lambda1 < 0 or lambda2 < 0:
-            raise ConfigError("switching rates must be non-negative")
-        return cls(((-lambda1, lambda1), (lambda2, -lambda2)))
+        for name in ("lambda1", "lambda2"):
+            rate = float(getattr(self, name))
+            if not math.isfinite(rate):
+                raise ConfigError(f"{name} must be finite, got {rate}")
+            if rate < 0:
+                raise ConfigError("switching rates must be non-negative")
+            object.__setattr__(self, name, rate)
 
     @property
     def matrix(self) -> Array:
-        return np.asarray(self.rates, dtype=np.float64)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.rates)
-
-    @property
-    def lambda1(self) -> float:
-        if self.n_states != 2:
-            raise ConfigError("lambda1 is defined for two-state generators only")
-        return self.rates[0][1]
-
-    @property
-    def lambda2(self) -> float:
-        if self.n_states != 2:
-            raise ConfigError("lambda2 is defined for two-state generators only")
-        return self.rates[1][0]
+        """The rate matrix Q; its rows sum to zero."""
+        return np.array([[-self.lambda1, self.lambda1], [self.lambda2, -self.lambda2]])
 
     @property
     def max_exit_rate(self) -> float:
-        return float(np.max(-np.diag(self.matrix)))
+        return max(self.lambda1, self.lambda2)
 
     def transition_matrix(self, dt: float) -> Array:
-        """exp(Q*dt); closed form for two states, scipy ``expm`` otherwise."""
-        if self.n_states == 2:
-            lam = self.lambda1 + self.lambda2
-            if lam == 0.0:
-                return np.eye(2)
-            s = self.lambda2 / lam
-            e = math.exp(-lam * dt)
-            return np.array(
-                [
-                    [s + (1.0 - s) * e, (1.0 - s) * (1.0 - e)],
-                    [s * (1.0 - e), (1.0 - s) + s * e],
-                ]
-            )
-        return expm(self.matrix * dt)
+        """exp(Q*dt), in closed form."""
+        lam = self.lambda1 + self.lambda2
+        if lam == 0.0:
+            return np.eye(2)
+        s = self.lambda2 / lam
+        e = math.exp(-lam * dt)
+        return np.array(
+            [
+                [s + (1.0 - s) * e, (1.0 - s) * (1.0 - e)],
+                [s * (1.0 - e), (1.0 - s) + s * e],
+            ]
+        )
 
     def marginal(self, p0, t: float) -> Array:
         """Chain marginal law at time t from the initial distribution ``p0``."""
@@ -191,7 +161,7 @@ class LQSpec:
             raise ConfigError("pi0 must lie in [0, 1]")
 
     def generator(self) -> GeneratorSpec:
-        return GeneratorSpec.two_state(self.lambda1, self.lambda2)
+        return GeneratorSpec(self.lambda1, self.lambda2)
 
     def to_problem_spec(self) -> "ProblemSpec":
         a, b = self.a, self.b
@@ -282,8 +252,8 @@ class ProblemSpec:
     """Full control problem: coefficients, costs, generator, admissibility.
 
     Coefficient callables must be pure and broadcast over numpy arrays in
-    their ``x`` and ``v`` arguments (``t`` scalar, regime label ``i`` a
-    plain integer in 1..d).  All types here are immutable and safe to
+    their ``x`` and ``v`` arguments (``t`` scalar, regime label ``i`` the
+    plain integer 1 or 2).  All types here are immutable and safe to
     share across workers.
 
     Parameters
@@ -292,11 +262,11 @@ class ProblemSpec:
         Terminal time T > 0.
     x0 : float
         Initial diffusion state.
-    pi0 : tuple of float
-        Initial regime distribution (any point of the simplex; a vertex
-        encodes a known initial regime).
+    pi0 : (float, float)
+        Initial regime distribution, a probability pair (a vertex encodes
+        a known initial regime).
     generator : GeneratorSpec
-        Rate matrix of the hidden chain.
+        Switching rates of the hidden chain.
     drift, vol, running_cost, terminal_cost : callables
         b(t, x, i, v), sigma(t, x, v), f(t, x, i, v), g(x, i).
     control_domain : (float, float)
@@ -309,7 +279,7 @@ class ProblemSpec:
 
     horizon: float
     x0: float
-    pi0: tuple[float, ...]
+    pi0: tuple[float, float]
     generator: GeneratorSpec
     drift: Callable
     vol: Callable
@@ -322,18 +292,14 @@ class ProblemSpec:
         if not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be positive and finite")
         pi0 = np.asarray(self.pi0, dtype=np.float64)
-        if pi0.ndim != 1 or len(pi0) != self.generator.n_states:
-            raise ConfigError("pi0 length must match the number of regimes")
-        if np.any(pi0 < 0) or abs(pi0.sum() - 1.0) > 1e-10:
-            raise ConfigError("pi0 must be a probability vector")
+        if pi0.shape != (2,) or not (np.all(pi0 >= 0) and abs(pi0.sum() - 1.0) <= 1e-10):
+            raise ConfigError("pi0 must be a probability pair")
         object.__setattr__(self, "pi0", tuple(float(p) for p in pi0 / pi0.sum()))
         lo, hi = self.control_domain
         if not lo < hi:
             raise ConfigError("control_domain must be a non-degenerate interval")
 
-    @property
-    def n_regimes(self) -> int:
-        return self.generator.n_states
+    n_regimes = 2  # the shape of every per-regime table
 
     def clamp_control(self, u):
         lo, hi = self.control_domain

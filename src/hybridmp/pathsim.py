@@ -114,7 +114,7 @@ class PathBundle:
     """Simulated ensemble on a common grid.
 
     ``states`` has shape (n_paths, N+1); ``regimes`` the hidden chain as
-    integer labels 1..d (same shape); ``controls`` and ``noise`` are the
+    integer labels 1 or 2 (same shape); ``controls`` and ``noise`` are the
     per-step values, shape (n_paths, N).  Drawn and simulated histories
     are stored step-major (see ``history``).
     """
@@ -157,21 +157,17 @@ def simulate_chain(
     The initial regime is drawn from ``pi0``; a vertex of the simplex
     fixes it.  Node-to-node moves use the exact transition kernel
     exp(Q*dt), so the node marginals carry no discretization error.  The
-    step constraint dt * max_i(-q_ii) < 0.5 guards against grids so
-    coarse that multiple switches per step dominate.
+    step constraint dt * max(lambda1, lambda2) < 0.5 guards against grids
+    so coarse that multiple switches per step dominate.
 
     One uniform per node is consumed from the path's chain stream, the
     first for the initial regime, so the transition draws do not depend
     on ``pi0``.
     """
-    q = generator
-    if grid.dt * q.max_exit_rate >= 0.5:
-        raise ConfigError(
-            f"grid too coarse for the chain: dt*max_rate = "
-            f"{grid.dt * q.max_exit_rate:.3g} >= 0.5"
-        )
-    P = q.transition_matrix(grid.dt)
-    cdf = np.cumsum(P, axis=1)
+    rate = grid.dt * generator.max_exit_rate
+    if rate >= 0.5:
+        raise ConfigError(f"grid too coarse for the chain: dt*max_rate = {rate:.3g} >= 0.5")
+    cdf = np.cumsum(generator.transition_matrix(grid.dt), axis=1)
 
     indices = range(path_offset, path_offset + n_paths)
     u = draw_uniforms(seed, indices, TAG_CHAIN, grid.n_steps + 1)
@@ -179,15 +175,10 @@ def simulate_chain(
     alpha = history(n_paths, grid.n_steps + 1, dtype=np.int64)
     pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
     alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
-    np.clip(alpha[:, 0], 0, q.n_states - 1, out=alpha[:, 0])
-    # successor[s, k, p]: the state that path p moves to at node k from
-    # state s, i.e. the count of cdf[s, j] <= u[p, k], capped at d - 1
-    successor = np.zeros((q.n_states, grid.n_steps + 1, n_paths),
-                         dtype=np.min_scalar_type(q.n_states))
-    for s, row_cdf in enumerate(cdf):
-        for c in row_cdf:
-            successor[s] += u.T >= c
-    np.minimum(successor, q.n_states - 1, out=successor)
+    np.clip(alpha[:, 0], 0, 1, out=alpha[:, 0])
+    # successor[s, k, p]: the state (0 or 1) that path p moves to at node
+    # k from state s, i.e. whether cdf[s, 0] <= u[p, k]
+    successor = u.T >= cdf[:, :1, None]
     rows = np.arange(n_paths)
     for k in range(grid.n_steps):
         alpha[:, k + 1] = successor[alpha[:, k], k + 1, rows]

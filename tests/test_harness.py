@@ -429,6 +429,22 @@ class TestCli:
         assert main(["run", "--config", "cfg.json"]) == 2
         assert (tmp_path / "results" / "error.json").exists()
 
+    @pytest.mark.parametrize("config", ["good", "unreadable", "spec-violation"])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, config):
+        # --out under a regular file: no error.json can be written, so the
+        # error goes to stderr with the directory it could not write
+        (tmp_path / "F").write_text("", encoding="utf-8")
+        out = tmp_path / "F" / "x"
+        if config == "unreadable":
+            path = tmp_path / "missing.json"
+        else:
+            path = _write_config(tmp_path, **({"spec": dict(DEFAULT_SPEC, a1=1e9)}
+                                              if config == "spec-violation" else {}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}/error.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags, env, overrides", [
         (["--workers", "-3"], {}, {}),
         ([], {"HYBRIDMP_WORKERS": "-1"}, {}),

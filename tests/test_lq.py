@@ -238,8 +238,8 @@ class TestQuantileLattice:
         X, P = _quantile_lattice(states, probs, grid.n_steps)
         U = np.abs(policy.on_lattice(grid.times[:-1], X, P))
         sup, at = float(np.max(U)), int(np.argmax(np.max(U, axis=1)))
-        assert _policy_sup_change(grid, zero_policy(), policy, states, probs) == (sup, sup, at)
-        assert _policy_sup_change(grid, policy, policy, states, probs) == (0.0, sup, 0)
+        assert _policy_sup_change(grid, zero_policy(), policy, states, probs) == (sup, at)
+        assert _policy_sup_change(grid, policy, policy, states, probs) == (0.0, 0)
 
 
 class TestStepProjectorCoef:

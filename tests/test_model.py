@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,46 +33,55 @@ rates = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
 class TestGeneratorSpec:
     def test_two_state_matrix(self):
-        g = GeneratorSpec.two_state(1.0, 2.0)
+        g = GeneratorSpec(1.0, 2.0)
         assert np.allclose(g.matrix, [[-1.0, 1.0], [2.0, -2.0]])
         assert g.lambda1 == 1.0 and g.lambda2 == 2.0
-        assert g.n_states == 2
         assert g.max_exit_rate == 2.0
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ConfigError):
-            GeneratorSpec.two_state(-0.5, 1.0)
-
-    def test_rejects_bad_row_sum(self):
-        with pytest.raises(ConfigError):
-            GeneratorSpec(rates=((-1.0, 0.5), (1.0, -1.0)))
+            GeneratorSpec(-0.5, 1.0)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_rejects_non_finite_rate(self, rate):
         with pytest.raises(ConfigError, match="finite"):
-            GeneratorSpec(rates=((rate, 1.0), (1.0, -1.0)))
+            GeneratorSpec(rate, 1.0)
 
     def test_zero_rates_give_identity_kernel(self):
-        g = GeneratorSpec.two_state(0.0, 0.0)
+        g = GeneratorSpec(0.0, 0.0)
         assert np.allclose(g.transition_matrix(0.3), np.eye(2))
 
     @given(lam1=rates, lam2=rates, dt=st.floats(min_value=1e-6, max_value=0.5))
     def test_kernel_matches_matrix_exponential(self, lam1, lam2, dt):
-        g = GeneratorSpec.two_state(lam1, lam2)
+        g = GeneratorSpec(lam1, lam2)
         P = g.transition_matrix(dt)
         assert np.allclose(P, expm(g.matrix * dt), atol=1e-12)
 
     @given(lam1=rates, lam2=rates, dt=st.floats(min_value=1e-6, max_value=0.5))
     def test_kernel_is_stochastic(self, lam1, lam2, dt):
-        P = GeneratorSpec.two_state(lam1, lam2).transition_matrix(dt)
+        P = GeneratorSpec(lam1, lam2).transition_matrix(dt)
         assert np.all(P >= -1e-15)
         assert np.allclose(P.sum(axis=1), 1.0)
 
     def test_marginal_solves_forward_equation(self):
-        g = GeneratorSpec.two_state(1.5, 0.7)
+        g = GeneratorSpec(1.5, 0.7)
         p0 = np.array([0.3, 0.7])
         t = 0.9
         assert np.allclose(g.marginal(p0, t), p0 @ expm(g.matrix * t))
+
+
+@pytest.mark.parametrize("module", ["hybridmp", "hybridmp.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy is a test-only reference; the package runs on numpy alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestLQSpec:
@@ -128,6 +141,12 @@ class TestProblemSpec:
     def test_pi0_normalized(self, lq):
         p = lq.to_problem_spec()
         assert math.isclose(sum(p.pi0), 1.0)
+
+    @pytest.mark.parametrize("pi0", [(1.0,), (0.5, 0.25, 0.25), (1.5, -0.5), (0.5, 0.6),
+                                     (math.nan, math.nan)])
+    def test_rejects_a_pi0_that_is_not_a_probability_pair(self, spec, pi0):
+        with pytest.raises(ConfigError, match="probability pair"):
+            dataclasses.replace(spec, pi0=pi0)
 
     def test_clamp_control(self, lq):
         bounded = LQSpec(**{**_fields(lq), "control_domain": (-1.0, 1.0)})
