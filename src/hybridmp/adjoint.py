@@ -280,14 +280,21 @@ class PolyBasis:
     def design(self, x: Array, p: Array, loc=0.0, scale=1.0) -> Array:
         """Monomials z^i p^j of z = (x - loc) / scale, in ``exponents``
         order along a new last axis; x and p may have any (broadcasting)
-        shape.  Powers are running products, not ``**``."""
+        shape.  Powers are running products, not ``**``, written into one
+        C-order array; a power 0 contributes no factor."""
         z = (np.asarray(x, dtype=np.float64) - loc) / scale
         p = np.asarray(p, dtype=np.float64)
-        zs, ps = [np.ones_like(z)], [np.ones_like(p)]
-        for _ in range(self.degree):
+        zs, ps = [None, z], [None, p]
+        for _ in range(self.degree - 1):
             zs.append(zs[-1] * z)
             ps.append(ps[-1] * p)
-        return np.stack([zs[i] * ps[j] for i, j in self.exponents], axis=-1)
+        out = np.empty(np.broadcast_shapes(z.shape, p.shape) + (self.n_terms,))
+        for c, (i, j) in enumerate(self.exponents):
+            if i and j:
+                np.multiply(zs[i], ps[j], out=out[..., c])
+            else:
+                out[..., c] = zs[i] if i else ps[j] if j else 1.0
+        return out
 
 
 class StepProjector:

@@ -140,11 +140,19 @@ def _wonham_step(p: Array, h: Array, hbar: Array, dnu: Array, Q: Array, dt: floa
 
     p_{k+1,i} = p_{k,i} + (p_k Q)_i dt + p_{k,i} (h_i - hbar_k) dnu_k, with
     p and h regime-major (d, n_paths); ``Q.T @ p`` is ``p @ Q`` transposed.
+    The update is accumulated in place in the order of that formula, in
+    two new arrays (``Q.T @ p`` and a copy of h), so no argument is written.
     Returns (p_{k+1}, clamp events, worst excursion) of the step.
     """
-    p = p + (Q.T @ p) * dt + p * (h - hbar) * dnu
-    events, excursion = _project_simplex(p, excursion_tol, breakdown_tol)
-    return p, events, excursion
+    out = Q.T @ p
+    out *= dt
+    out += p
+    gain = np.subtract(h, hbar)
+    gain *= p
+    gain *= dnu
+    out += gain
+    events, excursion = _project_simplex(out, excursion_tol, breakdown_tol)
+    return out, events, excursion
 
 
 def run_normalized_filter(
@@ -306,7 +314,6 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
     dt = grid.dt
     times = grid.times
     Q = spec.generator.matrix
-    rows = np.arange(n_paths)
 
     states = history(n_paths, grid.n_steps + 1)
     probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
@@ -325,11 +332,15 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
         sig = eval_sigma(spec, t, x, u)
         table = drift_table(spec, t, x, u)
         h = table / sig
-        hbar = np.sum(p * h, axis=0)
-        b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
+        hp = p * h
+        hbar = hp[0] + hp[1]
+        b = hbar * sig if alpha is None else np.where(alpha[:, k] == 1, table[0], table[1])
         x_next = euler_step(x, b, sig, noise[:, k], dt, times[k + 1])
         if alpha is not None:
-            dnu[:, k] = (x_next - x) / sig - hbar * dt
+            row = dnu[:, k]
+            np.subtract(x_next, x, out=row)
+            row /= sig
+            row -= hbar * dt
         p, e, w = _wonham_step(p, h, hbar, dnu[:, k], Q, dt)
         events += e
         worst = max(worst, w)
