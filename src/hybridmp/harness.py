@@ -256,7 +256,7 @@ def _filter_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     ks_gap = float(np.mean(per_path_sup))
 
     fine = TimeGrid(T, 2 * grid.n_steps)
-    cp_f = coupled_forward(spec, fine, n_check, cfg.seed + 1)
+    cp_f = coupled_forward(spec, fine, n_check, (cfg.seed + 1) % 2**64)
     rmse_fine = _terminal_rmse(spec, fine, cp_f.bundle.states, cp_f.bundle.controls)
     rmse_coarse = _terminal_rmse(
         spec, grid, cp_f.bundle.states[:, ::2], cp_f.bundle.controls[:, ::2]
@@ -379,7 +379,7 @@ def _control_surface(policy: PiecewisePolyPolicy, grid: TimeGrid,
             yield from ([t, x, p, u] for p, u in zip(ps, u_row))
 
 
-def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
+def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
     spec = cfg.problem
     grid = cfg.grid
     tol = cfg.tolerances
@@ -414,14 +414,13 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     x_hi = float(np.quantile(solution.path.states, 0.99))
     return metrics, [
         _write_csv(out / "trace.csv",
-                   ["iter", "step", "cost", "SE", "residual", "sup_control_change",
-                    "ensemble_change"],
+                   ["iter", "step", "cost", "SE", "residual", "ensemble_change"],
                    ([row["iteration"], row["step"], row["cost"], row["cost_se"],
-                     row["residual"], row["sup_change"], row["ensemble_change"]]
+                     row["residual"], row["ensemble_change"]]
                     for row in solution.trace)),
         _write_csv(out / "control_surface.csv", ["t", "x", "pi", "u"],
                    _control_surface(solution.policy, grid, x_lo, x_hi)),
-    ]
+    ], {"final_sup_change": solution.final_sup_change}
 
 
 def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:

@@ -160,6 +160,9 @@ class LQSolution:
     """Converged (or best-effort) output of the iterative solver.
 
     ``path`` and ``adjoint`` are the certificate pass under ``policy``.
+    ``final_sup_change`` is the last iteration's lattice sup-change
+    (``_policy_sup_change``): its ``value``, the step ``k`` whose lattice
+    row attains it, and that step's time ``t``.
     """
 
     policy: PiecewisePolyPolicy
@@ -170,6 +173,7 @@ class LQSolution:
     path: InnovationPath
     adjoint: AdjointPath
     trace: list[dict]
+    final_sup_change: dict
 
 
 def _forward(spec, grid, n_paths, seed, policy, dnu) -> InnovationPath:
@@ -250,17 +254,20 @@ def solve_lq(
     Each trace row records d (``ensemble_change``) and |u~|
     (``ensemble_norm``).
 
-    The step is safeguarded.  Its input is the sup-change of the
-    feedback over a (t, x, pi) quantile lattice (``_policy_sup_change``),
-    which each trace row also records as a diagnostic.  The first
-    iteration takes ``damping``.  Since the policy moves about ``step``
-    times its undamped change, ``sup-change / step`` estimates that
-    undamped change; the next step is 1.0 if this estimate fell below
-    the previous iteration's (the first one always does) and
-    ``damping`` otherwise.  The step never goes below ``damping``, so
-    the stopping test is never looser than with a fixed ``damping``, and
-    the fixed point is the same.  ``damping=1.0`` is plain Picard.  Each
-    trace row records its step.
+    The step is safeguarded, and its input is d too.  The first
+    iteration takes ``damping``.  Since the policy moves ``step`` times
+    its undamped change, ``d / step`` estimates that undamped change;
+    the next step is 1.0 if this estimate fell below the previous
+    iteration's (the first one always does) and ``damping`` otherwise.
+    The step never goes below ``damping``, so the stopping test is never
+    looser than with a fixed ``damping``, and the fixed point is the
+    same.  ``damping=1.0`` is plain Picard.  Each trace row records its
+    step.
+
+    The sup-change of the feedback over a (t, x, pi) quantile lattice
+    (``_policy_sup_change``) is a diagnostic only, and it is taken once
+    per solve: on the last iteration's paths, between the final policy
+    and the one before it (``LQSolution.final_sup_change``).
 
     Raises ``NonConvergence`` (carrying the best iterate in
     ``exc.solution``) if ``max_iter`` passes without meeting the
@@ -286,7 +293,6 @@ def solve_lq(
     dnu = None  # drawn by the first forward pass, then common to every pass
     policy = zero_policy(spec.control_domain)
     trace: list[dict] = []
-    converged = False
     step, last_rate = damping, np.inf
 
     for it in range(1, max_iter + 1):
@@ -313,36 +319,37 @@ def solve_lq(
         ensemble_change = math.sqrt(moved * grid.dt / n_paths)
         ensemble_norm = math.sqrt(size * grid.dt / n_paths)
 
-        change, at = _policy_sup_change(grid, policy, candidate, path.states, path.probs)
-
         cost = transformed_cost(spec, grid, path.states, path.probs, u_prev)
         trace.append({
             "iteration": it,
             "step": step,
             "cost": cost.mean,
             "cost_se": cost.std_error,
-            "sup_change": change,
             "residual": residual,
             "fit_residual": candidate.fit_max_residual,
             "r2_min": float(adj.r_squared.min()),
             "ensemble_change": ensemble_change,
             "ensemble_norm": ensemble_norm,
         })
-        logger.info("iteration %d: step %.3g, cost %.6f, ensemble-change %.3g, "
-                    "sup-change %.3g at k=%d (t=%.4g)", it, step, trace[-1]["cost"],
-                    ensemble_change, change, at, grid.times[at])
+        logger.info("iteration %d: step %.3g, cost %.6f, ensemble-change %.3g",
+                    it, step, trace[-1]["cost"], ensemble_change)
+
+        previous, policy = policy, candidate
+        converged = tol > 0.0 and ensemble_change <= tol * max(1.0, ensemble_norm)
+        if converged or it == max_iter:
+            break
         # Free this iteration's ensemble and adjoint before the next
         # forward pass and sweep allocate theirs.
         del path, adj
-
-        policy = candidate
-        if tol > 0.0 and ensemble_change <= tol * max(1.0, ensemble_norm):
-            converged = True
-            break
-        # The safeguarded step of the docstring: change / step is the
+        # The safeguarded step of the docstring: d / step is the
         # undamped change, and a full step follows one that fell.
-        rate = change / step
+        rate = ensemble_change / step
         step, last_rate = (1.0 if rate < last_rate else damping), rate
+
+    change, at = _policy_sup_change(grid, previous, policy, path.states, path.probs)
+    final_sup_change = {"value": change, "k": at, "t": float(grid.times[at])}
+    logger.info("final sup-change %.3g at k=%d (t=%.4g)", change, at, grid.times[at])
+    del path, adj
 
     path = _forward(spec, grid, n_paths, seed, policy, dnu)
     adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
@@ -351,6 +358,7 @@ def solve_lq(
     solution = LQSolution(
         policy=policy, cost=cost, residual=report, iterations=len(trace),
         converged=converged, path=path, adjoint=adj, trace=trace,
+        final_sup_change=final_sup_change,
     )
     if not converged:
         last = trace[-1]

@@ -78,8 +78,12 @@ def block_ranges(n_total: int, block_size: int) -> list[tuple[int, int]]:
 def run_blocks(fn, n_total: int, block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1) -> list:
     """Evaluate ``fn(offset, count)`` over every block; results in block order.
 
-    ``workers > 1`` uses threads (numpy releases the GIL in its kernels);
-    merging in block order keeps the outcome independent of the pool size.
+    ``workers > 1`` uses threads; merging in block order keeps the outcome
+    independent of the pool size.  The threads buy little: on a 2-core
+    machine, two 4096 x 1000 coupled blocks ran 0.89-0.99x as fast on two
+    threads as one after the other.  The observer pass, many small numpy
+    calls per step, ran at 0.71-0.73x on its own; only the RNG draws
+    gained (1.2-1.6x).
     """
     ranges = block_ranges(n_total, block_size)
     if workers <= 1 or len(ranges) == 1:

@@ -39,6 +39,8 @@ def path_rng(seed: int, path_index: int, tag: int,
     stream's start gives the same stream as a new one, at less cost."""
     if not (0 <= tag < 4 and 0 <= path_index < 2**62):  # two key bits hold the tag
         raise ConfigError(f"stream tag {tag} or path index {path_index} outside 0..3 or [0, 2**62)")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, int(path_index) << 2 | tag], dtype=np.uint64)
     if generator is None:
         return np.random.Generator(np.random.Philox(key=key))

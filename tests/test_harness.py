@@ -170,6 +170,15 @@ class TestRunSuite:
         assert "workers" not in results
         assert results["spec"]["a1"] == 0.5
 
+    def test_filter_check_runs_at_the_top_seed(self, tmp_path):
+        # the fine-grid check ensemble is drawn at seed + 1, which wraps
+        # to 0 at the top of the seed range instead of overflowing
+        cfg = ExperimentConfig.from_file(str(_write_config(
+            tmp_path, n_paths=100)), seed=2**64 - 1)
+        assert run_suite(cfg) in (0, 1)
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["seed"] == 2**64 - 1
+
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = ExperimentConfig.from_file(str(_write_config(
             tmp_path, tolerances={"qv_error": 0.2})))
@@ -291,7 +300,7 @@ class TestRunSuite:
             "converged", "cost_mean", "stationarity_ratio",
             "bsde_tail_r2_min"}
         trace = (out / "trace.csv").read_text().strip().splitlines()
-        assert trace[0] == "iter,step,cost,SE,residual,sup_control_change,ensemble_change"
+        assert trace[0] == "iter,step,cost,SE,residual,ensemble_change"
         assert len(trace) >= 2
         assert (out / "control_surface.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -281,8 +282,7 @@ class TestSolveLq:
         _, sol = solved
         assert sorted(sol.trace[0]) == ["cost", "cost_se", "ensemble_change",
                                         "ensemble_norm", "fit_residual",
-                                        "iteration", "r2_min", "residual",
-                                        "step", "sup_change"]
+                                        "iteration", "r2_min", "residual", "step"]
         assert [row["iteration"] for row in sol.trace] == \
             list(range(1, len(sol.trace) + 1))
 
@@ -310,17 +310,22 @@ class TestSolveLq:
         assert sol.converged
         assert sol.iterations <= 17
 
-    def test_step_rule_reads_off_the_trace(self, solved):
+    def test_step_rule_reads_off_the_trace(self, lq):
         # row 1 takes the damping; a later row takes a full step exactly
-        # when the previous row's undamped change sup_change / step fell
-        # below the one before it (infinite before row 1), else the damping
-        _, sol = solved
-        rates = [math.inf] + [row["sup_change"] / row["step"] for row in sol.trace]
-        assert sol.trace[0]["step"] == 0.5
-        for i, row in enumerate(sol.trace[1:], start=2):
+        # when the previous row's undamped change ensemble_change / step
+        # fell below the one before it (infinite before row 1), else the
+        # damping.  The default spec takes full steps after row 1, so a
+        # cheaper control shows the damped branch too.
+        cheap = dataclasses.replace(lq, R=(0.5, 0.5))
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(cheap, TimeGrid(1.0, 200), n_paths=256, seed=3, tol=0.0, max_iter=10)
+        trace = exc.value.solution.trace
+        rates = [math.inf] + [row["ensemble_change"] / row["step"] for row in trace]
+        assert trace[0]["step"] == 0.5
+        for i, row in enumerate(trace[1:], start=2):
             assert row["step"] == (1.0 if rates[i - 1] < rates[i - 2] else 0.5), i
-        # the fixture's solve exercises both branches
-        assert {row["step"] for row in sol.trace} == {0.5, 1.0}
+        # both branches after row 1
+        assert {row["step"] for row in trace[1:]} == {0.5, 1.0}
 
     def test_unit_damping_is_plain_picard(self, lq):
         with pytest.raises(NonConvergence) as exc:
@@ -478,30 +483,58 @@ class TestSolveLq:
         assert [row["iteration"] for row in sol.trace] == [1, 2, 3]
 
     def test_iteration_log_names_the_step_of_the_sup_change(self, lq, caplog):
+        # one line per iteration, then one for the final lattice sup-change
         grid = TimeGrid(1.0, 20)
         with caplog.at_level(logging.INFO, logger="hybridmp.lq"), pytest.raises(NonConvergence) as exc:
             solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
         lines = [r.getMessage() for r in caplog.records if r.name == "hybridmp.lq"]
-        assert len(lines) == 2
-        for line, row in zip(lines, exc.value.solution.trace):
-            found = re.fullmatch(r"iteration (\d+): step \S+, cost \S+, ensemble-change (\S+), "
-                                 r"sup-change (\S+) at k=(\d+) \(t=(\S+)\)", line)
+        sol = exc.value.solution
+        assert len(lines) == 3
+        for line, row in zip(lines, sol.trace):
+            found = re.fullmatch(r"iteration (\d+): step (\S+), cost (\S+), "
+                                 r"ensemble-change (\S+)", line)
             assert found, line
             assert int(found[1]) == row["iteration"]
-            assert float(found[2]) == float(f"{row['ensemble_change']:.3g}")
-            assert float(found[3]) == float(f"{row['sup_change']:.3g}")
-            k = int(found[4])
-            assert 0 <= k < grid.n_steps and float(found[5]) == float(f"{grid.times[k]:.4g}")
+            assert float(found[2]) == float(f"{row['step']:.3g}")
+            assert float(found[3]) == float(f"{row['cost']:.6f}")
+            assert float(found[4]) == float(f"{row['ensemble_change']:.3g}")
+        found = re.fullmatch(r"final sup-change (\S+) at k=(\d+) \(t=(\S+)\)", lines[2])
+        assert found, lines[2]
+        sup = sol.final_sup_change
+        assert float(found[1]) == float(f"{sup['value']:.3g}")
+        assert int(found[2]) == sup["k"] and sup["t"] == grid.times[sup["k"]]
+        assert float(found[3]) == float(f"{sup['t']:.4g}")
 
-        # iteration 1 moves away from the zero policy on the zero-policy
-        # pass, so its step is the lattice row where the first fit peaks
+        # a one-iteration solve moves away from the zero policy on the
+        # zero-policy pass, so its step is the lattice row where the first
+        # fit peaks
         with pytest.raises(NonConvergence) as first:
             solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=1)
         spec = lq.to_problem_spec()
         path = innovation_forward(spec, grid, 200, 5, policy=zero_policy(spec.control_domain))
         X, P = _quantile_lattice(path.states, path.probs, grid.n_steps)
         U = np.abs(first.value.solution.policy.on_lattice(grid.times[:-1], X, P))
-        assert f" at k={int(np.argmax(np.max(U, axis=1)))} " in lines[0]
+        assert first.value.solution.final_sup_change["k"] == int(np.argmax(np.max(U, axis=1)))
+        assert first.value.solution.final_sup_change["value"] == float(np.max(U))
+
+    def test_final_sup_change_compares_the_last_two_policies(self, lq, tmp_path):
+        # results.json's final_sup_change is the lattice sup-change between
+        # the final policy and the one before it, on the paths of the last
+        # iteration (the forward pass under the one before it)
+        grid = TimeGrid(lq.horizon, 40)
+        cfg = ExperimentConfig(suite="lq-solve", spec=lq, n_paths=256, n_steps=40, seed=3,
+                               out_dir=str(tmp_path / "out"))
+        assert run_suite(cfg) == 0
+        got = json.loads((tmp_path / "out" / "results.json").read_text())["final_sup_change"]
+
+        final = solve_lq(lq, grid, n_paths=256, seed=3)
+        with pytest.raises(NonConvergence) as exc:
+            solve_lq(lq, grid, n_paths=256, seed=3, max_iter=final.iterations - 1)
+        before = exc.value.solution.policy
+        spec = lq.to_problem_spec()
+        path = innovation_forward(spec, grid, 256, 3, policy=before)
+        value, k = _policy_sup_change(grid, before, final.policy, path.states, path.probs)
+        assert got == {"value": value, "k": k, "t": grid.times[k]} == final.final_sup_change
 
     def test_policy_is_the_fit_of_the_damped_targets(self, lq):
         grid = TimeGrid(1.0, 30)

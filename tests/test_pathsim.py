@@ -239,6 +239,14 @@ class TestPathRngKey:
         with pytest.raises(ConfigError, match="path index"):
             draw_normals(0, [0, idx], TAG_NOISE, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_raises(self, seed):
+        # the key word holds a seed in [0, 2**64); numpy would overflow
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+            path_rng(seed, 0, TAG_NOISE)
+        with pytest.raises(ConfigError, match="seed"):
+            draw_normals(seed, [0, 1], TAG_NOISE, 3)
+
 
 class TestKernelExactness:
     """The forward kernel gives the draws and labels of the straightforward

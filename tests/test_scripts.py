@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -20,9 +21,9 @@ def test_lq_experiment_prints_trace_and_verdict(capsys):
     code = _load("lq_experiment").main(["--n-steps", "20", "--n-paths", "300"])
     assert code in (0, 1)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["iter", "step", "cost", "SE", "residual", "sup-change",
-                                "ensemble-change"]
-    assert any(line.startswith("converged: ") for line in lines)
+    assert lines[0].split() == ["iter", "step", "cost", "SE", "residual", "ensemble-change"]
+    at = next(i for i, line in enumerate(lines) if line.startswith("converged: "))
+    assert re.fullmatch(r"final sup-change: \S+ at k=\d+ \(t=\S+\)", lines[at + 1])
 
 
 def test_lq_experiment_gates_every_seed(capsys):
@@ -64,7 +65,8 @@ def test_lq_experiment_exits_2_on_bad_input(tmp_path, capsys):
     for argv, message in ((["--spec", str(tmp_path / "missing.json")], "cannot read spec file"),
                           (["--spec", str(bad)], "is not valid JSON"),
                           (["--n-steps", "0"], "at least one step"),
-                          (["--damping", "2"], "damping must be in (0, 1]")):
+                          (["--damping", "2"], "damping must be in (0, 1]"),
+                          (["--seed", "-1"], "seed must be in [0, 2**64)")):
         assert module.main(small + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

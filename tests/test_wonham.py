@@ -20,6 +20,7 @@ from hybridmp import (
     zero_policy,
 )
 from hybridmp import pathsim
+from hybridmp import wonham as wonham_mod
 from hybridmp.model import eval_sigma
 from hybridmp.pathsim import (
     TAG_INNOVATION,
@@ -390,6 +391,31 @@ class TestRegimeMajorState:
         assert got.shape == want.shape and _rows_are_contiguous(got)
         assert np.array_equal(got, want)
         assert np.array_equal(cp.filter_path.probs, want)
+
+    @pytest.mark.parametrize("route", ["coupled", "replayed"])
+    def test_step_writes_none_of_its_arguments(self, spec, coupled, monkeypatch, route):
+        # the step accumulates its update in arrays of its own, so p, h,
+        # hbar and dnu are as the caller passed them after every step
+        grid, cp = coupled
+        checked = []
+
+        def guarded(p, h, hbar, dnu, *rest):
+            before = [a.copy() for a in (p, h, hbar, dnu)]
+            result = _wonham_step(p, h, hbar, dnu, *rest)
+            for name, a, b in zip(("p", "h", "hbar", "dnu"), (p, h, hbar, dnu), before):
+                assert np.array_equal(a, b), name
+            assert not any(np.shares_memory(result[0], a) for a in (p, h, hbar, dnu))
+            checked.append(True)
+            return result
+
+        monkeypatch.setattr(wonham_mod, "_wonham_step", guarded)
+        if route == "coupled":
+            got = coupled_forward(spec, grid, 256, 7, policy=zero_policy()).filter_path.probs
+        else:
+            got = run_normalized_filter(spec, grid, cp.bundle.states,
+                                        cp.bundle.controls).probs
+        assert len(checked) == grid.n_steps
+        assert np.array_equal(got, cp.filter_path.probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 2 * BREAKDOWN_TOL,
                                      -2 * BREAKDOWN_TOL])
