@@ -10,9 +10,9 @@ baseline (an information lower bound), simulated at seed + 1 (mod
 2**64).  Then prints one summary row
 per seed, ending with the median iteration count over the seeds, and
 exits 1 if any seed fails the lq-solve suite's checks at their default
-tolerances: not converged, stationarity ratio above 1e-2 or tail
-regression R^2 below 0.5.  So ``--seed 0 1 2 ...`` is a
-repeatable seed gate for the solver.  A ``--spec`` file that cannot be
+tolerances: not converged, stationarity ratio above ``LQ_MAX_RATIO`` or
+tail regression R^2 below ``LQ_MIN_TAIL_R2`` (both in ``harness``).  So
+``--seed 0 1 2 ...`` is a repeatable seed gate for the solver.  A ``--spec`` file that cannot be
 read or is not a valid spec, or a setting the solver rejects, prints the
 error and exits 2.
 """
@@ -25,14 +25,10 @@ import sys
 from pathlib import Path
 
 from hybridmp.errors import ConfigError, NonConvergence
-from hybridmp.harness import tail_r2_min
+from hybridmp.harness import LQ_MAX_RATIO, LQ_MIN_TAIL_R2, stationarity_ratio, tail_r2_min
 from hybridmp.lq import full_observation_baseline, solve_lq
 from hybridmp.model import LQSpec, load_spec
 from hybridmp.pathsim import TimeGrid
-
-# lq-solve's default tolerances on stationarity_ratio and bsde_tail_r2_min
-MAX_RATIO = 1e-2
-MIN_TAIL_R2 = 0.5
 
 
 def _report(lq: LQSpec, grid: TimeGrid, n_paths: int, seed: int, damping: float) -> dict:
@@ -50,7 +46,7 @@ def _report(lq: LQSpec, grid: TimeGrid, n_paths: int, seed: int, damping: float)
               f"{row['cost_se']:10.2e} {row['residual']:12.6f} "
               f"{row['ensemble_change']:15.3e}")
 
-    ratio = sol.residual["residual"] / max(sol.trace[0]["residual"], 1e-300)
+    ratio = stationarity_ratio(sol)
     sup = sol.final_sup_change
     print(f"\nconverged: {sol.converged} after {sol.iterations} iterations")
     print(f"final sup-change: {sup['value']:.6f} at k={sup['k']} (t={sup['t']:.4g})")
@@ -89,8 +85,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{'cost':>12s}  verdict")
     failed = 0
     for row in rows:
-        ok = (row["converged"] and row["ratio"] <= MAX_RATIO
-              and row["tail_r2"] >= MIN_TAIL_R2)
+        ok = (row["converged"] and row["ratio"] <= LQ_MAX_RATIO
+              and row["tail_r2"] >= LQ_MIN_TAIL_R2)
         failed += not ok
         print(f"{row['seed']:10d} {row['iterations']:5d} {str(row['converged']):>9s} "
               f"{row['ratio']:9.2e} {row['tail_r2']:7.4f} {row['cost']:12.6f}  "

@@ -4,7 +4,8 @@ hybridmp run --config cfg.json [--seed N] [--workers N] [--out DIR]
 hybridmp validate --spec spec.json
 
 Environment variables HYBRIDMP_SEED, HYBRIDMP_WORKERS and HYBRIDMP_OUT
-override the config file; explicit flags override both.
+override the config file; explicit flags override both.  ``workers`` is
+validated but selects nothing (blocks of paths run in order), kept for old configs.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Each suite computes a small set of scalar metrics, compares every metric
 against its tolerance, and writes diff-able artifacts: ``results.json``
 with per-metric pass/fail records, CSV series, and ``manifest.json``
 with a content hash per file.  Runs are deterministic functions of
-(config, seed); worker count only changes wall time.
+(config, seed).  ``workers`` is accepted and validated but selects
+nothing: blocks of paths run one after the other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .lq import PiecewisePolyPolicy, solve_lq
 from .model import (LQSpec, ProblemSpec, json_value, load_spec, read_json_object, validate_spec,
                     zero_policy)
 from .pathsim import TimeGrid, chain_marginal, estimate_cost
-from .parallel import RunningMoments, run_blocks
+from .parallel import DEFAULT_BLOCK_SIZE, RunningMoments, run_blocks
 from .wonham import (
     coupled_forward,
     discrete_bayes_oracle,
@@ -46,6 +47,10 @@ SWEEP_STEPS = (250, 500, 1000, 2000)
 CSV_PATHS = 32
 
 ENV_PREFIX = "HYBRIDMP_"
+
+# lq-solve's default tolerances on stationarity_ratio and bsde_tail_r2_min
+LQ_MAX_RATIO = 1e-2
+LQ_MIN_TAIL_R2 = 0.5
 
 # The top-level ``properties`` of docs/experiment_config.schema.json.
 CONFIG_KEYS = frozenset({
@@ -89,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; expected one of {tuple(SUITES)}")
         if self.n_steps < 10:
             raise ConfigError(f"n_steps must be >= 10, got {self.n_steps}")
-        if self.n_paths < 100:
-            raise ConfigError(f"n_paths must be >= 100, got {self.n_paths}")
+        if not 100 <= self.n_paths < 2**62:  # pathsim.path_rng's path index bound
+            raise ConfigError(f"n_paths must be in [100, 2**62), got {self.n_paths}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.lq_max_iter < 1:
@@ -100,11 +105,18 @@ class ExperimentConfig:
         if not 0.0 < self.lq_damping <= 1.0:
             raise ConfigError(f"lq_damping must be in (0, 1], got {self.lq_damping}")
         if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0 (0 means the core count), "
-                              f"got {self.workers}")
-        if self.workers == 0:  # the cores this process may run on
-            self.workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                            else os.cpu_count() or 1)
+            raise ConfigError(f"workers must be >= 0, got {self.workers}")
+        # Each suite's largest filter history, (paths, steps + 1, 2) float64:
+        # mp-check and lq-solve filter the whole ensemble, filter-check a block,
+        # then 100 paths on twice the steps; convergence-sweep's grids are fixed.
+        block, check = min(self.n_paths, DEFAULT_BLOCK_SIZE), min(self.n_paths, 100)
+        nodes = {"filter-check": max(block * (self.n_steps + 1), check * (2 * self.n_steps + 1)),
+                 "mp-check": self.n_paths * (self.n_steps + 1),
+                 "lq-solve": self.n_paths * (self.n_steps + 1)}.get(self.suite, 0)
+        if 16 * nodes > np.iinfo(np.intp).max:
+            raise ConfigError(f"{self.suite} at n_paths={self.n_paths}, n_steps={self.n_steps} "
+                              f"needs a {16 * nodes} B filter history, above the "
+                              f"{np.iinfo(np.intp).max} B an array may hold")
 
     @property
     def grid(self) -> TimeGrid:
@@ -213,6 +225,12 @@ def tail_r2_min(adjoint) -> float:
     """
     skip = max(2, len(adjoint.r_squared) // 20)
     return float(adjoint.r_squared[skip:].min())
+
+
+def stationarity_ratio(solution) -> float:
+    """Final stationarity residual over the first iteration's (the starting policy's)."""
+    residual0 = solution.trace[0]["residual"]
+    return solution.residual["residual"] / residual0 if residual0 > 0 else 0.0
 
 
 def _terminal_rmse(spec, grid, states, controls) -> float:
@@ -393,20 +411,16 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]
         solution = exc.solution
         converged = 0.0
 
-    residual0 = solution.trace[0]["residual"]
-    final_res = solution.residual["residual"]
-    ratio = final_res / residual0 if residual0 > 0 else 0.0
-
     metrics = {
         "converged": _metric(converged, 1.0, "=="),
         "cost_mean": _metric(
             solution.cost.mean, tol.get("cost_mean", float("inf")), "<="
         ),
         "stationarity_ratio": _metric(
-            ratio, tol.get("stationarity_ratio", 1e-2), "<="
+            stationarity_ratio(solution), tol.get("stationarity_ratio", LQ_MAX_RATIO), "<="
         ),
         "bsde_tail_r2_min": _metric(
-            tail_r2_min(solution.adjoint), tol.get("bsde_tail_r2_min", 0.5), ">=",
+            tail_r2_min(solution.adjoint), tol.get("bsde_tail_r2_min", LQ_MIN_TAIL_R2), ">=",
         ),
     }
 

@@ -253,8 +253,7 @@ class ProblemSpec:
 
     Coefficient callables must be pure and broadcast over numpy arrays in
     their ``x`` and ``v`` arguments (``t`` scalar, regime label ``i`` the
-    plain integer 1 or 2).  All types here are immutable and safe to
-    share across workers.
+    plain integer 1 or 2).  All types here are immutable.
 
     Parameters
     ----------

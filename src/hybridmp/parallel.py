@@ -1,17 +1,15 @@
 """Deterministic blocked execution over path ensembles.
 
 Monte Carlo work is split into fixed-size blocks of consecutive path
-indices.  Each block is an independent, deterministic computation (every
-path owns its RNG stream keyed by absolute path index), so blocks may be
-executed by any number of workers; results are merged in block order,
-which makes the final output bit-identical regardless of the worker
-count.
+indices, so that memory stays flat in the ensemble size.  Every path
+owns its RNG stream keyed by absolute path index, so a path's values do
+not depend on the blocking.  Blocks run one after the other in the
+calling thread and their results merge in block order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,31 +61,13 @@ class RunningMoments:
         return math.sqrt(self.variance) / math.sqrt(self.count) if self.count > 1 else 0.0
 
 
-def block_ranges(n_total: int, block_size: int) -> list[tuple[int, int]]:
-    """Partition ``range(n_total)`` into (offset, count) blocks."""
+def run_blocks(fn, n_total: int, block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1) -> list:
+    """Evaluate ``fn(offset, count)`` over consecutive blocks of ``range(n_total)``
+    in order, in the calling thread; results in block order.  ``workers``
+    selects nothing and stays for the callers that pass it."""
     if n_total <= 0:
         raise ValueError("n_total must be positive")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
-    return [
-        (start, min(block_size, n_total - start))
-        for start in range(0, n_total, block_size)
-    ]
-
-
-def run_blocks(fn, n_total: int, block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1) -> list:
-    """Evaluate ``fn(offset, count)`` over every block; results in block order.
-
-    ``workers > 1`` uses threads; merging in block order keeps the outcome
-    independent of the pool size.  The threads buy little: on a 2-core
-    machine, two 4096 x 1000 coupled blocks ran 0.89-0.99x as fast on two
-    threads as one after the other.  The observer pass, many small numpy
-    calls per step, ran at 0.71-0.73x on its own; only the RNG draws
-    gained (1.2-1.6x).
-    """
-    ranges = block_ranges(n_total, block_size)
-    if workers <= 1 or len(ranges) == 1:
-        return [fn(offset, count) for offset, count in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, offset, count) for offset, count in ranges]
-        return [f.result() for f in futures]
+    return [fn(start, min(block_size, n_total - start))
+            for start in range(0, n_total, block_size)]

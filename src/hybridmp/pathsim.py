@@ -2,7 +2,7 @@
 
 Euler draws on a uniform grid, with one counter-based RNG stream per
 path so that a path's noise depends only on (seed, path index) and never
-on how paths are batched across blocks or workers.
+on how paths are batched into blocks.
 """
 
 from __future__ import annotations
@@ -366,8 +366,8 @@ def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
 def blocked_cost(path_costs, n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE,
                  workers: int = 1) -> CostEstimate:
     """Mean and standard error of ``path_costs(offset, count)`` (per-path
-    costs of one block of paths), merged in block order so the result
-    does not depend on ``workers``."""
+    costs of one block of paths), merged in block order.  ``workers``
+    selects nothing (see ``run_blocks``)."""
 
     def run_block(offset: int, count: int) -> RunningMoments:
         return RunningMoments().add(path_costs(offset, count))

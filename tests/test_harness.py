@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -65,19 +64,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="n_paths"):
             ExperimentConfig(suite="filter-check", spec=lq, n_paths=50)
 
-    def test_nonpositive_workers_resolve_to_cpu_count(self, lq):
-        cfg = ExperimentConfig(suite="filter-check", spec=lq, workers=0)
-        assert cfg.workers >= 1
+    def test_zero_workers_is_accepted_and_kept(self, lq):
+        # workers selects nothing, so 0 is not resolved to a core count
+        assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 0
 
-    def test_zero_workers_count_the_cores_this_process_may_use(self, lq, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 1
-
-    def test_zero_workers_without_an_affinity_call_count_the_machine(self, lq, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 64
+    def test_history_bound_names_the_bytes_and_spares_the_largest_size_that_fits(self, lq):
+        limit = np.iinfo(np.intp).max
+        n_steps = limit // (16 * 1000) - 1  # 16 B per path and node, just under the limit
+        ExperimentConfig(suite="mp-check", spec=lq, n_paths=1000, n_steps=n_steps)
+        with pytest.raises(ConfigError, match=f"needs a {16 * 1000 * (n_steps + 2)} B"):
+            ExperimentConfig(suite="mp-check", spec=lq, n_paths=1000, n_steps=n_steps + 1)
+        # convergence-sweep ignores n_steps, so no n_steps is too large for it
+        ExperimentConfig(suite="convergence-sweep", spec=lq, n_steps=10**30)
 
     def test_from_file_reads_inline_spec(self, tmp_path):
         path = _write_config(tmp_path, seed=7)
@@ -461,7 +459,7 @@ class TestCli:
     ], ids=["flag", "env", "file"])
     def test_negative_workers_exit_2(self, tmp_path, monkeypatch, capsys,
                                      flags, env, overrides):
-        # 0 means the core count; a negative count is an error, not 0
+        # workers selects nothing, but a negative count is still an error
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         path = _write_config(tmp_path, **overrides)
@@ -471,6 +469,22 @@ class TestCli:
         assert doc["error"] == "ConfigError"
         assert "workers" in doc["message"]
         assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("suite, key, value, message", [
+        ("lq-solve", "n_paths", 10**30, "n_paths must be in [100, 2**62)"),
+        ("mp-check", "n_steps", 10**30, "B filter history"),
+        ("lq-solve", "n_paths", 2**62, "n_paths must be in [100, 2**62)"),
+    ], ids=["lq-paths-1e30", "mp-steps-1e30", "lq-paths-2**62"])
+    def test_oversized_sizes_exit_2_before_any_allocation(self, tmp_path, capsys,
+                                                          suite, key, value, message):
+        # sizes past the RNG's or numpy's bounds are refused before any work
+        out = tmp_path / "errout"
+        path = _write_config(tmp_path, suite=suite, **{key: value})
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "ConfigError"
+        assert message in doc["message"]
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b"\xff{}", b"[" * 10**5],
                              ids=["missing", "invalid-json", "json-array", "not-utf8",

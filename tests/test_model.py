@@ -72,12 +72,14 @@ class TestGeneratorSpec:
 
 @pytest.mark.parametrize("module", ["hybridmp", "hybridmp.cli"])
 def test_import_loads_no_scipy(module):
-    # scipy is a test-only reference; the package runs on numpy alone
+    # scipy is a test-only reference; the package runs on numpy alone,
+    # and in one thread, so it loads no executor pool either
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('concurrent.futures')))")
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

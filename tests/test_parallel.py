@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridmp.parallel import RunningMoments
+from hybridmp.parallel import RunningMoments, run_blocks
 
 samples = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=200)
 
@@ -62,3 +63,26 @@ class TestRunningMoments:
         assert _moments([3.0]).std_error == 0.0
         assert _moments([3.0]).mean == 3.0
         assert math.isclose(_moments([1.0, 3.0]).std_error, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_blocks_runs_every_block_in_order_in_the_calling_thread(workers):
+    calls = []
+
+    def block(offset, count):
+        calls.append((offset, count, threading.get_ident()))
+        return offset
+
+    # ten blocks, more than the workers asked for
+    assert run_blocks(block, 1000, 100, workers) == list(range(0, 1000, 100))
+    me = threading.get_ident()
+    assert calls == [(offset, 100, me) for offset in range(0, 1000, 100)]
+
+
+def test_run_blocks_ends_with_a_short_block_and_rejects_empty_sizes():
+    assert run_blocks(lambda offset, count: (offset, count), 250, 100) == [
+        (0, 100), (100, 100), (200, 50)]
+    with pytest.raises(ValueError, match="n_total"):
+        run_blocks(lambda offset, count: None, 0, 100)
+    with pytest.raises(ValueError, match="block_size"):
+        run_blocks(lambda offset, count: None, 100, 0)

@@ -50,7 +50,7 @@ def test_lq_experiment_gates_every_seed(capsys):
     assert lines[at + 4:] == [f"median iterations over 2 seeds: {median:g}"]
 
     # a ratio bound nothing meets fails every seed
-    module.MAX_RATIO = 0.0
+    module.LQ_MAX_RATIO = 0.0
     assert module.main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-2] == "0 of 2 seeds pass"
 
