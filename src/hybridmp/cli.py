@@ -62,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
             args.config, seed=args.seed, workers=args.workers, out=args.out
         )
         code = run_suite(cfg)
-    except (HybridMPError, OSError) as exc:  # run_suite raises only if error.json is unwritable
+    except (HybridMPError, OSError, MemoryError) as exc:
+        # from run_suite only when error.json is unwritable
         out = args.out if args.out is not None else os.environ.get(ENV_PREFIX + "OUT")
         with contextlib.suppress(HybridMPError):  # else the config's own out, if it reads
             out = read_json_object(Path(args.config), "config").get("out") if out is None else out

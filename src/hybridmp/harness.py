@@ -491,11 +491,12 @@ SUITES = {
 
 
 def write_error(out_dir: str, exc: Exception) -> bool:
-    """Record ``exc`` in ``out_dir``/error.json; False if that cannot be written."""
+    """Record ``exc`` in ``out_dir``/error.json; False if that cannot be written.
+    numpy's allocation failure is recorded under its public name, ``MemoryError``."""
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        _write_json(Path(out_dir) / "error.json",
-                    {"error": type(exc).__name__, "message": str(exc)})
+        _write_json(Path(out_dir) / "error.json", {"error": name, "message": str(exc)})
     except OSError:
         return False
     return True
@@ -503,9 +504,9 @@ def write_error(out_dir: str, exc: Exception) -> bool:
 
 def run_suite(cfg: ExperimentConfig) -> int:
     """Execute the configured suite; 0 all metrics pass, 1 any fail,
-    2 on configuration or spec errors or an unwritable output file
-    (error.json written).  If error.json cannot be written either, the
-    error is raised."""
+    2 on configuration or spec errors, an unwritable output file or a
+    failed allocation (error.json written).  If error.json cannot be
+    written either, the error is raised."""
     out = Path(cfg.out_dir)
     runner, metric_names = SUITES[cfg.suite]
     try:
@@ -519,7 +520,7 @@ def run_suite(cfg: ExperimentConfig) -> int:
                               + "; ".join(problems))
         out.mkdir(parents=True, exist_ok=True)
         metrics, files, *extra = runner(cfg, out)
-    except (HybridMPError, OSError) as exc:
+    except (HybridMPError, OSError, MemoryError) as exc:
         if not write_error(cfg.out_dir, exc):
             raise
         return 2

@@ -33,8 +33,8 @@ from .adjoint import (
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, ProblemSpec, zero_policy
-from .pathsim import (CostEstimate, PathBundle, TimeGrid, blocked_cost, cost_from_paths,
-                      draw_drivers, euler_step, history)
+from .pathsim import (CostEstimate, TimeGrid, blocked_cost, cost_from_paths, simulate_chain,
+                      simulate_state)
 from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
@@ -431,35 +431,27 @@ def full_observation_baseline(
     """Monte Carlo cost of the regime-aware optimal feedback, plus the
     analytic value it should match.
 
-    The policy u = -b_i K_i(t) X / R_i needs the realized regime, so this
-    runs its own feedback loop on the shared drivers and Euler step
-    rather than any observable-feedback path.
-    Agreement of the two returned numbers validates simulation, cost
-    quadrature and the Riccati integration against each other; the
+    The policy u = -b_i K_i(t) X / R_i needs the realized regime, so each
+    block draws the chain first and steps the paths through
+    ``simulate_state`` with the feedback reading that chain; no filter
+    runs.  Agreement of the two returned numbers validates simulation,
+    cost quadrature and the Riccati integration against each other; the
     analytic value is also the natural lower bound for any
     observation-feedback cost.
     """
     spec = lq.to_problem_spec()
     K, c = riccati_backward(lq, grid)
     analytic = riccati_cost(lq, K, c)
-    a = np.asarray(lq.a)
-    b = np.asarray(lq.b)
-    gain = K * b[None, :] / np.asarray(lq.R)[None, :]
-    dt = grid.dt
-    times = grid.times
+    gain = K * np.asarray(lq.b)[None, :] / np.asarray(lq.R)[None, :]
 
     def path_costs(offset: int, count: int) -> Array:
-        alpha, dW = draw_drivers(spec, grid, count, seed, path_offset=offset)
-        states = history(count, grid.n_steps + 1)
-        controls = history(count, grid.n_steps)
-        x = states[:, 0] = np.full(count, lq.x0)
-        for k in range(grid.n_steps):
-            idx = alpha[:, k] - 1
-            u = controls[:, k] = spec.clamp_control(-gain[k, idx] * x)
-            x = states[:, k + 1] = euler_step(x, a[idx] * x + b[idx] * u, lq.sigma,
-                                              dW[:, k], dt, times[k + 1])
-        bundle = PathBundle(grid=grid, states=states, regimes=alpha, controls=controls,
-                            noise=dW, seed=seed, path_offset=offset)
+        alpha = simulate_chain(spec.generator, grid, count, seed, spec.pi0, offset)
+
+        def feedback(t, x, pi):
+            k = round(t / grid.dt)
+            return -gain[k, alpha[:, k] - 1] * x
+
+        bundle = simulate_state(spec, grid, count, seed, feedback, offset, alpha=alpha)
         return cost_from_paths(spec, bundle)
 
     return blocked_cost(path_costs, n_paths), analytic

@@ -222,13 +222,16 @@ def draw_drivers(spec: ProblemSpec, grid: TimeGrid, n_paths: int, seed: int,
     """Hidden chain (n_paths, N+1) and Brownian increments (n_paths, N).
 
     Each is drawn from the path streams unless given, in which case its
-    shape is checked instead.
+    shape is checked instead, and a given chain's labels must be 1 or 2.
     """
     if alpha is None:
         alpha = simulate_chain(spec.generator, grid, n_paths, seed,
                                pi0=spec.pi0, path_offset=path_offset)
     else:
         alpha = check_override("alpha", alpha, (n_paths, grid.n_steps + 1), np.int64)
+        bad = alpha[(alpha != 1) & (alpha != 2)]
+        if bad.size:
+            raise ConfigError(f"alpha override holds regime label {bad[0]}; labels are 1 and 2")
     return alpha, brownian_increments(seed, grid, n_paths, TAG_NOISE, path_offset, dW)
 
 
@@ -314,13 +317,12 @@ def simulate_state(
     used = history(n_paths, grid.n_steps)
     x = states[:, 0] = np.full(n_paths, spec.x0)
     times = grid.times
-    rows = np.arange(n_paths)
 
     for k in range(grid.n_steps):
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, None, policy,
                                     None if controls is None else controls[:, k])
-        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
+        b = np.where(alpha[:, k] == 1, *drift_table(spec, t, x, u))
         x = states[:, k + 1] = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k],
                                           grid.dt, times[k + 1])
 

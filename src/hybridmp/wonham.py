@@ -212,8 +212,11 @@ def run_zakai_filter(
 
     V_{k+1,i} = V_{k,i} + (V_k Q)_i dt + V_{k,i} h_i dY_k, V_0 = pi0.
 
-    Probabilities are recovered by normalizing; total mass must stay
-    strictly positive and finite or the recursion has broken down.
+    Probabilities are recovered by normalizing.  Every mass component
+    must stay finite and non-negative (a component of exactly 0, as a
+    frozen chain started at a vertex keeps, is legal), and the total
+    strictly positive, or the recursion has broken down: a negative
+    component raises ``NumericalError`` rather than being clipped away.
     Innovation increments are still reported, computed from the
     normalized probabilities, so the two filter routes expose the same
     interface.
@@ -239,13 +242,18 @@ def run_zakai_filter(
         hbar = np.sum(p * h, axis=0)
         dnu[:, k] = dY_k - hbar * dt
         V = V + (Q.T @ V) * dt + V * h * dY_k
+        if not (V.min() >= 0.0 and V.max() < np.inf):  # a NaN fails both
+            i, path = np.argwhere(~(np.isfinite(V) & (V >= 0.0)))[0]
+            raise NumericalError(f"unnormalized filter mass of regime {i + 1} is "
+                                 f"{V[i, path]:.4g} at t={times[k + 1]:.4g}; "
+                                 "each must be finite and non-negative")
         total = V.sum(axis=0)
         if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
             raise NumericalError(
                 f"unnormalized filter mass left (0, inf) at t={times[k + 1]:.4g}"
             )
         masses[:, k + 1] = V.T
-        p = np.clip(V / total, 0.0, None)
+        p = V / total
         p /= p.sum(axis=0)
         probs[:, k + 1] = p.T
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridmp import ConfigError
+from hybridmp import ConfigError, harness
 from hybridmp.cli import main
 from hybridmp.harness import (
     CONFIG_KEYS,
@@ -451,6 +451,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"cannot write {out}/error.json" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suite_records", [True, False], ids=["run-suite", "cli-fallback"])
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys, suite_records):
+        # a failed allocation is recorded like a config error, with numpy's
+        # message (bytes and shape), not a traceback; nothing real is allocated.
+        # Without run_suite's record the error reaches cli.main, which writes it.
+        def runner(cfg, out):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array with shape "
+                              "(1152921504606846976,) and data type float64")
+
+        monkeypatch.setitem(harness.SUITES, "filter-check",
+                            (runner, harness.SUITES["filter-check"][1]))
+        if not suite_records:
+            monkeypatch.setattr(harness, "write_error", lambda out_dir, exc: False)
+        out = tmp_path / "errout"
+        assert main(["run", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "MemoryError"
+        assert "8.00 EiB" in doc["message"]
 
     @pytest.mark.parametrize("flags, env, overrides", [
         (["--workers", "-3"], {}, {}),

@@ -145,6 +145,17 @@ class TestSimulateState:
             simulate_state(bm_spec, grid, 4, 1,
                            controls=np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("label", [0, 3])
+    @pytest.mark.parametrize("forward", [simulate_state, coupled_forward],
+                             ids=lambda fn: fn.__name__)
+    def test_alpha_override_labels_checked(self, bm_spec, forward, label):
+        # a label outside {1, 2} would weight no regime's cost, or index past the table
+        grid = TimeGrid(1.0, 10)
+        alpha = np.ones((4, grid.n_steps + 1), dtype=np.int64)
+        alpha[2, 5] = label
+        with pytest.raises(ConfigError, match=f"regime label {label}"):
+            forward(bm_spec, grid, 4, 1, alpha=alpha)
+
     def test_blow_up_guard(self):
         wild = LQSpec(a=(40.0, 40.0), b=(0.0, 0.0), sigma=1.0, Q=(0.0, 0.0),
                       R=(1.0, 1.0), G=(1.0, 1.0), lambda1=0.0, lambda2=0.0,

@@ -209,6 +209,28 @@ class TestZakaiFilter:
                               cp.bundle.controls)
         assert np.all(zk.V.sum(axis=2) > 0.0)
 
+    @pytest.mark.parametrize("dY0, regime, value", [(1.0, 2, "-0.3333"), (np.nan, 1, "nan")],
+                             ids=["negative", "nan"])
+    def test_bad_mass_component_raises(self, spec, dY0, regime, value):
+        # h = a x / sigma = (5/3, -5/3), so one step gives V = 0.5 (1 + h) = (1.333,
+        # -0.333): the total stays positive and only the component check sees it
+        grid = TimeGrid(1.0, 10)
+        dY = np.zeros((4, grid.n_steps))
+        dY[:, 0] = dY0
+        with pytest.raises(NumericalError, match=f"regime {regime} is {value} at t=0.1"):
+            run_zakai_filter(spec, grid, np.ones((4, 11)), np.zeros((4, 10)), dY=dY)
+
+    def test_zero_mass_component_is_legal(self):
+        # a frozen chain started at a vertex keeps the other mass at exactly 0
+        frozen = LQSpec(a=(0.5, -0.5), b=(1.0, 0.5), sigma=0.3, Q=(1.0, 1.0),
+                        R=(1.0, 2.0), G=(1.0, 1.0), lambda1=0.0, lambda2=0.0,
+                        horizon=1.0, x0=1.0, pi0=1.0).to_problem_spec()
+        grid = TimeGrid(1.0, 50)
+        cp = coupled_forward(frozen, grid, 8, 3)
+        zk = run_zakai_filter(frozen, grid, cp.bundle.states, cp.bundle.controls)
+        assert np.all(zk.V[..., 1] == 0.0)
+        assert np.all(zk.probs[..., 0] == 1.0)
+
 
 class TestOracle:
     def test_requires_fine_grid(self, spec):
