@@ -20,7 +20,8 @@ class NumericalError(HybridMPError):
 
 
 class RegressionError(HybridMPError):
-    """Least-squares design matrix unusable even after degree fallback."""
+    """Least-squares design matrix unusable: non-finite entries, or
+    nothing left after the rank rule truncates collinear directions."""
 
 
 class NonConvergence(HybridMPError):

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import (
-    CompactCoeffs,
     gateaux_derivative,
     hamiltonian_direction_value,
     solve_adjoint_bsde,
@@ -346,18 +345,17 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
     spec = cfg.problem
     grid = cfg.grid
     tol = cfg.tolerances
-    coeffs = CompactCoeffs(spec)
     eps = 1e-2
 
     base = innovation_forward(spec, grid, cfg.n_paths, cfg.seed,
                               policy=zero_policy(spec.control_domain))
-    adjoint = solve_adjoint_bsde(spec, base, coeffs=coeffs)
+    adjoint = solve_adjoint_bsde(spec, base)
     base_cost = transformed_cost_paths(spec, grid, base.states, base.probs,
                                        base.controls)
 
     directions = _direction_set(grid, base)
-    lins = gateaux_derivative(spec, base, directions, coeffs)
-    duals = hamiltonian_direction_value(spec, base, adjoint, directions, coeffs)
+    lins = gateaux_derivative(spec, base, directions)
+    duals = hamiltonian_direction_value(spec, base, adjoint, directions)
 
     gateaux_ratio = 0.0
     duality_ratio = 0.0

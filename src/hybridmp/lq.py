@@ -24,7 +24,6 @@ from numpy.typing import NDArray
 
 from .adjoint import (
     AdjointPath,
-    CompactCoeffs,
     PolyBasis,
     StepProjector,
     backward_sweep,
@@ -288,7 +287,6 @@ def solve_lq(
     lq = spec.lq
     if basis is None:
         basis = PolyBasis()
-    coeffs = CompactCoeffs(spec)
 
     dnu = None  # drawn by the first forward pass, then common to every pass
     policy = zero_policy(spec.control_domain)
@@ -306,7 +304,7 @@ def solve_lq(
         # values on the paths, which ``_fit_step`` returns, feed the sums
         # of squares behind the stopping test.
         moved = size = 0.0
-        for k, proj, adj in backward_sweep(spec, path, basis, coeffs):
+        for k, proj, adj in backward_sweep(spec, path, basis):
             x = path.states[:, k]
             p = path.probs[:, k, 0]
             u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
@@ -352,7 +350,7 @@ def solve_lq(
     del path, adj
 
     path = _forward(spec, grid, n_paths, seed, policy, dnu)
-    adj = solve_adjoint_bsde(spec, path, basis=basis, coeffs=coeffs)
+    adj = solve_adjoint_bsde(spec, path, basis=basis)
     report = stationarity_report(spec, path, adj)
     cost = transformed_cost(spec, grid, path.states, path.probs, path.controls)
     solution = LQSolution(

@@ -7,6 +7,7 @@ on how paths are batched into blocks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,6 +96,9 @@ class TimeGrid:
             raise ConfigError("horizon must be positive and finite")
         if self.n_steps < 1:
             raise ConfigError("need at least one step")
+        if not self.dt >= sys.float_info.min:  # a subnormal or zero step breaks the passes
+            raise ConfigError(f"grid of horizon {self.horizon!r} and n_steps={self.n_steps} "
+                              f"has step dt={self.dt!r}, below the smallest normal double")
 
     @property
     def dt(self) -> float:
@@ -127,7 +131,6 @@ class PathBundle:
     controls: Array
     noise: Array
     seed: int
-    path_offset: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -169,21 +172,16 @@ def simulate_chain(
     rate = grid.dt * generator.max_exit_rate
     if rate >= 0.5:
         raise ConfigError(f"grid too coarse for the chain: dt*max_rate = {rate:.3g} >= 0.5")
-    cdf = np.cumsum(generator.transition_matrix(grid.dt), axis=1)
+    # the chance that a path in state s (0 or 1) moves to state 0 in one step
+    to_first = generator.transition_matrix(grid.dt)[:, 0]
 
     indices = range(path_offset, path_offset + n_paths)
     u = draw_uniforms(seed, indices, TAG_CHAIN, grid.n_steps + 1)
 
     alpha = history(n_paths, grid.n_steps + 1, dtype=np.int64)
-    pi0_cdf = np.cumsum(np.asarray(pi0, dtype=np.float64))
-    alpha[:, 0] = np.searchsorted(pi0_cdf, u[:, 0], side="right")
-    np.clip(alpha[:, 0], 0, 1, out=alpha[:, 0])
-    # successor[s, k, p]: the state (0 or 1) that path p moves to at node
-    # k from state s, i.e. whether cdf[s, 0] <= u[p, k]
-    successor = u.T >= cdf[:, :1, None]
-    rows = np.arange(n_paths)
+    alpha[:, 0] = u[:, 0] >= pi0[0]
     for k in range(grid.n_steps):
-        alpha[:, k + 1] = successor[alpha[:, k], k + 1, rows]
+        alpha[:, k + 1] = u[:, k + 1] >= to_first[alpha[:, k]]
     alpha += 1
     return alpha
 
@@ -326,10 +324,8 @@ def simulate_state(
         x = states[:, k + 1] = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k],
                                           grid.dt, times[k + 1])
 
-    return PathBundle(
-        grid=grid, states=states, regimes=alpha, controls=used,
-        noise=dW, seed=seed, path_offset=path_offset,
-    )
+    return PathBundle(grid=grid, states=states, regimes=alpha, controls=used,
+                      noise=dW, seed=seed)
 
 
 # ---------------------------------------------------------------------------

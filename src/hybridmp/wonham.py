@@ -298,7 +298,6 @@ class InnovationPath:
     controls: Array
     dnu: Array
     seed: int
-    path_offset: int = 0
     clamp_events: int = 0
     max_excursion: float = 0.0
 
@@ -307,8 +306,8 @@ class InnovationPath:
         return self.states.shape[0]
 
 
-def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: int,
-                   policy, controls, noise: Array, alpha=None) -> InnovationPath:
+def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, policy, controls,
+                   noise: Array, alpha=None) -> InnovationPath:
     """Euler and Wonham steps of (X, p) under feedback on (t, X, p_1).
 
     Given the hidden chain ``alpha``, X moves with the realized regime's
@@ -356,8 +355,7 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, path_offset: in
         probs[:, k + 1] = p.T
 
     return InnovationPath(grid=grid, states=states, probs=probs, controls=used,
-                          dnu=dnu, seed=seed, path_offset=path_offset,
-                          clamp_events=events, max_excursion=worst)
+                          dnu=dnu, seed=seed, clamp_events=events, max_excursion=worst)
 
 
 def coupled_forward(
@@ -380,9 +378,9 @@ def coupled_forward(
     (t, x, pi)-feedback is admissible here.
     """
     alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha, dW)
-    run = _observer_pass(spec, grid, seed, path_offset, policy, controls, dW, alpha)
+    run = _observer_pass(spec, grid, seed, policy, controls, dW, alpha)
     bundle = PathBundle(grid=grid, states=run.states, regimes=alpha, controls=run.controls,
-                        noise=dW, seed=seed, path_offset=path_offset)
+                        noise=dW, seed=seed)
     fpath = FilterPath(grid=grid, probs=run.probs, nu_increments=run.dnu,
                        clamp_events=run.clamp_events, max_excursion=run.max_excursion)
     return CoupledPath(bundle=bundle, filter_path=fpath)
@@ -407,7 +405,7 @@ def innovation_forward(
         dnu = brownian_increments(seed, grid, n_paths, TAG_INNOVATION, path_offset)
     else:
         dnu = check_override("dnu", dnu, (n_paths, grid.n_steps))
-    return _observer_pass(spec, grid, seed, path_offset, policy, controls, dnu)
+    return _observer_pass(spec, grid, seed, policy, controls, dnu)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridmp import errors
@@ -41,6 +42,7 @@ TOY_SPEC = {
 }
 
 TINY = 5e-324  # the smallest positive double
+TINY_HORIZON = dict(TOY_SPEC, T=TINY)  # its grid step underflows to 0
 HUGE = sys.float_info.max
 # Finite numbers at the ends of the double range, and values of no JSON number type.
 EXTREMES = [TINY, -TINY, 1e-300, 1e308, -1e308, HUGE, -HUGE]
@@ -126,8 +128,12 @@ def _run(config: dict, spec: dict, workdir: Path) -> tuple[int, Path]:
     return code, out
 
 
+# A warning of an invalid value is a silent NaN, which the contract forbids.
+@pytest.mark.filterwarnings("error:invalid value encountered:RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(run_documents())
+@example(({"suite": "filter-check", "spec": TINY_HORIZON, "n_steps": 10, "n_paths": 100,
+           "lq_max_iter": 1}, TINY_HORIZON))
 def test_exit_code_contract(documents):
     config, spec = documents
     with tempfile.TemporaryDirectory() as tmp:

@@ -14,6 +14,7 @@ from hybridmp.cli import main
 from hybridmp.harness import (
     CONFIG_KEYS,
     CSV_PATHS,
+    SUITES,
     ExperimentConfig,
     run_suite,
     validate_spec_file,
@@ -504,6 +505,22 @@ class TestCli:
         doc = json.loads((out / "error.json").read_text())
         assert doc["error"] == "ConfigError"
         assert message in doc["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("horizon", [5e-324, 1e-320], ids=["dt-zero", "dt-subnormal"])
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_degenerate_grid_exits_2_naming_it(self, tmp_path, capsys, suite, horizon):
+        # a horizon whose step underflows would run every pass on 0/0
+        out = tmp_path / "errout"
+        path = _write_config(tmp_path, suite=suite, spec=dict(DEFAULT_SPEC, T=horizon),
+                             n_steps=10, n_paths=100, lq_max_iter=1)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "ConfigError"
+        assert f"grid of horizon {horizon!r} and n_steps=" in doc["message"]
+        assert "below the smallest normal double" in doc["message"]
+        assert not (out / "results.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b"\xff{}", b"[" * 10**5],

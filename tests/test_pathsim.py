@@ -326,20 +326,24 @@ class TestKernelExactness:
             draw_uniforms(0, [0, 1], tag, 5)
 
     @pytest.mark.parametrize("generator", [
-        GeneratorSpec(1.0, 2.0),
-    ], ids=["two-state"])
+        GeneratorSpec(1.0, 2.0), GeneratorSpec(2.0, 0.0), GeneratorSpec(0.0, 0.0),
+    ], ids=["two-state", "absorbing-2", "frozen"])
     def test_chain_matches_the_per_step_loop(self, generator):
+        # regime 2 of "absorbing-2" moves to regime 1 below a threshold of
+        # exactly 0; the frozen chain's thresholds are 1 and 0
         grid = TimeGrid(1.0, 100)
         d = 2
         pi0 = np.full(d, 1.0 / d)
         last = np.eye(d)[d - 1]  # the start in regime d, as the reference's alpha0=d
         for kwargs, ref in (({"pi0": last}, {"alpha0": d}), ({"pi0": pi0}, None),
+                            ({"pi0": (0.3, 0.7)}, None),
                             ({"pi0": pi0, "path_offset": 17}, None)):
             got = simulate_chain(generator, grid, 300, 11, **kwargs)
             want = _chain_by_fresh_streams(generator, grid, 300, 11, **(ref or kwargs))
             assert got.dtype == np.int64 and _rows_are_contiguous(got)
             assert np.array_equal(got, want)
-            assert set(np.unique(got)) == set(range(1, d + 1))
+            stuck = ref is not None and generator.lambda2 == 0.0  # regime 2 never left
+            assert set(np.unique(got)) == ({d} if stuck else set(range(1, d + 1)))
 
     @pytest.mark.parametrize("rates", [(1.0, 2.0), (2.0, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("seed", [0, 5, 11, 2**63])
