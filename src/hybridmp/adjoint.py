@@ -33,6 +33,13 @@ MIN_PATHS_PER_TERM = 10
 # this fraction of the leading one are dropped.
 RCOND = 1e-8
 
+# A design is factored through its Gram matrix when the Gram eigenvalues
+# span less than 1 / GRAM_MIN_RATIO: its singular values are then all
+# above 1e-6 of the leading one, 100 x inside RCOND, so the rank rule
+# would keep every column anyway, and two Gram passes orthonormalize to
+# SVD accuracy while the condition number stays below about 1e8.
+GRAM_MIN_RATIO = 1e-12
+
 
 class CompactCoeffs:
     """Builder of the coefficient table of the closed (X, pi) system.
@@ -300,13 +307,23 @@ class PolyBasis:
 class StepProjector:
     """Orthogonal projector onto the significant column space of a design.
 
+    A well-conditioned design is orthonormalized through its Gram matrix
+    G = A^T A, twice: with G = V diag(ev) V^T, M = V / sqrt(ev) makes
+    A M orthonormal up to rounding of order eps cond(A)^2, and a second
+    pass on (A M)^T (A M) brings that to eps (Cholesky-QR2 with an
+    eigendecomposition in place of the Cholesky factor).  That route is
+    taken only when G is finite and its eigenvalues span less than
+    1 / ``GRAM_MIN_RATIO``, so it is full rank by construction; the
+    ``svd_fallback`` flag records the other steps.
+
     Near a deterministic start the ensemble collapses onto a curve in
     (x, pi) and the monomials become exactly collinear, at any degree,
     so rank handling has to happen inside the step rather than by
-    shrinking the basis: singular directions below ``RCOND`` times the
-    leading one are dropped and the projection uses what remains.  At
-    the initial node this degrades to the plain ensemble mean, which is
-    the exact conditional expectation there.
+    shrinking the basis: such a design falls back to a thin SVD, whose
+    singular directions below ``RCOND`` times the leading one are
+    dropped, and the projection uses what remains.  At the initial node
+    this degrades to the plain ensemble mean, which is the exact
+    conditional expectation there.
 
     ``coef(y)`` gives coefficients on the design's columns, with
     ``A @ coef(y)`` equal to ``fitted(y)`` up to rounding; ``on_basis``
@@ -316,6 +333,13 @@ class StepProjector:
     loc, scale = 0.0, 1.0
 
     def __init__(self, A: Array):
+        self.A = A
+        gram = _gram_orthonormal(A)
+        self.svd_fallback = gram is None
+        if gram is not None:
+            self.U, self.V_over_s = gram
+            self.rank = A.shape[1]
+            return
         if not np.all(np.isfinite(A)):
             raise RegressionError("design matrix contains non-finite entries")
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -323,7 +347,6 @@ class StepProjector:
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise RegressionError("design matrix is identically zero")
-        self.A = A
         self.U = U[:, keep]
         # V Sigma^{-1} on the kept rank
         self.V_over_s = Vt[keep].T / s[keep]
@@ -344,9 +367,33 @@ class StepProjector:
         return self.V_over_s @ (self.U.T @ y)
 
 
+def _gram_orthonormal(A: Array) -> tuple[Array, Array] | None:
+    """(U, M) with U = A M orthonormal, by two Gram passes, or None when
+    A^T A is not finite (a non-finite design included) or its eigenvalues
+    span 1 / ``GRAM_MIN_RATIO`` or more (an identically zero design
+    included)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A
+    if not np.all(np.isfinite(G)):
+        return None
+    ev, V = np.linalg.eigh(G)
+    if not ev[0] > GRAM_MIN_RATIO * ev[-1]:
+        return None
+    M = V / np.sqrt(ev)
+    U = A @ M
+    ev, V = np.linalg.eigh(U.T @ U)
+    M2 = V / np.sqrt(ev)
+    return U @ M2, M @ M2
+
+
 def _r_squared(y: Array, fit: Array) -> float:
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst < 1e-14:
+    mean = float(y.mean())
+    sst = float(np.sum((y - mean) ** 2))
+    # A target is constant when its spread is negligible against its own
+    # size, sst + n mean^2 = |y|^2.  An absolute bound would call every
+    # target of a cheap enough cost constant, and R^2 = 1 would then pass
+    # vacuously at every step.
+    if sst <= 1e-14 * (sst + len(y) * mean * mean):
         return 1.0
     return 1.0 - float(np.sum((y - fit) ** 2)) / sst
 
@@ -370,7 +417,9 @@ class AdjointPath:
     (N, n_paths): the Hamiltonian's control gradient at (phi_pred, lam)
     per step, step-major.
     ``r_squared`` and ``ranks`` record the regression quality and the
-    effective design rank at each backward step.
+    effective design rank at each backward step, and ``svd_fallback``
+    the steps whose design was factored by SVD rather than through its
+    Gram matrix (see ``StepProjector``).
     """
 
     grid: TimeGrid
@@ -380,6 +429,7 @@ class AdjointPath:
     dH_dv: Array
     r_squared: Array
     ranks: NDArray[np.int64]
+    svd_fallback: NDArray[np.bool_]
     basis_degree: int
 
 
@@ -398,9 +448,11 @@ def solve_adjoint_bsde(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis
 
     onto the same basis to get Phi_k, and evaluates dH/dv at
     (E_k Phi_{k+1}, Lambda_k) from the same coefficient table.  One
-    design factorization per step is shared by all regression targets;
-    collinear directions are truncated per step (see ``StepProjector``),
-    with the effective rank recorded and logged when below the full basis
+    design factorization per step is shared by all regression targets:
+    two passes through the design's Gram matrix when it is well
+    conditioned, else a thin SVD whose collinear directions are truncated
+    (see ``StepProjector``).  Which route ran is recorded per step, and
+    the effective rank is recorded and logged when below the full basis
     size away from the start.  The minimum per-step R^2 across targets is
     recorded; it is structurally near zero at the first few steps (there
     is almost nothing to condition on yet), so diagnostics should read it
@@ -439,8 +491,10 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
     dH_dv = np.empty((grid.n_steps, n))
     r2 = np.empty(grid.n_steps)
     ranks = np.empty(grid.n_steps, dtype=np.int64)
+    svd_fallback = np.empty(grid.n_steps, dtype=bool)
     adjoint = AdjointPath(grid=grid, phi=phi, lam=lam, phi_pred=phi_pred, dH_dv=dH_dv,
-                          r_squared=r2, ranks=ranks, basis_degree=basis.degree)
+                          r_squared=r2, ranks=ranks, svd_fallback=svd_fallback,
+                          basis_degree=basis.degree)
 
     phi[:, -1] = coeffs.G_theta(path.states[:, -1], path.probs[:, -1, 0])
 
@@ -451,6 +505,7 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
 
         proj = StepProjector.on_basis(basis, x, p)
         ranks[k] = proj.rank
+        svd_fallback[k] = proj.svd_fallback
         if proj.rank < basis.n_terms and k > 5:
             logger.info("backward step %d: design rank %d of %d",
                         k, proj.rank, basis.n_terms)

@@ -341,7 +341,7 @@ def _direction_set(grid: TimeGrid, base) -> np.ndarray:
     return np.moveaxis(stack, 0, -1)
 
 
-def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
+def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
     spec = cfg.problem
     grid = cfg.grid
     tol = cfg.tolerances
@@ -382,7 +382,7 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
             tail_r2_min(adjoint), tol.get("bsde_min_r2", 0.5), ">="
         ),
     }
-    return metrics, []
+    return metrics, [], {"svd_fallback_steps": int(np.count_nonzero(adjoint.svd_fallback))}
 
 
 def _control_surface(policy: PiecewisePolyPolicy, grid: TimeGrid,
@@ -432,7 +432,8 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]
                     for row in solution.trace)),
         _write_csv(out / "control_surface.csv", ["t", "x", "pi", "u"],
                    _control_surface(solution.policy, grid, x_lo, x_hi)),
-    ], {"final_sup_change": solution.final_sup_change}
+    ], {"final_sup_change": solution.final_sup_change,
+        "svd_fallback_steps": int(np.count_nonzero(solution.adjoint.svd_fallback))}
 
 
 def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:

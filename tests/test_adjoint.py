@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hybridmp import (
     TimeGrid,
     zero_policy,
 )
+import hybridmp.adjoint as adjoint_mod
 from hybridmp.adjoint import (
     CompactCoeffs,
     PolyBasis,
@@ -350,6 +352,19 @@ class TestAdjointBsde:
         assert np.max(np.abs(adj2.phi - adj.phi[perm])) <= 1e-8
         assert np.max(np.abs(adj2.lam - adj.lam[perm])) <= 1e-8
 
+    def test_r_squared_does_not_depend_on_the_units_of_the_cost(self, lq, ensemble):
+        # Q, R and G times c leave the zero-policy paths as they are and
+        # scale every regression target by c, so R^2 must not move
+        grid, path, adj = ensemble
+        c = 1e-10
+        cheap = dataclasses.replace(lq, Q=tuple(c * q for q in lq.Q),
+                                    R=tuple(c * r for r in lq.R),
+                                    G=tuple(c * g for g in lq.G))
+        scaled = solve_adjoint_bsde(cheap.to_problem_spec(), path)
+        assert adj.r_squared.min() < 0.99
+        assert np.max(np.abs(scaled.r_squared - adj.r_squared)) <= 1e-9
+        assert np.array_equal(scaled.svd_fallback, adj.svd_fallback)
+
 
 class TestStepMajorSweep:
     """The sweep stores its adjoints step-major and reads the path's rows;
@@ -373,7 +388,7 @@ class TestStepMajorSweep:
         other = solve_adjoint_bsde(spec, copy)
         # rank-deficient steps near the start are covered too
         assert np.array_equal(other.ranks, adj.ranks) and adj.ranks.min() < PolyBasis().n_terms
-        for name in ("phi", "lam", "phi_pred", "dH_dv", "r_squared"):
+        for name in ("phi", "lam", "phi_pred", "dH_dv", "r_squared", "svd_fallback"):
             assert np.array_equal(getattr(other, name), getattr(adj, name)), name
 
 
@@ -499,3 +514,47 @@ class TestRegressionMachinery:
         assert proj.rank == 2
         target = 1.0 + 3.0 * x
         assert np.max(np.abs(proj.fitted(target) - target)) <= 1e-9
+        assert proj.svd_fallback
+
+    def test_gram_route_matches_the_svd_route(self, rng, monkeypatch):
+        n = 2048
+        A = PolyBasis(3).design(rng.normal(0.0, 1.0, n), rng.uniform(0.1, 0.9, n))
+        y = rng.normal(0.0, 1.0, (n, 2))
+        gram = StepProjector(A)
+        assert not gram.svd_fallback and gram.rank == A.shape[1]
+        assert np.max(np.abs(gram.U.T @ gram.U - np.eye(gram.rank))) <= 1e-13
+        monkeypatch.setattr(adjoint_mod, "GRAM_MIN_RATIO", np.inf)
+        svd = StepProjector(A)
+        assert svd.svd_fallback and svd.rank == gram.rank
+        assert np.max(np.abs(gram.fitted(y) - svd.fitted(y))) <= 1e-12
+        assert np.max(np.abs(gram.coef(y) - svd.coef(y))) <= 1e-12
+
+    @pytest.mark.parametrize("ratio, fallback", [(0.9e-6, True), (1.1e-6, False)],
+                             ids=["beyond", "inside"])
+    def test_gram_ratio_decides_the_route(self, rng, ratio, fallback):
+        # singular values from 1 down to ``ratio``: the Gram eigenvalues
+        # span ratio^2, just beyond or just inside GRAM_MIN_RATIO; both
+        # designs are full rank under the RCOND rule
+        n, m = 1000, 10
+        left, _ = np.linalg.qr(rng.normal(0.0, 1.0, (n, m)))
+        right, _ = np.linalg.qr(rng.normal(0.0, 1.0, (m, m)))
+        A = (left * np.geomspace(1.0, ratio, m)) @ right.T
+        proj = StepProjector(A)
+        assert proj.svd_fallback == fallback
+        assert proj.rank == m
+        assert np.max(np.abs(proj.U.T @ proj.U - np.eye(m))) <= 1e-13
+        y = rng.normal(0.0, 1.0, n)
+        assert np.max(np.abs(proj.fitted(y) - left @ (left.T @ y))) <= 1e-9
+
+    def test_overflowing_gram_takes_the_svd_route(self, rng):
+        # finite entries whose squares overflow: the SVD scales them
+        A = rng.normal(0.0, 1.0, (50, 3))
+        y = rng.normal(0.0, 1.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj = StepProjector(A * 1e160)
+        assert proj.svd_fallback and proj.rank == 3
+        unit = StepProjector(A)
+        assert not unit.svd_fallback
+        assert np.max(np.abs(proj.fitted(y) - unit.fitted(y))) <= 1e-12
+        assert np.max(np.abs(proj.coef(y) * 1e160 - unit.coef(y))) <= 1e-12

@@ -228,6 +228,8 @@ class TestRunSuite:
         assert set(results["metrics"]) == {
             "gateaux_gap_ratio", "duality_rel_gap", "bsde_min_r2"}
         assert all(m["pass"] for m in results["metrics"].values())
+        # the deterministic start makes the first designs collinear
+        assert 0 < results["svd_fallback_steps"] < 20
 
     def test_tolerance_for_an_unknown_metric_exits_2(self, tmp_path):
         # a misspelled key would otherwise leave duality_rel_gap at its default
@@ -301,6 +303,7 @@ class TestRunSuite:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iter,step,cost,SE,residual,ensemble_change"
         assert len(trace) >= 2
+        assert 0 < results["svd_fallback_steps"] < 50
         assert (out / "control_surface.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"results.json", "trace.csv",

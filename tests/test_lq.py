@@ -247,7 +247,9 @@ class TestStepProjectorCoef:
     def test_coef_reproduces_fitted_on_a_collinear_design(self, rng):
         _, states, probs, controls = _collinear_case(rng)
         proj = StepProjector.on_basis(PolyBasis(3), states[:, 0], probs[:, 0, 0])
-        assert proj.rank < PolyBasis(3).n_terms
+        assert proj.svd_fallback and proj.rank < PolyBasis(3).n_terms
+        s = np.linalg.svd(proj.A, compute_uv=False)
+        assert proj.rank == np.count_nonzero(s > adjoint_mod.RCOND * s[0])
         u = controls[:, 0]
         assert np.max(np.abs(proj.A @ proj.coef(u) - proj.fitted(u))) <= 1e-10
 
@@ -374,9 +376,10 @@ class TestSolveLq:
             f"{1e-4 * max(1.0, last['ensemble_norm']):.3g})")
 
     def test_each_iteration_factors_each_step_once(self, lq, monkeypatch):
-        # one SVD per backward step per iteration, plus the certificate
-        # sweep; the policy fit reuses the sweep's factorization
-        calls = {"svd": 0, "lstsq": 0}
+        # one projector (one factorization, Gram or SVD) per backward step
+        # per iteration, plus the certificate sweep; the policy fit reuses
+        # the sweep's factorization
+        calls = {"projector": 0, "lstsq": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -384,14 +387,15 @@ class TestSolveLq:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(StepProjector, "__init__",
+                            counting("projector", StepProjector.__init__))
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
         grid = TimeGrid(1.0, 20)
         with pytest.raises(NonConvergence) as exc:
             solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
         iterations = exc.value.solution.iterations
         assert iterations == 2
-        assert calls == {"svd": grid.n_steps * (iterations + 1), "lstsq": 0}
+        assert calls == {"projector": grid.n_steps * (iterations + 1), "lstsq": 0}
 
     def test_each_backward_step_evaluates_the_coefficients_once(self, lq, monkeypatch):
         # one coefficient table per backward step: drift and running cost
