@@ -55,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override every config's seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override every config's workers (validated; selects nothing)")
+                        help="override every config's workers (worker processes for the "
+                             "blocks of paths; 0 and 1 run them serially)")
     parser.add_argument("--check", metavar="FILE",
                         help="exit 1 unless every manifest matches this table")
     parser.add_argument("--record", metavar="FILE",

@@ -20,6 +20,7 @@ from .errors import (
     NonConvergence,
     NumericalError,
     RegressionError,
+    WorkerError,
 )
 from .harness import ExperimentConfig, run_suite
 from .lq import (

@@ -4,8 +4,9 @@ hybridmp run --config cfg.json [--seed N] [--workers N] [--out DIR]
 hybridmp validate --spec spec.json
 
 Environment variables HYBRIDMP_SEED, HYBRIDMP_WORKERS and HYBRIDMP_OUT
-override the config file; explicit flags override both.  ``workers`` is
-validated but selects nothing (blocks of paths run in order), kept for old configs.
+override the config file; explicit flags override both.  ``workers`` is the
+number of worker processes for large blocks of paths; 0 and 1 both run them
+serially, and results do not depend on it (see ``parallel.run_blocks``).
 """
 
 from __future__ import annotations

@@ -24,6 +24,10 @@ class RegressionError(HybridMPError):
     nothing left after the rank rule truncates collinear directions."""
 
 
+class WorkerError(HybridMPError):
+    """A worker process of a block pool died before its block returned."""
+
+
 class NonConvergence(HybridMPError):
     """Iterative solver exhausted its iteration budget.
 

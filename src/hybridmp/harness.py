@@ -4,8 +4,9 @@ Each suite computes a small set of scalar metrics, compares every metric
 against its tolerance, and writes diff-able artifacts: ``results.json``
 with per-metric pass/fail records, CSV series, and ``manifest.json``
 with a content hash per file.  Runs are deterministic functions of
-(config, seed).  ``workers`` is accepted and validated but selects
-nothing: blocks of paths run one after the other.
+(config, seed), whatever ``workers`` says: at 2 or more, large blocks of
+paths run on forked worker processes (see ``parallel.run_blocks``), and
+0 and 1 both run them one after the other.
 """
 
 from __future__ import annotations

@@ -364,8 +364,9 @@ def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
 def blocked_cost(path_costs, n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE,
                  workers: int = 1) -> CostEstimate:
     """Mean and standard error of ``path_costs(offset, count)`` (per-path
-    costs of one block of paths), merged in block order.  ``workers``
-    selects nothing (see ``run_blocks``)."""
+    costs of one block of paths), merged in block order.  With ``workers``
+    >= 2 large blocks run on forked worker processes (see ``run_blocks``);
+    the estimate does not depend on ``workers``."""
 
     def run_block(offset: int, count: int) -> RunningMoments:
         return RunningMoments().add(path_costs(offset, count))

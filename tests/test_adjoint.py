@@ -447,6 +447,48 @@ class TestLinearOracle:
         # with the control variate, so its floor is sqrt(2 rank/n)
         assert worst_lam <= 0.15
 
+    def test_moving_belief_oracle_takes_the_gram_route(self, spec):
+        # Criterion 7's fake at its size, but pi is a bounded martingale
+        # independent of dnu, p_{k+1} = p_k + c p_k (1 - p_k) eps_k with
+        # eps_k = +-sqrt(dt), so the pi columns are no multiples of the x
+        # columns.  E_k p_N = p_k, so the exact value is growth_k (x_k, p_k),
+        # the x integrand is growth_{k+1} sigma and the pi integrand is 0.
+        a_rate, sigma, c = 0.8, 0.5, 2.0
+        grid = TimeGrid(1.0, 100)
+        n = 10_000
+        path = _synthetic_path(grid, n, sigma, seed=42)
+        rng = np.random.default_rng(43)
+        eps = math.sqrt(grid.dt) * rng.choice((-1.0, 1.0), (n, grid.n_steps))
+        p = np.empty((n, grid.n_steps + 1))
+        p[:, 0] = rng.uniform(0.2, 0.8, n)
+        for k in range(grid.n_steps):
+            p[:, k + 1] = p[:, k] + c * p[:, k] * (1.0 - p[:, k]) * eps[:, k]
+        path = dataclasses.replace(path, probs=np.stack([p, 1.0 - p], axis=2))
+        adj = solve_adjoint_bsde(spec, path, coeffs=_LinearCoeffs(a_rate))
+        assert not adj.svd_fallback.any()
+        assert (adj.ranks == PolyBasis().n_terms).all()
+
+        growth = (1.0 + a_rate * grid.dt) ** np.arange(grid.n_steps, -1, -1)
+        worst_phi = np.zeros(2)
+        worst_lam_x = worst_lam_p = 0.0
+        for k in range(grid.n_steps + 1):
+            for j, theta in enumerate((path.states[:, k], p[:, k])):
+                exact = growth[k] * theta
+                err = np.sqrt(np.mean((adj.phi[:, k, j] - exact) ** 2))
+                worst_phi[j] = max(worst_phi[j], err / np.sqrt(np.mean(exact**2)))
+            if k < grid.n_steps:
+                lam_exact = growth[k + 1] * sigma
+                lam_err = np.sqrt(np.mean((adj.lam[:, k, 0] - lam_exact) ** 2))
+                worst_lam_x = max(worst_lam_x, lam_err / lam_exact)
+                worst_lam_p = max(worst_lam_p, np.sqrt(np.mean(adj.lam[:, k, 1] ** 2)))
+        # criterion 7's bounds
+        assert worst_phi.max() <= 0.05
+        assert worst_lam_x <= 0.10
+        # With the path seed s and the belief seed s + 1 for s = 0..49, the
+        # worst step's RMS pi integrand was 0.032-0.053 (median 0.037); the
+        # bound leaves 1.5x over the largest.
+        assert worst_lam_p <= 0.08
+
     def test_constant_terminal_is_reproduced_exactly(self, spec):
         grid = TimeGrid(1.0, 30)
         path = _synthetic_path(grid, 500, 0.4, seed=4)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridmp import ConfigError, harness
+from hybridmp import ConfigError, harness, parallel
 from hybridmp.cli import main
 from hybridmp.harness import (
     CONFIG_KEYS,
@@ -66,7 +66,7 @@ class TestExperimentConfig:
             ExperimentConfig(suite="filter-check", spec=lq, n_paths=50)
 
     def test_zero_workers_is_accepted_and_kept(self, lq):
-        # workers selects nothing, so 0 is not resolved to a core count
+        # 0 and 1 both run the blocks serially, so 0 is not resolved to a core count
         assert ExperimentConfig(suite="filter-check", spec=lq, workers=0).workers == 0
 
     def test_history_bound_names_the_bytes_and_spares_the_largest_size_that_fits(self, lq):
@@ -219,6 +219,24 @@ class TestRunSuite:
             run_suite(cfg)
             digests.append(_sha256(out / "results.json"))
         assert digests[0] == digests[1]
+
+    def test_pooled_filter_check_matches_the_serial_one(self, tmp_path, monkeypatch):
+        # 8192 paths are two default blocks, so workers=2 runs them on the pool
+        pools = []
+        run_pool = parallel._run_pool
+        monkeypatch.setattr(parallel, "_run_pool",
+                            lambda *args: pools.append(args[-1]) or run_pool(*args))
+        digests = []
+        for tag, workers in (("a", 1), ("b", 2), ("c", 1)):
+            out = tmp_path / tag
+            cfg = ExperimentConfig.from_file(
+                str(_write_config(tmp_path, name=f"cfg_{tag}.json", out=str(out),
+                                  n_paths=8192)),
+                workers=workers)
+            run_suite(cfg)
+            digests.append(_sha256(out / "results.json"))
+        assert pools == [2]
+        assert len(set(digests)) == 1
 
     def test_mp_check_passes_at_a_small_size(self, tmp_path):
         cfg = ExperimentConfig.from_file(str(_write_config(
@@ -483,7 +501,7 @@ class TestCli:
     ], ids=["flag", "env", "file"])
     def test_negative_workers_exit_2(self, tmp_path, monkeypatch, capsys,
                                      flags, env, overrides):
-        # workers selects nothing, but a negative count is still an error
+        # a negative worker count is an error
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         path = _write_config(tmp_path, **overrides)

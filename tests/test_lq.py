@@ -26,7 +26,7 @@ from hybridmp.lq import (
     solve_lq,
     stationary_control,
 )
-from hybridmp.harness import ExperimentConfig, run_suite
+from hybridmp.harness import ExperimentConfig, run_suite, stationarity_ratio
 from hybridmp.model import zero_policy
 from hybridmp.wonham import innovation_forward
 
@@ -264,6 +264,18 @@ class TestStepProjectorCoef:
 
 
 class TestSolveLq:
+    def test_gram_route_solves_as_the_svd_route(self, lq, monkeypatch):
+        # GRAM_MIN_RATIO = inf sends every design to the SVD
+        grid = TimeGrid(1.0, 50)
+        gram = solve_lq(lq, grid, n_paths=512, seed=3)
+        monkeypatch.setattr(adjoint_mod, "GRAM_MIN_RATIO", np.inf)
+        svd = solve_lq(lq, grid, n_paths=512, seed=3)
+        assert svd.adjoint.svd_fallback.all() and not gram.adjoint.svd_fallback.all()
+        assert gram.iterations == svd.iterations
+        assert np.array_equal(gram.adjoint.ranks, svd.adjoint.ranks)
+        assert gram.cost.mean == pytest.approx(svd.cost.mean, rel=1e-12, abs=0.0)
+        assert stationarity_ratio(gram) == pytest.approx(stationarity_ratio(svd), rel=1e-9, abs=0.0)
+
     def test_converges_with_certificate(self, lq, solved):
         grid, sol = solved
         assert sol.converged

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridmp.parallel import RunningMoments, run_blocks
+from hybridmp import NumericalError, TimeGrid, WorkerError, parallel
+from hybridmp.parallel import POOL_MIN_PATHS, RunningMoments, run_blocks
+from hybridmp.wonham import coupled_forward
 
 samples = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=200)
 
@@ -86,3 +90,67 @@ def test_run_blocks_ends_with_a_short_block_and_rejects_empty_sizes():
         run_blocks(lambda offset, count: None, 0, 100)
     with pytest.raises(ValueError, match="block_size"):
         run_blocks(lambda offset, count: None, 100, 0)
+
+
+# Pooled runs below use 2 or 3 blocks of POOL_MIN_PATHS paths and 2 workers,
+# so each starts at most 2 processes.
+def _pid_block(offset, count):
+    return offset, count, os.getpid()
+
+
+def test_pooled_blocks_run_in_other_processes_and_return_in_block_order():
+    n = POOL_MIN_PATHS
+    # Python 3.12 warns when a process with threads forks; the pool must
+    # fork before it starts any thread of its own.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = run_blocks(_pid_block, 3 * n - 7, n, 2)
+    assert [part[:2] for part in parts] == [(0, n), (n, n), (2 * n, n - 7)]
+    assert os.getpid() not in {part[2] for part in parts}
+
+
+def test_pool_is_bounded_by_the_cores(monkeypatch):
+    monkeypatch.setattr(parallel, "_cores", lambda: 1)
+    parts = run_blocks(_pid_block, 2 * POOL_MIN_PATHS, POOL_MIN_PATHS, 2**63)
+    assert len({part[2] for part in parts}) == 1
+    assert parts[0][2] != os.getpid()
+
+
+def test_pooled_forward_moments_are_bit_identical_to_serial(spec):
+    grid = TimeGrid(1.0, 100)
+
+    def block(offset, count):
+        fp = coupled_forward(spec, grid, count, 11, path_offset=offset).filter_path
+        return RunningMoments().add(fp.probs[:, -1, 0]), RunningMoments().add(fp.innovation_qv())
+
+    serial = run_blocks(block, 2 * POOL_MIN_PATHS, POOL_MIN_PATHS, 1)
+    # RunningMoments compare field by field, so == is bit for bit
+    assert run_blocks(block, 2 * POOL_MIN_PATHS, POOL_MIN_PATHS, 2) == serial
+
+
+def test_a_dead_worker_names_its_block_and_exit_code():
+    caller = os.getpid()
+
+    def block(offset, count):
+        if offset == POOL_MIN_PATHS and os.getpid() != caller:
+            os._exit(3)
+        return offset
+
+    with pytest.raises(WorkerError,
+                       match=rf"running paths {POOL_MIN_PATHS}\.\.{2 * POOL_MIN_PATHS - 1} "
+                             r"exited with code 3"):
+        run_blocks(block, 3 * POOL_MIN_PATHS, POOL_MIN_PATHS, 2)
+
+
+def test_an_error_in_a_worker_keeps_its_class_and_message():
+    caller = os.getpid()
+
+    def block(offset, count):
+        if offset == POOL_MIN_PATHS and os.getpid() != caller:
+            raise NumericalError(f"filter degenerate in block {offset}")
+        return offset
+
+    with pytest.raises(NumericalError) as info:
+        run_blocks(block, 2 * POOL_MIN_PATHS, POOL_MIN_PATHS, 2)
+    assert type(info.value) is NumericalError
+    assert str(info.value) == f"filter degenerate in block {POOL_MIN_PATHS}"

@@ -22,6 +22,7 @@ from hybridmp import (
 )
 from hybridmp import pathsim
 from hybridmp.model import eval_sigma
+from hybridmp.parallel import POOL_MIN_PATHS
 from hybridmp.pathsim import (
     BLOWUP_LIMIT,
     DRAW_ROWS,
@@ -205,6 +206,15 @@ class TestCost:
         threaded = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
                                  block_size=256, workers=3)
         assert serial == threaded
+
+    def test_pooled_block_merge_is_order_deterministic(self, bm_spec):
+        grid = TimeGrid(1.0, 50)
+        n_paths = 2 * POOL_MIN_PATHS + 100  # three blocks, the last one short
+        serial = estimate_cost(bm_spec, grid, n_paths, 13, policy=zero_policy(),
+                               block_size=POOL_MIN_PATHS, workers=1)
+        pooled = estimate_cost(bm_spec, grid, n_paths, 13, policy=zero_policy(),
+                               block_size=POOL_MIN_PATHS, workers=2)
+        assert serial == pooled
 
 
 def _chain_by_fresh_streams(generator, grid, n_paths, seed, alpha0=None, pi0=None,
