@@ -15,13 +15,21 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hybridmp import (
+    CompactCoeffs,
     ConfigError,
     FeedbackPolicy,
     GeneratorSpec,
     LQSpec,
+    TimeGrid,
     chain_marginal,
     constant_policy,
+    coupled_forward,
+    discrete_bayes_oracle,
+    innovation_forward,
     load_spec,
+    run_normalized_filter,
+    run_zakai_filter,
+    simulate_state,
     validate_spec,
     zero_policy,
 )
@@ -177,6 +185,24 @@ class TestProblemSpec:
             with pytest.raises(DomainError, match="non-finite volatility") as exc:
                 eval_sigma(wild, 0.0, np.linspace(-3.0, 3.0, 7), 0.0)
             assert "floor" not in str(exc.value)
+
+    @pytest.mark.parametrize("run", [
+        lambda s, g, x, u: simulate_state(s, g, 4, 1),
+        lambda s, g, x, u: coupled_forward(s, g, 4, 1),
+        lambda s, g, x, u: innovation_forward(s, g, 4, 1),
+        lambda s, g, x, u: run_normalized_filter(s, g, x, u),
+        lambda s, g, x, u: run_zakai_filter(s, g, x, u),
+        lambda s, g, x, u: discrete_bayes_oracle(s, g, x, u),
+        lambda s, g, x, u: CompactCoeffs(s).at(0.0, x[:, 0], np.full(4, 0.5), u[:, 0]),
+    ], ids=["simulate_state", "coupled_forward", "innovation_forward",
+            "run_normalized_filter", "run_zakai_filter", "discrete_bayes_oracle",
+            "CompactCoeffs.at"])
+    def test_every_pass_names_a_volatility_below_the_floor(self, lq, run):
+        low = LQSpec(**{**_fields(lq), "sigma": 1e-9}).to_problem_spec()
+        grid = TimeGrid(1.0, 100)  # the oracle wants dt <= 1e-2
+        states, controls = np.ones((4, 101)), np.zeros((4, 100))
+        with pytest.raises(DomainError, match="below the floor 1e-08"):
+            run(low, grid, states, controls)
 
     def test_validate_clean_default(self, spec):
         assert validate_spec(spec) == []
