@@ -17,8 +17,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, RegressionError
-from .model import ProblemSpec, central_diff, eval_sigma
-from .pathsim import TimeGrid, drift_table
+from .model import ProblemSpec, drift_table, running_cost_table, terminal_cost_table
+from .pathsim import TimeGrid
 from .wonham import InnovationPath
 
 Array = NDArray[np.float64]
@@ -44,54 +44,30 @@ GRAM_MIN_RATIO = 1e-12
 class CompactCoeffs:
     """Builder of the coefficient table of the closed (X, pi) system.
 
-    ``at(t, x, p, u)`` evaluates the drift, running cost and volatility
-    once per step and takes their first derivatives in x and v from the
-    tagged linear-quadratic constants when available (sigma_x = sigma_v
-    = 0 exactly) and from central differences otherwise; ``_slope`` is
-    the only place that choice is read.  The pi-derivatives are exact
-    either way because every compact coefficient is affine in pi.
+    ``at(t, x, p, u)`` evaluates the drift and running cost once per step
+    from the linear-quadratic constants, and their first derivatives in
+    x and v in closed form.  The volatility is the constant sigma, read
+    once against the floor.  The pi-derivatives are exact because every
+    compact coefficient is affine in pi.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        self.analytic = spec.lq is not None
-
-    def _slope(self, table, z, closed_form):
-        """d table(z) / dz: ``closed_form(lq)`` of the tagged constants,
-        or central differences."""
-        return closed_form(self.spec.lq) if self.analytic else central_diff(table, z)
+        self.sig = spec.volatility()
 
     def at(self, t, x, p, u) -> StepCoeffs:
         """The coefficient table at (t, x, p, u), arrays of shape (n,)."""
-        spec, n = self.spec, x.shape[0]
-
-        def drift(x, u):
-            return drift_table(spec, t, x, u)
-
-        def cost(x, u):
-            return _assemble(n, *(spec.running_cost(t, x, i, u) for i in (1, 2))).T
-
-        def vol(x, u):
-            return eval_sigma(spec, t, x, u)
-
-        q = spec.generator
+        spec, lq, q = self.spec, self.spec.lq, self.spec.generator
         return StepCoeffs(
             p=p, rates=(q.lambda1, q.lambda2),
-            b=drift(x, u), f=cost(x, u), sig=vol(x, u),
-            b_x=self._slope(lambda z: drift(z, u), x, lambda lq: np.reshape(lq.a, (2, 1))),
-            b_v=self._slope(lambda z: drift(x, z), u, lambda lq: np.reshape(lq.b, (2, 1))),
-            f_x=self._slope(lambda z: cost(z, u), x, lambda lq: np.outer(lq.Q, x)),
-            f_v=self._slope(lambda z: cost(x, z), u, lambda lq: np.outer(lq.R, u)),
-            sig_x=self._slope(lambda z: vol(z, u), x, lambda lq: 0.0),
-            sig_v=self._slope(lambda z: vol(x, z), u, lambda lq: 0.0),
+            b=drift_table(spec, x, u), f=running_cost_table(spec, x, u), sig=self.sig,
+            b_x=np.reshape(lq.a, (2, 1)), b_v=np.reshape(lq.b, (2, 1)),
+            f_x=np.outer(lq.Q, x), f_v=np.outer(lq.R, u),
         )
 
     def G_theta(self, x, p) -> Array:
         """Terminal gradient (g_x, g_pi) of G = g1 p + g2 (1 - p)."""
-        def terminal(x):
-            return _assemble(len(x), *(self.spec.terminal_cost(x, i) for i in (1, 2))).T
-
-        g, g_x = terminal(x), self._slope(terminal, x, lambda lq: np.outer(lq.G, x))
+        g, g_x = terminal_cost_table(self.spec, x), np.outer(self.spec.lq.G, x)
         return _assemble(len(p), g_x[0] * p + g_x[1] * (1.0 - p), g[0] - g[1])
 
 
@@ -109,10 +85,11 @@ class StepCoeffs:
     """Coefficient table of the closed (X, pi) system at one step.
 
     Per-regime tables (drift b, running cost f and their x- and
-    v-derivatives) have shape (2, n) or broadcast to it; sigma and its
-    derivatives have shape (n,).  B, Sigma, H and H's linearization
-    (``tangent``, its transpose ``H_theta``, and ``H_v``) are read from it
-    here and nowhere else, path axis first and Theta ordered as (x, pi).
+    v-derivatives) have shape (2, n) or broadcast to it; sigma is the
+    constant volatility, so Sigma's x-component has no derivative.  B,
+    Sigma, H and H's linearization (``tangent``, its transpose
+    ``H_theta``, and ``H_v``) are read from it here and nowhere else,
+    path axis first and Theta ordered as (x, pi).
     """
 
     p: Array
@@ -123,17 +100,14 @@ class StepCoeffs:
     f: Array
     f_x: Array
     f_v: Array
-    sig: Array
-    sig_x: Array
-    sig_v: Array
+    sig: float
 
     def _mix(self, table) -> Array:
         return table[0] * self.p + table[1] * (1.0 - self.p)
 
-    def _gain_slope(self, b_z, sig_z) -> Array:
+    def _gain_slope(self, b_z) -> Array:
         """d/dz of the belief noise (h1 - h2) p (1 - p), h = b / sigma."""
-        db = self.b[0] - self.b[1]
-        return ((b_z[0] - b_z[1]) - db * sig_z / self.sig) / self.sig * self.p * (1.0 - self.p)
+        return (b_z[0] - b_z[1]) / self.sig * self.p * (1.0 - self.p)
 
     @property
     def _h_diff(self) -> Array:
@@ -156,9 +130,9 @@ class StepCoeffs:
     def H_theta(self, phi: Array, lam: Array) -> Array:
         """dH/dTheta = B_Theta^T phi + Sigma_Theta^T lam + F_Theta along the
         ensemble, the adjoint driver: the transpose of ``tangent`` in g.
-        B_Theta has no (pi, x) entry and Sigma_Theta no (x, pi) entry."""
+        B_Theta has no (pi, x) entry and Sigma_Theta no x row."""
         d_x = (self._mix(self.b_x) * phi[..., 0]
-               + (self.sig_x * lam[..., 0] + self._gain_slope(self.b_x, self.sig_x) * lam[..., 1])
+               + self._gain_slope(self.b_x) * lam[..., 1]
                + self._mix(self.f_x))
         d_pi = (((self.b[0] - self.b[1]) * phi[..., 0] + -sum(self.rates) * phi[..., 1])
                 + self._h_diff * (1.0 - 2.0 * self.p) * lam[..., 1]
@@ -167,9 +141,9 @@ class StepCoeffs:
 
     def H_v(self, phi: Array, lam: Array) -> Array:
         """dH/dv = <phi, B_v> + <lam, Sigma_v> + F_v along the ensemble;
-        B_v has no pi component."""
+        B_v has no pi component and Sigma_v no x component."""
         return (phi[:, 0] * self._mix(self.b_v)
-                + (lam[:, 0] * self.sig_v + lam[:, 1] * self._gain_slope(self.b_v, self.sig_v))
+                + lam[:, 1] * self._gain_slope(self.b_v)
                 + self._mix(self.f_v))
 
     def tangent(self, g: Array, w: Array) -> tuple[Array, Array, Array]:
@@ -179,10 +153,9 @@ class StepCoeffs:
         g_x, g_pi, n = g[..., 0], g[..., 1], len(self.p)
         d_b = _assemble(n, (self._mix(self.b_x) * g_x + (self.b[0] - self.b[1]) * g_pi)
                         + self._mix(self.b_v) * w, -sum(self.rates) * g_pi)
-        d_sigma = _assemble(n, self.sig_x * g_x + self.sig_v * w,
-                            (self._gain_slope(self.b_x, self.sig_x) * g_x
-                             + self._h_diff * (1.0 - 2.0 * self.p) * g_pi)
-                            + self._gain_slope(self.b_v, self.sig_v) * w)
+        d_sigma = _assemble(n, 0.0, (self._gain_slope(self.b_x) * g_x
+                                     + self._h_diff * (1.0 - 2.0 * self.p) * g_pi)
+                            + self._gain_slope(self.b_v) * w)
         d_f = (self._mix(self.f_x) * g_x + (self.f[0] - self.f[1]) * g_pi) \
             + self._mix(self.f_v) * w
         return d_b, d_sigma, d_f

@@ -276,8 +276,6 @@ def solve_lq(
     Hamiltonian stationarity residual.
     """
     spec = problem.to_problem_spec() if isinstance(problem, LQSpec) else problem
-    if spec.lq is None:
-        raise ConfigError("solver needs the linear-quadratic constants tagged on the spec")
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"damping must be in (0, 1], got {damping}")
     if not tol >= 0.0:

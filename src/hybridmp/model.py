@@ -1,10 +1,11 @@
-"""Problem definition: coefficients, costs, regime generator, admissibility.
+"""Problem definition: LQ constants, regime generator, admissibility.
 
-A control problem is a diffusion whose drift, running cost and terminal
-cost switch with a hidden two-state Markov chain:
+A control problem is a linear-quadratic diffusion whose drift, running
+cost and terminal cost switch with a hidden two-state Markov chain:
 
-    dX_t = b(t, X_t, alpha_t, v_t) dt + sigma(t, X_t, v_t) dW_t
-    J(v) = E[ integral_0^T f(t, X_t, alpha_t, v_t) dt + g(X_T, alpha_T) ]
+    dX_t = [a(alpha_t) X_t + b(alpha_t) v_t] dt + sigma dW_t
+    J(v) = (1/2) E[ integral_0^T (Q(alpha_t) X_t^2 + R(alpha_t) v_t^2) dt
+                    + G(alpha_T) X_T^2 ]
 
 The volatility carries no regime argument (regime-dependent volatility
 would make the regime observable from the quadratic variation, a
@@ -28,10 +29,6 @@ from .errors import ConfigError, DomainError
 
 Array = NDArray[np.float64]
 
-# Central-difference step used everywhere a coefficient derivative is
-# needed numerically: step = FD_STEP_REL * max(1, |x|).
-FD_STEP_REL = 1e-5
-
 # Volatility floor: h = b / sigma raises ``DomainError`` below it.
 SIGMA_MIN = 1e-8
 
@@ -41,13 +38,6 @@ LATTICE_SHAPE = (11, 11, 11)
 X_RANGE = (-10.0, 10.0)
 DERIV_BOUND = 1e4
 GROWTH_CONSTANT = 1e6  # large enough to disable the growth checks in practice
-
-
-def central_diff(fn: Callable, x):
-    """Central finite difference of ``fn`` at ``x`` (broadcasts over arrays)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
-    return (np.asarray(fn(x + h)) - np.asarray(fn(x - h))) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -164,30 +154,11 @@ class LQSpec:
         return GeneratorSpec(self.lambda1, self.lambda2)
 
     def to_problem_spec(self) -> "ProblemSpec":
-        a, b = self.a, self.b
-        Q, R, G = self.Q, self.R, self.G
-
-        def drift(t, x, i, v):
-            return a[i - 1] * x + b[i - 1] * v
-
-        def vol(t, x, v):
-            return self.sigma * np.ones_like(np.asarray(x, dtype=np.float64))
-
-        def running_cost(t, x, i, v):
-            return 0.5 * (Q[i - 1] * x**2 + R[i - 1] * v**2)
-
-        def terminal_cost(x, i):
-            return 0.5 * G[i - 1] * x**2
-
         return ProblemSpec(
             horizon=self.horizon,
             x0=self.x0,
             pi0=(self.pi0, 1.0 - self.pi0),
             generator=self.generator(),
-            drift=drift,
-            vol=vol,
-            running_cost=running_cost,
-            terminal_cost=terminal_cost,
             control_domain=self.control_domain,
             lq=self,
         )
@@ -249,11 +220,11 @@ class LQSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full control problem: coefficients, costs, generator, admissibility.
+    """Full control problem: LQ constants, generator, admissibility.
 
-    Coefficient callables must be pure and broadcast over numpy arrays in
-    their ``x`` and ``v`` arguments (``t`` scalar, regime label ``i`` the
-    plain integer 1 or 2).  All types here are immutable.
+    ``LQSpec.to_problem_spec`` builds it; every coefficient is read from
+    the constants in ``lq`` (see ``drift_table``).  All types here are
+    immutable.
 
     Parameters
     ----------
@@ -266,26 +237,18 @@ class ProblemSpec:
         a known initial regime).
     generator : GeneratorSpec
         Switching rates of the hidden chain.
-    drift, vol, running_cost, terminal_cost : callables
-        b(t, x, i, v), sigma(t, x, v), f(t, x, i, v), g(x, i).
     control_domain : (float, float)
         Closed interval of admissible control values; infinite ends allowed.
-    lq : LQSpec, optional
-        Tag carrying the constants when the problem is linear-quadratic;
-        analytic coefficient derivatives and the Picard solver are only
-        available for tagged specs.
+    lq : LQSpec
+        The linear-quadratic constants a_i, b_i, sigma, Q_i, R_i, G_i.
     """
 
     horizon: float
     x0: float
     pi0: tuple[float, float]
     generator: GeneratorSpec
-    drift: Callable
-    vol: Callable
-    running_cost: Callable
-    terminal_cost: Callable
-    control_domain: tuple[float, float] = (-math.inf, math.inf)
-    lq: LQSpec | None = None
+    control_domain: tuple[float, float]
+    lq: LQSpec
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -304,59 +267,70 @@ class ProblemSpec:
         lo, hi = self.control_domain
         return np.clip(u, lo, hi)
 
-
-def eval_sigma(spec: ProblemSpec, t, x, v) -> Array:
-    """Volatility, finite and above the floor ``SIGMA_MIN``."""
-    sig = np.asarray(spec.vol(t, x, v), dtype=np.float64)
-    if not np.all(np.isfinite(sig)):
-        bad = np.count_nonzero(~np.isfinite(sig))
-        raise DomainError(f"non-finite volatility ({bad} of {sig.size} values)")
-    if np.any(sig < SIGMA_MIN):
-        raise DomainError(f"volatility fell below the floor {SIGMA_MIN} "
-                          f"(min observed {np.min(sig)})")
-    return sig
+    def volatility(self) -> float:
+        """sigma, which ``LQSpec`` keeps finite and positive; ``DomainError``
+        below the floor ``SIGMA_MIN``.  Each pass reads it once."""
+        sigma = self.lq.sigma
+        if sigma < SIGMA_MIN:
+            raise DomainError(f"volatility fell below the floor {SIGMA_MIN} "
+                              f"(min observed {sigma})")
+        return sigma
 
 
 # ---------------------------------------------------------------------------
-# Standing-assumption validation (sampling, reporting only)
+# Coefficient tables from the LQ constants
+# ---------------------------------------------------------------------------
+
+
+def drift_table(spec: ProblemSpec, x: Array, u: Array) -> Array:
+    """b(x, i, u) = a_i x + b_i u for every regime i, regime-major: shape (d, n_paths)."""
+    return np.outer(spec.lq.a, x) + np.outer(spec.lq.b, u)
+
+
+def running_cost_table(spec: ProblemSpec, x: Array, u: Array) -> Array:
+    """f(x, i, u) = (Q_i x^2 + R_i u^2) / 2 for every regime i, shape (d, n_paths)."""
+    return 0.5 * (np.outer(spec.lq.Q, x**2) + np.outer(spec.lq.R, u**2))
+
+
+def terminal_cost_table(spec: ProblemSpec, x: Array) -> Array:
+    """g(x, i) = G_i x^2 / 2 for every regime i, shape (d, n_paths)."""
+    return np.outer(0.5 * np.asarray(spec.lq.G), x**2)
+
+
+# ---------------------------------------------------------------------------
+# Standing-assumption validation (lattice, reporting only)
 # ---------------------------------------------------------------------------
 
 
 def validate_spec(spec: ProblemSpec) -> list[str]:
-    """Sample the coefficients on a (t, x, v) lattice and report violations.
+    """Evaluate the coefficients on a (t, x, v) lattice and report violations.
 
-    Checks, by finite differences where derivatives are involved:
+    Values come from the LQ constants on the lattice; derivatives are
+    the closed forms b_x = a_i, b_v = b_i, sigma_x = sigma_v = 0,
+    f_x = Q_i x, f_v = R_i v and g_x = G_i x.  Checks:
 
-    * smoothness/boundedness of the x- and v-derivatives of b, sigma
-      (flagged when a sampled derivative exceeds ``DERIV_BOUND``);
+    * finiteness of b, f and g on the lattice (a coefficient with a
+      non-finite value, from overflow, is reported once with its count,
+      and its other checks are skipped);
+    * boundedness of b_x and b_v against ``DERIV_BOUND`` (sigma's
+      derivatives vanish);
     * quadratic growth of f, g and linear growth of their derivatives
       against ``GROWTH_CONSTANT``;
-    * the volatility floor on the lattice;
-    * finiteness of every coefficient on the lattice (a coefficient with
-      a non-finite value is reported once, and its other checks are
-      skipped);
+    * the volatility floor;
     * volatility independence of the regime (structural here: the
-      ``vol`` callable takes no regime argument).
+      constants hold one sigma).
 
-    Purely reporting; an empty list means no sampled violation.
+    Purely reporting; an empty list means no violation.
     """
     violations: list[str] = []
-    K = GROWTH_CONSTANT
+    lq, K = spec.lq, GROWTH_CONSTANT
     nt, nx, nv = LATTICE_SHAPE
     ts = np.linspace(0.0, spec.horizon, nt)
     xs = np.linspace(*X_RANGE, nx)
     lo, hi = spec.control_domain
     vs = np.linspace(max(lo, -10.0), min(hi, 10.0), nv)
-    regimes = range(1, spec.n_regimes + 1)
-
-    tt, xx, vv = np.meshgrid(ts, xs, vs, indexing="ij")
-    tt, xx, vv = tt.ravel(), xx.ravel(), vv.ravel()
-
-    def fd_x(fn):
-        return central_diff(lambda z: fn(tt, z, vv), xx)
-
-    def fd_v(fn):
-        return central_diff(lambda z: fn(tt, xx, z), vv)
+    _, xx, vv = np.meshgrid(ts, xs, vs, indexing="ij")
+    xx, vv = xx.ravel(), vv.ravel()
 
     def finite(label: str, name: str, values) -> bool:
         """Whether ``values`` are all finite; records a violation if not."""
@@ -366,46 +340,37 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
                               f"{np.size(values)} lattice points")
         return not bad
 
-    def derivs_bounded(fn, x_name: str, v_name: str) -> None:
-        for grad, name in ((fd_x(fn), x_name), (fd_v(fn), v_name)):
-            if np.any(np.abs(grad) > DERIV_BOUND):
-                violations.append(f"A1: |{name}| reaches {np.max(np.abs(grad)):.3g} "
-                                  f"(bound {DERIV_BOUND:.3g})")
-
-    sig = np.asarray(spec.vol(tt, xx, vv), dtype=np.float64)
-    sig_finite = finite("A1", "sigma", sig)
-    if sig_finite and np.any(sig < SIGMA_MIN):
-        k = int(np.argmin(sig))
+    if lq.sigma < SIGMA_MIN:  # sigma is constant: its minimum is at the first lattice point
         violations.append(
-            f"A4: sigma={sig[k]:.3g} at (t={tt[k]:.3g}, x={xx[k]:.3g}, "
-            f"v={vv[k]:.3g}) is below the floor {SIGMA_MIN:.3g}"
+            f"A4: sigma={lq.sigma:.3g} at (t={ts[0]:.3g}, x={xs[0]:.3g}, "
+            f"v={vs[0]:.3g}) is below the floor {SIGMA_MIN:.3g}"
         )
-    elif sig_finite:
-        derivs_bounded(spec.vol, "sigma_x", "sigma_v")
 
-    for i in regimes:
-        b_i = lambda t, x, v, i=i: np.asarray(spec.drift(t, x, i, v), dtype=np.float64)
-        if finite("A1", f"b(.,.,{i},.)", b_i(tt, xx, vv)):
-            derivs_bounded(b_i, f"b_x(i={i})", f"b_v(i={i})")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the non-finite value reported
+        drifts, costs = drift_table(spec, xx, vv), running_cost_table(spec, xx, vv)
+        terminals = terminal_cost_table(spec, xs)
 
-        f_i = lambda t, x, v, i=i: np.asarray(spec.running_cost(t, x, i, v), dtype=np.float64)
-        fv = f_i(tt, xx, vv)
-        if finite("A2", f"f(.,.,{i},.)", fv):
-            if np.any(np.abs(fv) > K * (1 + xx**2 + vv**2)):
+    for i, drift, cost, terminal in zip((1, 2), drifts, costs, terminals):
+        a, b, Q, R, G = (c[i - 1] for c in (lq.a, lq.b, lq.Q, lq.R, lq.G))
+        if finite("A1", f"b(.,.,{i},.)", drift):
+            for grad, name in ((a, f"b_x(i={i})"), (b, f"b_v(i={i})")):
+                if abs(grad) > DERIV_BOUND:
+                    violations.append(f"A1: |{name}| reaches {abs(grad):.3g} "
+                                      f"(bound {DERIV_BOUND:.3g})")
+
+        if finite("A2", f"f(.,.,{i},.)", cost):
+            if np.any(np.abs(cost) > K * (1 + xx**2 + vv**2)):
                 violations.append(f"A2: |f(.,.,{i},.)| exceeds K(1+x^2+v^2) with K={K:.3g}")
-            for grad, name in ((fd_x(f_i), "f_x"), (fd_v(f_i), "f_v")):
+            for grad, name in ((Q * xx, "f_x"), (R * vv, "f_v")):
                 if np.any(np.abs(grad) > K * (1 + np.abs(xx) + np.abs(vv))):
                     violations.append(
                         f"A2: |{name}(.,.,{i},.)| exceeds K(1+|x|+|v|) with K={K:.3g}"
                     )
 
-        gv = np.asarray(spec.terminal_cost(xs, i), dtype=np.float64)
-        if finite("A2", f"g(.,{i})", gv):
-            if np.any(np.abs(gv) > K * (1 + xs**2)):
+        if finite("A2", f"g(.,{i})", terminal):
+            if np.any(np.abs(terminal) > K * (1 + xs**2)):
                 violations.append(f"A2: |g(.,{i})| exceeds K(1+x^2) with K={K:.3g}")
-            g_x = central_diff(
-                lambda z, i=i: np.asarray(spec.terminal_cost(z, i), dtype=np.float64), xs)
-            if np.any(np.abs(g_x) > K * (1 + np.abs(xs))):
+            if np.any(np.abs(G * xs) > K * (1 + np.abs(xs))):
                 violations.append(f"A2: |g_x(.,{i})| exceeds K(1+|x|) with K={K:.3g}")
 
     return violations

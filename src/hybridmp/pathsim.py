@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NumericalError
-from .model import GeneratorSpec, ProblemSpec, eval_sigma
+from .model import GeneratorSpec, ProblemSpec, drift_table, running_cost_table, terminal_cost_table
 from .parallel import DEFAULT_BLOCK_SIZE, RunningMoments, run_blocks
 
 Array = NDArray[np.float64]
@@ -265,14 +265,6 @@ def control_at(spec: ProblemSpec, t: float, x: Array, pi, policy=None, control=N
     return u
 
 
-def drift_table(spec: ProblemSpec, t: float, x: Array, u: Array) -> Array:
-    """b(t, x, i, u) for every regime i, regime-major: shape (d, n_paths)."""
-    table = np.empty((spec.n_regimes, x.shape[0]))
-    for i in range(1, spec.n_regimes + 1):
-        table[i - 1] = spec.drift(t, x, i, u)
-    return table
-
-
 def euler_step(x: Array, drift: Array, sig, dw: Array, dt: float, t_next: float) -> Array:
     """X + b dt + sigma dW; |X| beyond ``BLOWUP_LIMIT`` raises ``NumericalError``."""
     x = x + drift * dt + sig * dw
@@ -300,7 +292,7 @@ def simulate_state(
 ) -> PathBundle:
     """Euler scheme with left-endpoint coefficients.
 
-    X_{k+1} = X_k + b(t_k, X_k, alpha_k, u_k) dt + sigma(t_k, X_k, u_k) dW_k.
+    X_{k+1} = X_k + b(X_k, alpha_k, u_k) dt + sigma dW_k.
 
     No filter runs here, so ``policy`` is evaluated as policy(t_k, X_k,
     None): a policy that reads ``pi`` fails (``TypeError``, or a NaN
@@ -315,14 +307,14 @@ def simulate_state(
     used = history(n_paths, grid.n_steps)
     x = states[:, 0] = np.full(n_paths, spec.x0)
     times = grid.times
+    sig = spec.volatility()
 
     for k in range(grid.n_steps):
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, None, policy,
                                     None if controls is None else controls[:, k])
-        b = np.where(alpha[:, k] == 1, *drift_table(spec, t, x, u))
-        x = states[:, k + 1] = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k],
-                                          grid.dt, times[k + 1])
+        b = np.where(alpha[:, k] == 1, *drift_table(spec, x, u))
+        x = states[:, k + 1] = euler_step(x, b, sig, dW[:, k], grid.dt, times[k + 1])
 
     return PathBundle(grid=grid, states=states, regimes=alpha, controls=used,
                       noise=dW, seed=seed)
@@ -335,22 +327,19 @@ def simulate_state(
 
 def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
                      controls: Array, weights) -> Array:
-    """Per-path sum_k sum_i w_{k,i} f(t_k, X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i).
+    """Per-path sum_k sum_i w_{k,i} f(X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i).
 
     ``weights`` (n_paths, N+1, d) weight each regime at each node: the
     realized regime's indicator gives the realized cost, the filter the
     cost with the regime integrated out.
     """
     dt = grid.dt
-    times = grid.times
     total = np.zeros(states.shape[0])
     for k in range(grid.n_steps):
-        for i in range(1, spec.n_regimes + 1):
-            f = spec.running_cost(times[k], states[:, k], i, controls[:, k])
-            total += dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
-    for i in range(1, spec.n_regimes + 1):
-        g = spec.terminal_cost(states[:, -1], i)
-        total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)
+        for i, f in enumerate(running_cost_table(spec, states[:, k], controls[:, k])):
+            total += dt * weights[:, k, i] * f
+    for i, g in enumerate(terminal_cost_table(spec, states[:, -1])):
+        total += weights[:, -1, i] * g
     return total
 
 

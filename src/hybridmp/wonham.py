@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, NumericalError
-from .model import ProblemSpec, eval_sigma
+from .model import ProblemSpec, drift_table
 from .parallel import RunningMoments
 from .pathsim import (
     TAG_INNOVATION,
@@ -35,7 +35,6 @@ from .pathsim import (
     check_override,
     control_at,
     draw_drivers,
-    drift_table,
     euler_step,
     history,
 )
@@ -79,12 +78,12 @@ class FilterPath:
 
 
 def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
-    """Read a given path for a filter replay: ``(n_paths, steps)``.
+    """Read a given path for a filter replay: ``(n_paths, sigma, steps)``.
 
     ``states`` must have shape (n_paths, N+1) and ``controls`` (n_paths,
     N); anything else raises ``ConfigError`` before any work is done.
-    ``steps`` yields, per step k, the left-endpoint (sigma_k, drift table
-    (d, n_paths), Delta X_k).
+    ``steps`` yields, per step k, the left-endpoint drift table
+    (d, n_paths) and Delta X_k.
     """
     states = np.asarray(states, dtype=np.float64)
     controls = np.asarray(controls, dtype=np.float64)
@@ -94,15 +93,13 @@ def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
     if controls.shape != (states.shape[0], N):
         raise ConfigError(f"controls must have shape {(states.shape[0], N)} to match "
                           f"states {states.shape}, got {controls.shape}")
-    times = grid.times
 
     def steps():
         for k in range(N):
-            x, u = states[:, k], controls[:, k]
-            yield (eval_sigma(spec, times[k], x, u), drift_table(spec, times[k], x, u),
-                   states[:, k + 1] - x)
+            x = states[:, k]
+            yield drift_table(spec, x, controls[:, k]), states[:, k + 1] - x
 
-    return states.shape[0], steps()
+    return states.shape[0], spec.volatility(), steps()
 
 
 def _prior(spec: ProblemSpec, n_paths: int) -> Array:
@@ -174,7 +171,7 @@ def run_normalized_filter(
     raw update left it.  An excursion beyond ``breakdown_tol`` raises
     ``NumericalError`` instead of being silently repaired.
     """
-    n_paths, steps = _replay(spec, grid, states, controls)
+    n_paths, sig, steps = _replay(spec, grid, states, controls)
     if dY is not None:
         dY = check_override("dY", dY, (n_paths, grid.n_steps))
     dt = grid.dt
@@ -187,7 +184,7 @@ def run_normalized_filter(
     events = 0
     worst = 0.0
 
-    for k, (sig, table, dx) in enumerate(steps):
+    for k, (table, dx) in enumerate(steps):
         h = table / sig
         dY_k = dx / sig if dY is None else dY[:, k]
         hbar = np.sum(p * h, axis=0)
@@ -221,7 +218,7 @@ def run_zakai_filter(
     normalized probabilities, so the two filter routes expose the same
     interface.
     """
-    n_paths, steps = _replay(spec, grid, states, controls)
+    n_paths, sig, steps = _replay(spec, grid, states, controls)
     if dY is not None:
         dY = check_override("dY", dY, (n_paths, grid.n_steps))
     dt = grid.dt
@@ -236,7 +233,7 @@ def run_zakai_filter(
     probs[:, 0] = p.T
     masses[:, 0] = V.T
 
-    for k, (sig, table, dx) in enumerate(steps):
+    for k, (table, dx) in enumerate(steps):
         h = table / sig
         dY_k = dx / sig if dY is None else dY[:, k]
         hbar = np.sum(p * h, axis=0)
@@ -321,6 +318,7 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, policy, control
     dt = grid.dt
     times = grid.times
     Q = spec.generator.matrix
+    sig = spec.volatility()
 
     states = history(n_paths, grid.n_steps + 1)
     probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
@@ -336,8 +334,7 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, policy, control
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, p[0], policy,
                                     None if controls is None else controls[:, k])
-        sig = eval_sigma(spec, t, x, u)
-        table = drift_table(spec, t, x, u)
+        table = drift_table(spec, x, u)
         h = table / sig
         hp = p * h
         hbar = hp[0] + hp[1]
@@ -432,19 +429,20 @@ def discrete_bayes_oracle(
             f"oracle requires dt <= 1e-2 (got {grid.dt:.3g}); coarser grids "
             "make the one-step Gaussian likelihood meaningless"
         )
-    n_paths, steps = _replay(spec, grid, states, controls)
+    n_paths, sig, steps = _replay(spec, grid, states, controls)
     dt = grid.dt
     P = spec.generator.transition_matrix(dt)
     log_eps = -745.0  # log of the smallest positive double, for zero probs
+    two_var = 2.0 * (sig * sig) * dt  # twice the variance of Delta X_k given the regime
 
     p = _prior(spec, n_paths)
     probs = history(n_paths, grid.n_steps + 1, spec.n_regimes)
     probs[:, 0] = p.T
 
-    for k, (sig, table, dx) in enumerate(steps):
+    for k, (table, dx) in enumerate(steps):
         with np.errstate(divide="ignore"):
             logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), log_eps)
-        logp += -((dx - table * dt) ** 2) / (2.0 * sig ** 2 * dt)
+        logp += -((dx - table * dt) ** 2) / two_var
         logp -= logp.max(axis=0)
         w = np.exp(logp)
         w /= w.sum(axis=0)

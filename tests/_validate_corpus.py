@@ -1,11 +1,11 @@
 """``hybridmp validate`` corpus: spec documents and what the CLI prints for each.
 
 The corpus holds the default spec, thirty random specs (numpy seed 1,
-the ranges of the spec map in ROADMAP.md's item 2), the fuzz test's
-schema edges and extreme numbers moved into its toy spec one key at a
-time, and a few named cases: a volatility below the floor, an empty
-control interval, a steep drift and a steep control gain.  The table
-maps each case name to its document, the exit code of
+see ``random_specs``), the fuzz test's schema edges, extreme and
+non-finite numbers moved into its toy spec one key at a time, and a few
+named cases: a volatility below the floor, an empty control interval, a
+steep drift and a steep control gain.  The table maps each case name to
+its document, the exit code of
 ``cli.main(["validate", "--spec", file])`` and everything it printed.
 ``tests/test_validate_corpus.py`` reruns each case against the
 committed ``validate_corpus.json``.
@@ -40,7 +40,10 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def random_specs(n: int = 30, seed: int = 1) -> list[dict]:
-    """Spec documents drawn over the ranges of the spec map."""
+    """Spec documents with a_i, b_i in [-2, 2], sigma in {0.05, 0.1, 0.3,
+    1, 2}, Q_i, G_i in [0, 3], R_i in [0.1, 3], lambda_i in [0, 5], T in
+    [0.2, 3], x0 in [-2, 2], pi0 in {0, 1, U(0, 1)}, and u in [-1, 1] for
+    about 30% of them."""
     rng = np.random.default_rng(seed)
     docs = []
     for _ in range(n):

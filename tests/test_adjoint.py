@@ -27,7 +27,34 @@ from hybridmp.adjoint import (
     stationarity_report,
 )
 from hybridmp.harness import _direction_set
+from hybridmp.model import drift_table, running_cost_table, terminal_cost_table
 from hybridmp.wonham import InnovationPath, innovation_forward
+
+
+def _quotient(table, z):
+    """Central difference quotient of ``table`` at z, step 1e-5 max(1, |z|)."""
+    h = 1e-5 * np.maximum(1.0, np.abs(z))
+    return (table(z + h) - table(z - h)) / (2.0 * h)
+
+
+class DifferenceCoeffs(CompactCoeffs):
+    """``CompactCoeffs`` with the x- and v-slopes of the drift and cost
+    tables taken by difference quotients: the reference the closed forms
+    are held to.  sigma is constant, so its slopes stay 0."""
+
+    def at(self, t, x, p, u):
+        spec = self.spec
+        return dataclasses.replace(
+            super().at(t, x, p, u),
+            b_x=_quotient(lambda z: drift_table(spec, z, u), x),
+            b_v=_quotient(lambda z: drift_table(spec, x, z), u),
+            f_x=_quotient(lambda z: running_cost_table(spec, z, u), x),
+            f_v=_quotient(lambda z: running_cost_table(spec, x, z), u))
+
+    def G_theta(self, x, p):
+        g = terminal_cost_table(self.spec, x)
+        g_x = _quotient(lambda z: terminal_cost_table(self.spec, z), x)
+        return np.stack([g_x[0] * p + g_x[1] * (1.0 - p), g[0] - g[1]], axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +139,7 @@ class TestCompactCoeffs:
         assert np.allclose(Bt[:, 0, 1], 0.0, atol=1e-12)
 
     def test_finite_difference_route_agrees(self, spec, coeffs, points):
-        fd = CompactCoeffs(dataclasses.replace(spec, lq=None))
+        fd = DifferenceCoeffs(spec)
         t, x, p, u = points
         for name in ("B_theta", "B_v", "Sigma_theta", "Sigma_v",
                      "F_theta", "F_v"):
@@ -121,7 +148,7 @@ class TestCompactCoeffs:
             assert np.allclose(got, want, atol=1e-5), name
 
     def test_terminal_gradient_fd_route(self, spec, coeffs, points):
-        fd = CompactCoeffs(dataclasses.replace(spec, lq=None))
+        fd = DifferenceCoeffs(spec)
         _, x, p, _ = points
         assert np.allclose(fd.G_theta(x, p), coeffs.G_theta(x, p),
                            atol=1e-5)
@@ -186,7 +213,7 @@ class TestHamiltonian:
     def test_driver_is_the_transpose_of_the_tangent(self, spec, rng, fd):
         # <phi, dB> + <lam, dSigma> + dF = <H_Theta(phi, lam), g> + H_v(phi, lam) w
         n = 500
-        tab = CompactCoeffs(dataclasses.replace(spec, lq=None) if fd else spec).at(
+        tab = (DifferenceCoeffs if fd else CompactCoeffs)(spec).at(
             0.3, rng.normal(0.0, 1.0, n), rng.uniform(0.05, 0.95, n), rng.normal(0.0, 0.8, n))
         phi, lam, g = (rng.normal(0.0, 1.0, (n, 2)) for _ in range(3))
         w = rng.normal(0.0, 1.0, n)
@@ -323,7 +350,7 @@ class TestAdjointBsde:
 
     def test_finite_difference_route_through_the_sweep(self, spec, ensemble):
         _, path, adj = ensemble
-        fd_coeffs = CompactCoeffs(dataclasses.replace(spec, lq=None))
+        fd_coeffs = DifferenceCoeffs(spec)
         fd = solve_adjoint_bsde(spec, path, coeffs=fd_coeffs)
         for name in ("phi", "lam", "dH_dv"):
             assert np.max(np.abs(getattr(fd, name) - getattr(adj, name))) <= 1e-8, name

@@ -410,9 +410,9 @@ class TestSolveLq:
         assert calls == {"projector": grid.n_steps * (iterations + 1), "lstsq": 0}
 
     def test_each_backward_step_evaluates_the_coefficients_once(self, lq, monkeypatch):
-        # one coefficient table per backward step: drift and running cost
-        # once per regime and vol once; the certificate reads the sweep's
-        # dH/dv and evaluates no coefficient
+        # one coefficient table per backward step, whose drift and running
+        # cost tables are the only coefficient evaluations; the
+        # certificate reads the sweep's dH/dv and evaluates none
         phase = ["other"]
         calls = collections.Counter()
 
@@ -442,18 +442,17 @@ class TestSolveLq:
         monkeypatch.setattr(adjoint_mod, "backward_sweep", sweeping)
         monkeypatch.setattr(lq_mod, "backward_sweep", sweeping)
         monkeypatch.setattr(lq_mod, "stationarity_report", reporting)
-        base = lq.to_problem_spec()
-        spec = dataclasses.replace(
-            base, drift=counting("drift", base.drift), vol=counting("vol", base.vol),
-            running_cost=counting("running_cost", base.running_cost))
+        monkeypatch.setattr(CompactCoeffs, "at", counting("at", CompactCoeffs.at))
+        for name in ("drift_table", "running_cost_table"):
+            monkeypatch.setattr(adjoint_mod, name, counting(name, getattr(adjoint_mod, name)))
         grid = TimeGrid(1.0, 20)
         with pytest.raises(NonConvergence) as exc:
-            solve_lq(spec, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
+            solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=2)
         sweeps = exc.value.solution.iterations + 1  # plus the certificate's
         per_sweep = grid.n_steps * sweeps
-        assert calls["sweep", "drift"] == 2 * per_sweep
-        assert calls["sweep", "vol"] == per_sweep
-        assert calls["sweep", "running_cost"] == 2 * per_sweep
+        assert calls["sweep", "at"] == per_sweep
+        assert calls["sweep", "drift_table"] == per_sweep
+        assert calls["sweep", "running_cost_table"] == per_sweep
         assert calls["report", "calls"] == sweeps
         assert [key for key in calls if key[0] == "report"] == [("report", "calls")]
 

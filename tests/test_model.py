@@ -33,8 +33,8 @@ from hybridmp import (
     validate_spec,
     zero_policy,
 )
-from hybridmp.model import central_diff, eval_sigma
 from hybridmp.errors import DomainError
+from hybridmp.model import drift_table, running_cost_table, terminal_cost_table
 
 rates = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
@@ -130,15 +130,15 @@ class TestLQSpec:
             LQSpec.from_json(doc)
 
     def test_problem_spec_coefficients(self, lq, spec):
-        x, u = 1.3, -0.4
+        x, u = np.array([1.3, -2.0]), np.array([-0.4, 0.7])
         for i in (1, 2):
-            assert spec.drift(0.1, x, i, u) == pytest.approx(
+            assert drift_table(spec, x, u)[i - 1] == pytest.approx(
                 lq.a[i - 1] * x + lq.b[i - 1] * u)
-            assert spec.vol(0.1, x, u) == pytest.approx(lq.sigma)
-            assert spec.running_cost(0.1, x, i, u) == pytest.approx(
+            assert running_cost_table(spec, x, u)[i - 1] == pytest.approx(
                 0.5 * (lq.Q[i - 1] * x * x + lq.R[i - 1] * u * u))
-            assert spec.terminal_cost(x, i) == pytest.approx(
+            assert terminal_cost_table(spec, x)[i - 1] == pytest.approx(
                 0.5 * lq.G[i - 1] * x * x)
+        assert spec.volatility() == lq.sigma
         assert spec.lq is lq
         assert spec.pi0 == (0.5, 0.5)
 
@@ -164,28 +164,6 @@ class TestProblemSpec:
         assert p.clamp_control(5.0) == 1.0
         assert p.clamp_control(-5.0) == -1.0
 
-    def test_eval_sigma_floor(self, spec):
-        assert eval_sigma(spec, 0.0, 1.0, 0.0) == pytest.approx(0.3)
-        degenerate = dataclasses.replace(spec, lq=None)
-        object.__setattr__(degenerate, "vol", lambda t, x, v: 0.0)
-        with pytest.raises(DomainError):
-            eval_sigma(degenerate, 0.0, 1.0, 0.0)
-
-    def test_eval_sigma_names_a_volatility_below_the_floor(self, spec):
-        low = dataclasses.replace(spec, lq=None,
-                                  vol=lambda t, x, v: np.where(np.abs(x) > 2, 1e-9, 0.3))
-        with pytest.raises(DomainError, match="below the floor 1e-08"):
-            eval_sigma(low, 0.0, np.linspace(-3.0, 3.0, 7), 0.0)
-
-    def test_eval_sigma_names_a_non_finite_volatility(self, spec):
-        # inf or NaN is not a volatility below the floor
-        for bad in (np.inf, np.nan):
-            wild = dataclasses.replace(
-                spec, lq=None, vol=lambda t, x, v, bad=bad: np.where(np.abs(x) > 2, bad, 0.3))
-            with pytest.raises(DomainError, match="non-finite volatility") as exc:
-                eval_sigma(wild, 0.0, np.linspace(-3.0, 3.0, 7), 0.0)
-            assert "floor" not in str(exc.value)
-
     @pytest.mark.parametrize("run", [
         lambda s, g, x, u: simulate_state(s, g, 4, 1),
         lambda s, g, x, u: coupled_forward(s, g, 4, 1),
@@ -206,22 +184,6 @@ class TestProblemSpec:
 
     def test_validate_clean_default(self, spec):
         assert validate_spec(spec) == []
-
-    def test_validate_reports_a_non_finite_drift(self, spec):
-        # NaN fails every comparison, so it must be looked for; 8 of the
-        # 11 lattice x values have |x| > 2, so 968 of 1331 points
-        nan_drift = dataclasses.replace(
-            spec, lq=None,
-            drift=lambda t, x, i, v: np.where(np.abs(x) > 2, np.nan, spec.drift(t, x, i, v)))
-        assert validate_spec(nan_drift) == [
-            f"A1: b(.,.,{i},.) is non-finite at 968 of 1331 lattice points" for i in (1, 2)]
-
-    def test_validate_reports_a_non_finite_volatility(self, spec):
-        # not "|sigma_x| reaches nan": the derivative checks are skipped
-        inf_vol = dataclasses.replace(
-            spec, lq=None, vol=lambda t, x, v: np.where(np.abs(x) > 2, np.inf, 0.3))
-        assert validate_spec(inf_vol) == [
-            "A1: sigma is non-finite at 968 of 1331 lattice points"]
 
     def test_validate_flags_steep_drift(self, lq):
         steep = LQSpec(**{**_fields(lq), "a": (1e9, -1e9)})
@@ -262,13 +224,6 @@ class TestSerialization:
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(lq.to_json()))
         assert load_spec(str(path)).lq == lq
-
-
-class TestCentralDiff:
-    def test_matches_polynomial_derivative(self):
-        f = lambda x: x ** 3 - 2.0 * x
-        for x in (-1.5, 0.0, 2.0):
-            assert central_diff(f, x) == pytest.approx(3 * x * x - 2.0, rel=1e-6)
 
 
 def _fields(lq: LQSpec) -> dict:

@@ -21,7 +21,7 @@ from hybridmp import (
     zero_policy,
 )
 from hybridmp import pathsim
-from hybridmp.model import eval_sigma
+from hybridmp.model import drift_table
 from hybridmp.parallel import POOL_MIN_PATHS
 from hybridmp.pathsim import (
     BLOWUP_LIMIT,
@@ -31,7 +31,6 @@ from hybridmp.pathsim import (
     control_at,
     draw_normals,
     draw_uniforms,
-    drift_table,
     euler_step,
     history,
     path_rng,
@@ -397,22 +396,22 @@ def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, None, policy,
                                     None if controls is None else controls[:, k])
-        b = drift_table(spec, t, x, u)[alpha[:, k] - 1, rows]
-        x = euler_step(x, b, eval_sigma(spec, t, x, u), dW[:, k], grid.dt, times[k + 1])
+        b = drift_table(spec, x, u)[alpha[:, k] - 1, rows]
+        x = euler_step(x, b, spec.lq.sigma, dW[:, k], grid.dt, times[k + 1])
         states[:, k + 1] = x
     return states, used
 
 
 def _cost_per_column(spec, grid, states, controls, weights):
     """_cost_quadrature's loop on path-major weights."""
-    total = np.zeros(states.shape[0])
+    lq, total = spec.lq, np.zeros(states.shape[0])
     for k in range(grid.n_steps):
-        for i in range(1, spec.n_regimes + 1):
-            f = spec.running_cost(grid.times[k], states[:, k], i, controls[:, k])
-            total += grid.dt * weights[:, k, i - 1] * np.asarray(f, dtype=np.float64)
-    for i in range(1, spec.n_regimes + 1):
-        g = spec.terminal_cost(states[:, -1], i)
-        total += weights[:, -1, i - 1] * np.asarray(g, dtype=np.float64)
+        x, u = states[:, k], controls[:, k]
+        for i in range(spec.n_regimes):
+            f = 0.5 * (lq.Q[i] * x**2 + lq.R[i] * u**2)
+            total += grid.dt * weights[:, k, i] * f
+    for i in range(spec.n_regimes):
+        total += weights[:, -1, i] * (0.5 * lq.G[i] * states[:, -1]**2)
     return total
 
 

@@ -21,13 +21,12 @@ from hybridmp import (
 )
 from hybridmp import pathsim
 from hybridmp import wonham as wonham_mod
-from hybridmp.model import eval_sigma
+from hybridmp.model import drift_table
 from hybridmp.pathsim import (
     TAG_INNOVATION,
     TAG_NOISE,
     control_at,
     draw_drivers,
-    drift_table,
     euler_step,
     path_rng,
 )
@@ -78,13 +77,11 @@ class TestNormalizedFilter:
         dnu = cp.filter_path.nu_increments
         resid = 0.0
         for k in range(grid.n_steps):
-            t = grid.times[k]
             x = states[:, k]
             u = cp.bundle.controls[:, k]
-            b = np.stack([spec.drift(t, x, i, u)
-                          for i in (1, 2)], axis=1)
+            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1)
             bbar = np.sum(probs[:, k] * b, axis=1)
-            sig = eval_sigma(spec, t, x, u)
+            sig = spec.lq.sigma
             dx = states[:, k + 1] - x
             resid = max(resid, np.max(np.abs(
                 dx - bbar * grid.dt - sig * dnu[:, k])))
@@ -272,7 +269,7 @@ class TestTransformedCost:
         se = diff.std(ddof=1) / math.sqrt(len(diff))
         assert abs(diff.mean()) <= 3.0 * se
 
-    def test_realized_cost_matches_the_regime_masked_loop(self, spec):
+    def test_realized_cost_matches_the_regime_masked_loop(self, lq, spec):
         # Reference: each regime's cost added on the paths in that regime.
         policy = FeedbackPolicy(lambda t, x, pi: -0.5 * x * pi)
         grid = TimeGrid(1.0, 100)
@@ -283,10 +280,10 @@ class TestTransformedCost:
                 mask = bundle.regimes[:, k] == i
                 x = bundle.states[mask, k]
                 if k < grid.n_steps:
-                    want[mask] += grid.dt * spec.running_cost(
-                        grid.times[k], x, i, bundle.controls[mask, k])
+                    u = bundle.controls[mask, k]
+                    want[mask] += grid.dt * (0.5 * (lq.Q[i - 1] * x**2 + lq.R[i - 1] * u**2))
                 else:
-                    want[mask] += spec.terminal_cost(x, i)
+                    want[mask] += 0.5 * lq.G[i - 1] * x**2
         assert np.array_equal(cost_from_paths(spec, bundle), want)
 
     def test_estimate_wraps_paths(self, spec, coupled):
@@ -306,13 +303,11 @@ class TestInnovationForward:
         ip = innovation_forward(spec, grid, 64, 11, policy=zero_policy())
         resid = 0.0
         for k in range(grid.n_steps):
-            t = grid.times[k]
             x = ip.states[:, k]
             u = ip.controls[:, k]
-            b = np.stack([spec.drift(t, x, i, u) for i in (1, 2)],
-                         axis=1)
+            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1)
             bbar = np.sum(ip.probs[:, k] * b, axis=1)
-            sig = eval_sigma(spec, t, x, u)
+            sig = spec.lq.sigma
             dx = ip.states[:, k + 1] - x
             resid = max(resid, np.max(np.abs(
                 dx - bbar * grid.dt - sig * ip.dnu[:, k])))
@@ -390,9 +385,8 @@ def _normalized_filter_path_major(spec, grid, states, controls):
     p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (states.shape[0], 1))
     probs = [p]
     for k in range(grid.n_steps):
-        t, x, u = grid.times[k], states[:, k], controls[:, k]
-        sig = eval_sigma(spec, t, x, u)
-        h = np.stack([spec.drift(t, x, i, u) for i in (1, 2)], axis=1) / sig[:, None]
+        x, u, sig = states[:, k], controls[:, k], spec.lq.sigma
+        h = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1) / sig
         hbar = np.sum(p * h, axis=1)
         dnu = (states[:, k + 1] - x) / sig - hbar * dt
         p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, None]
@@ -503,8 +497,8 @@ def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, p[0], policy,
                                     None if controls is None else controls[:, k])
-        sig = eval_sigma(spec, t, x, u)
-        table = drift_table(spec, t, x, u)
+        sig = spec.lq.sigma
+        table = drift_table(spec, x, u)
         h = table / sig
         hbar = np.sum(p * h, axis=0)
         b = hbar * sig if alpha is None else table[alpha[:, k] - 1, rows]
