@@ -149,19 +149,15 @@ class LQSpec:
             raise ConfigError("horizon must be positive")
         if not 0.0 <= self.pi0 <= 1.0:
             raise ConfigError("pi0 must lie in [0, 1]")
+        lo, hi = self.control_domain
+        if not lo < hi:
+            raise ConfigError("control_domain must be a non-degenerate interval")
 
     def generator(self) -> GeneratorSpec:
         return GeneratorSpec(self.lambda1, self.lambda2)
 
     def to_problem_spec(self) -> "ProblemSpec":
-        return ProblemSpec(
-            horizon=self.horizon,
-            x0=self.x0,
-            pi0=(self.pi0, 1.0 - self.pi0),
-            generator=self.generator(),
-            control_domain=self.control_domain,
-            lq=self,
-        )
+        return ProblemSpec(self)
 
     def to_json(self) -> dict:
         doc = {
@@ -220,46 +216,38 @@ class LQSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full control problem: LQ constants, generator, admissibility.
+    """Full control problem, held as its LQ constants ``lq``.
 
-    ``LQSpec.to_problem_spec`` builds it; every coefficient is read from
-    the constants in ``lq`` (see ``drift_table``).  All types here are
-    immutable.
-
-    Parameters
-    ----------
-    horizon : float
-        Terminal time T > 0.
-    x0 : float
-        Initial diffusion state.
-    pi0 : (float, float)
-        Initial regime distribution, a probability pair (a vertex encodes
-        a known initial regime).
-    generator : GeneratorSpec
-        Switching rates of the hidden chain.
-    control_domain : (float, float)
-        Closed interval of admissible control values; infinite ends allowed.
-    lq : LQSpec
-        The linear-quadratic constants a_i, b_i, sigma, Q_i, R_i, G_i.
+    ``LQSpec.to_problem_spec`` builds it.  Every coefficient is read from
+    the constants (see ``drift_table``), and so are the properties below:
+    the horizon T, the initial state x0, the initial regime distribution
+    ``pi0`` as the pair (p, 1 - p) (a vertex encodes a known initial
+    regime), the chain's ``generator`` and the closed control interval
+    ``control_domain`` (infinite ends allowed).  Nothing here can disagree
+    with ``lq``, and all types here are immutable.
     """
 
-    horizon: float
-    x0: float
-    pi0: tuple[float, float]
-    generator: GeneratorSpec
-    control_domain: tuple[float, float]
     lq: LQSpec
 
-    def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
-        pi0 = np.asarray(self.pi0, dtype=np.float64)
-        if pi0.shape != (2,) or not (np.all(pi0 >= 0) and abs(pi0.sum() - 1.0) <= 1e-10):
-            raise ConfigError("pi0 must be a probability pair")
-        object.__setattr__(self, "pi0", tuple(float(p) for p in pi0 / pi0.sum()))
-        lo, hi = self.control_domain
-        if not lo < hi:
-            raise ConfigError("control_domain must be a non-degenerate interval")
+    @property
+    def horizon(self) -> float:
+        return self.lq.horizon
+
+    @property
+    def x0(self) -> float:
+        return self.lq.x0
+
+    @property
+    def pi0(self) -> tuple[float, float]:
+        return (self.lq.pi0, 1.0 - self.lq.pi0)  # p + (1 - p) rounds to 1 exactly
+
+    @property
+    def generator(self) -> GeneratorSpec:
+        return self.lq.generator()
+
+    @property
+    def control_domain(self) -> tuple[float, float]:
+        return self.lq.control_domain
 
     n_regimes = 2  # the shape of every per-regime table
 

@@ -3,9 +3,9 @@
 The corpus holds the default spec, thirty random specs (numpy seed 1,
 see ``random_specs``), the fuzz test's schema edges, extreme and
 non-finite numbers moved into its toy spec one key at a time, and a few
-named cases: a volatility below the floor, an empty control interval, a
-steep drift and a steep control gain.  The table maps each case name to
-its document, the exit code of
+named cases: a drift that overflows to NaN, a volatility below the
+floor, an empty control interval, a steep drift and a steep control
+gain.  The table maps each case name to its document, the exit code of
 ``cli.main(["validate", "--spec", file])`` and everything it printed.
 ``tests/test_validate_corpus.py`` reruns each case against the
 committed ``validate_corpus.json``.
@@ -73,6 +73,8 @@ def documents() -> dict[str, dict]:
     for key in sorted(SPEC_EDGES):
         for value in SPEC_EDGES[key] + EXTREMES + NON_FINITE:
             docs[f"toy {key}={value!r}"] = dict(TOY_SPEC, **{key: value})
+    # a1 x and b1 v overflow to +inf and -inf at once: the drift is NaN there
+    docs["toy a1=1e308, b1=-1e308"] = dict(TOY_SPEC, a1=1e308, b1=-1e308)
     docs["toy sigma=1e-9"] = dict(TOY_SPEC, sigma=1e-9)
     docs["toy u_lo > u_hi"] = dict(TOY_SPEC, u_lo=1.0, u_hi=-1.0)
     docs["default a=(1e9, -1e9)"] = dict(default, a1=1e9, a2=-1e9)

@@ -114,6 +114,18 @@ class TestLQSpec:
             LQSpec(**{**_fields(lq), "control_domain": (math.nan, 1.0)})
         LQSpec(**{**_fields(lq), "control_domain": (-math.inf, 1.0)})
 
+    @pytest.mark.parametrize("pi0, match", [(1.5, "lie in"), (-0.5, "lie in"),
+                                            (math.nextafter(1.0, 2.0), "lie in"),
+                                            (-5e-324, "lie in"), (math.nan, "finite")])
+    def test_rejects_a_pi0_outside_the_unit_interval(self, lq, pi0, match):
+        with pytest.raises(ConfigError, match=match):
+            LQSpec(**{**_fields(lq), "pi0": pi0})
+
+    @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, -1.0), (math.inf, math.inf)])
+    def test_rejects_a_degenerate_control_domain(self, lq, domain):
+        with pytest.raises(ConfigError, match="non-degenerate interval"):
+            LQSpec(**{**_fields(lq), "control_domain": domain})
+
     def test_json_round_trip(self, lq):
         assert LQSpec.from_json(lq.to_json()) == lq
 
@@ -148,15 +160,17 @@ class TestLQSpec:
 
 
 class TestProblemSpec:
-    def test_pi0_normalized(self, lq):
-        p = lq.to_problem_spec()
-        assert math.isclose(sum(p.pi0), 1.0)
+    @pytest.mark.parametrize("pi0", [0.0, 0.1, 0.3, 0.5, 1.0, 5e-324, math.nextafter(1.0, 0.0)])
+    def test_pi0_pair_sums_to_one(self, lq, pi0):
+        p = LQSpec(**{**_fields(lq), "pi0": pi0}).to_problem_spec()
+        assert p.pi0[0] == pi0 and sum(p.pi0) == 1.0
 
-    @pytest.mark.parametrize("pi0", [(1.0,), (0.5, 0.25, 0.25), (1.5, -0.5), (0.5, 0.6),
-                                     (math.nan, math.nan)])
-    def test_rejects_a_pi0_that_is_not_a_probability_pair(self, spec, pi0):
-        with pytest.raises(ConfigError, match="probability pair"):
-            dataclasses.replace(spec, pi0=pi0)
+    def test_reads_every_field_from_the_constants(self, lq):
+        bounded = LQSpec(**{**_fields(lq), "control_domain": (-2.0, 3.0)})
+        p = bounded.to_problem_spec()
+        assert (p.horizon, p.x0, p.control_domain) == (lq.horizon, lq.x0, (-2.0, 3.0))
+        assert p.generator == lq.generator()
+        assert [f.name for f in dataclasses.fields(p)] == ["lq"]
 
     def test_clamp_control(self, lq):
         bounded = LQSpec(**{**_fields(lq), "control_domain": (-1.0, 1.0)})
@@ -189,6 +203,14 @@ class TestProblemSpec:
         steep = LQSpec(**{**_fields(lq), "a": (1e9, -1e9)})
         problems = validate_spec(steep.to_problem_spec())
         assert problems and any("b_x" in msg for msg in problems)
+
+    def test_validate_reports_a_non_finite_drift(self, lq):
+        # a1 x and b1 v overflow to +inf and -inf off x = 0 and v = 0, so the
+        # drift is NaN where they meet; NaN fails every comparison, so it must
+        # be looked for (1320 points: 770 infinite and 550 NaN)
+        wild = LQSpec(**{**_fields(lq), "a": (1e308, lq.a[1]), "b": (-1e308, lq.b[1])})
+        assert validate_spec(wild.to_problem_spec()) == [
+            "A1: b(.,.,1,.) is non-finite at 1320 of 1331 lattice points"]
 
     def test_chain_marginal_closed_form(self, spec):
         # two-state occupation probability from the forward equation
