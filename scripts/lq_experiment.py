@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        lq = load_spec(args.spec).lq
+        lq = load_spec(args.spec)
         grid = TimeGrid(lq.horizon, args.n_steps)
         rows = [_report(lq, grid, args.n_paths, seed, args.damping) for seed in args.seed]
     except ConfigError as exc:

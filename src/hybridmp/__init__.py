@@ -35,7 +35,6 @@ from .model import (
     FeedbackPolicy,
     GeneratorSpec,
     LQSpec,
-    ProblemSpec,
     constant_policy,
     load_spec,
     validate_spec,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, RegressionError
-from .model import ProblemSpec, drift_table, running_cost_table, terminal_cost_table
+from .model import LQSpec, drift_table, running_cost_table, terminal_cost_table
 from .pathsim import TimeGrid
 from .wonham import InnovationPath
 
@@ -51,23 +51,23 @@ class CompactCoeffs:
     compact coefficient is affine in pi.
     """
 
-    def __init__(self, spec: ProblemSpec):
+    def __init__(self, spec: LQSpec):
         self.spec = spec
         self.sig = spec.volatility()
 
     def at(self, t, x, p, u) -> StepCoeffs:
         """The coefficient table at (t, x, p, u), arrays of shape (n,)."""
-        spec, lq, q = self.spec, self.spec.lq, self.spec.generator
+        spec = self.spec
         return StepCoeffs(
-            p=p, rates=(q.lambda1, q.lambda2),
+            p=p, rates=(spec.lambda1, spec.lambda2),
             b=drift_table(spec, x, u), f=running_cost_table(spec, x, u), sig=self.sig,
-            b_x=np.reshape(lq.a, (2, 1)), b_v=np.reshape(lq.b, (2, 1)),
-            f_x=np.outer(lq.Q, x), f_v=np.outer(lq.R, u),
+            b_x=np.reshape(spec.a, (2, 1)), b_v=np.reshape(spec.b, (2, 1)),
+            f_x=np.outer(spec.Q, x), f_v=np.outer(spec.R, u),
         )
 
     def G_theta(self, x, p) -> Array:
         """Terminal gradient (g_x, g_pi) of G = g1 p + g2 (1 - p)."""
-        g, g_x = terminal_cost_table(self.spec, x), np.outer(self.spec.lq.G, x)
+        g, g_x = terminal_cost_table(self.spec, x), np.outer(self.spec.G, x)
         return _assemble(len(p), g_x[0] * p + g_x[1] * (1.0 - p), g[0] - g[1])
 
 
@@ -166,6 +166,16 @@ class StepCoeffs:
 # ---------------------------------------------------------------------------
 
 
+def _direction(path: InnovationPath, direction) -> Array:
+    """``direction`` as an array of shape (n, N) or (D, n, N), or ``ConfigError``."""
+    direction = np.asarray(direction, dtype=np.float64)
+    n, N = path.n_paths, path.grid.n_steps
+    if direction.ndim not in (2, 3) or direction.shape[-2:] != (n, N):
+        raise ConfigError(f"direction must have shape {(n, N)} or (D, {n}, {N}), "
+                          f"got {direction.shape}")
+    return direction
+
+
 def _variational(path: InnovationPath, direction: Array, coeffs,
                  history: bool) -> tuple[Array, Array]:
     """Gamma_N (Gamma at every node with ``history``) and, per path, the
@@ -173,11 +183,7 @@ def _variational(path: InnovationPath, direction: Array, coeffs,
     derivative, from one coefficient table per step.  ``direction`` is
     (n, N) or a stack (D, n, N); the outputs carry its leading axis."""
     grid = path.grid
-    direction = np.asarray(direction, dtype=np.float64)
-    n = path.n_paths
-    if direction.ndim not in (2, 3) or direction.shape[-2:] != (n, grid.n_steps):
-        raise ConfigError(f"direction must have shape {(n, grid.n_steps)} or (D, "
-                          f"{n}, {grid.n_steps}), got {direction.shape}")
+    direction = _direction(path, direction)
 
     g = np.zeros(direction.shape[:-1] + (2,))
     running = np.zeros(direction.shape[:-1])
@@ -194,7 +200,7 @@ def _variational(path: InnovationPath, direction: Array, coeffs,
 
 
 def solve_variational(
-    spec: ProblemSpec,
+    spec: LQSpec,
     path: InnovationPath,
     direction: Array,
     coeffs: CompactCoeffs | None = None,
@@ -217,7 +223,7 @@ def solve_variational(
 
 
 def gateaux_derivative(
-    spec: ProblemSpec,
+    spec: LQSpec,
     path: InnovationPath,
     direction: Array,
     coeffs: CompactCoeffs | None = None,
@@ -406,7 +412,7 @@ class AdjointPath:
     basis_degree: int
 
 
-def solve_adjoint_bsde(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | None = None,
+def solve_adjoint_bsde(spec: LQSpec, path: InnovationPath, basis: PolyBasis | None = None,
                        coeffs: CompactCoeffs | None = None) -> AdjointPath:
     """Backward sweep for the adjoint pair (Phi, Lambda) along an ensemble.
 
@@ -436,7 +442,7 @@ def solve_adjoint_bsde(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis
     return adjoint
 
 
-def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | None = None,
+def backward_sweep(spec: LQSpec, path: InnovationPath, basis: PolyBasis | None = None,
                    coeffs: CompactCoeffs | None = None):
     """``solve_adjoint_bsde`` one backward step at a time.
 
@@ -510,7 +516,7 @@ def backward_sweep(spec: ProblemSpec, path: InnovationPath, basis: PolyBasis | N
 
 
 def hamiltonian_direction_value(
-    spec: ProblemSpec,
+    spec: LQSpec,
     path: InnovationPath,
     adjoint: AdjointPath,
     direction: Array,
@@ -529,7 +535,7 @@ def hamiltonian_direction_value(
     """
     coeffs = coeffs or CompactCoeffs(spec)
     grid = path.grid
-    direction = np.asarray(direction, dtype=np.float64)
+    direction = _direction(path, direction)
     total = np.zeros(direction.shape[:-1])
     for k in range(grid.n_steps):
         tab = coeffs.at(grid.times[k], path.states[:, k], path.probs[:, k, 0],
@@ -538,7 +544,7 @@ def hamiltonian_direction_value(
     return np.mean(total, axis=-1) if total.ndim > 1 else float(np.mean(total))
 
 
-def stationarity_report(spec: ProblemSpec, path: InnovationPath, adjoint: AdjointPath) -> dict:
+def stationarity_report(spec: LQSpec, path: InnovationPath, adjoint: AdjointPath) -> dict:
     """sqrt(E integral |dH/dv|^2 dt) along the ensemble controls.
 
     dH/dv is the sweep's ``adjoint.dH_dv``, taken with the fitted node-k

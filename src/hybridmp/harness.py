@@ -28,8 +28,7 @@ from .adjoint import (
 )
 from .errors import ConfigError, HybridMPError, NonConvergence
 from .lq import PiecewisePolyPolicy, solve_lq
-from .model import (LQSpec, ProblemSpec, json_value, load_spec, read_json_object, validate_spec,
-                    zero_policy)
+from .model import LQSpec, json_value, load_spec, read_json_object, validate_spec, zero_policy
 from .pathsim import TimeGrid, chain_marginal, estimate_cost
 from .parallel import DEFAULT_BLOCK_SIZE, RunningMoments, run_blocks
 from .wonham import (
@@ -121,10 +120,6 @@ class ExperimentConfig:
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(self.spec.horizon, self.n_steps)
-
-    @property
-    def problem(self) -> ProblemSpec:
-        return self.spec.to_problem_spec()
 
     @classmethod
     def from_file(
@@ -240,7 +235,7 @@ def _terminal_rmse(spec, grid, states, controls) -> float:
 
 
 def _filter_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path]]:
-    spec = cfg.problem
+    spec = cfg.spec
     grid = cfg.grid
     tol = cfg.tolerances
     T = spec.horizon
@@ -343,7 +338,7 @@ def _direction_set(grid: TimeGrid, base) -> np.ndarray:
 
 
 def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
-    spec = cfg.problem
+    spec = cfg.spec
     grid = cfg.grid
     tol = cfg.tolerances
     eps = 1e-2
@@ -397,7 +392,7 @@ def _control_surface(policy: PiecewisePolyPolicy, grid: TimeGrid,
 
 
 def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
-    spec = cfg.problem
+    spec = cfg.spec
     grid = cfg.grid
     tol = cfg.tolerances
     try:
@@ -438,7 +433,7 @@ def _lq_solve(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]
 
 
 def _convergence_sweep(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
-    spec = cfg.problem
+    spec = cfg.spec
     tol = cfg.tolerances
     n_check = min(cfg.n_paths, 100)
     steps = list(SWEEP_STEPS)
@@ -514,7 +509,7 @@ def run_suite(cfg: ExperimentConfig) -> int:
         if unknown:
             raise ConfigError(f"tolerances name no metric of {cfg.suite}: {unknown}; "
                               f"its metrics are {list(metric_names)}")
-        problems = validate_spec(cfg.problem)
+        problems = validate_spec(cfg.spec)
         if problems:
             raise ConfigError("spec violates standing assumptions: "
                               + "; ".join(problems))

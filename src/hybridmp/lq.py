@@ -31,7 +31,7 @@ from .adjoint import (
     stationarity_report,
 )
 from .errors import ConfigError, NonConvergence, NumericalError
-from .model import LQSpec, ProblemSpec, zero_policy
+from .model import LQSpec, zero_policy
 from .pathsim import (CostEstimate, TimeGrid, blocked_cost, cost_from_paths, simulate_chain,
                       simulate_state)
 from .wonham import InnovationPath, innovation_forward, transformed_cost
@@ -223,7 +223,7 @@ def _policy_sup_change(
 
 
 def solve_lq(
-    problem: ProblemSpec | LQSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     n_paths: int = 4096,
     seed: int = 0,
@@ -275,14 +275,12 @@ def solve_lq(
     re-simulates under the final policy and reports cost and the
     Hamiltonian stationarity residual.
     """
-    spec = problem.to_problem_spec() if isinstance(problem, LQSpec) else problem
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"damping must be in (0, 1], got {damping}")
     if not tol >= 0.0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    lq = spec.lq
     if basis is None:
         basis = PolyBasis()
 
@@ -305,7 +303,7 @@ def solve_lq(
         for k, proj, adj in backward_sweep(spec, path, basis):
             x = path.states[:, k]
             p = path.probs[:, k, 0]
-            u_star = stationary_control(lq, p, u_prev[:, k], adj.dH_dv[k])
+            u_star = stationary_control(spec, p, u_prev[:, k], adj.dH_dv[k])
             u_new = (1.0 - step) * u_prev[:, k] + step * u_star
             u_fit = candidate._fit_step(k, proj, x, p, u_new)
             delta = u_fit - u_prev[:, k]
@@ -382,7 +380,7 @@ def riccati_backward(lq: LQSpec, grid: TimeGrid) -> tuple[Array, Array]:
     with K_i(T) = G_i, c_i(T) = 0.  Returns (K, c) with shape
     (n_steps + 1, 2), row k holding the value at t_k.
     """
-    Qr = lq.generator().matrix
+    Qr = lq.generator.matrix
     a = np.asarray(lq.a)
     b = np.asarray(lq.b)
     Qc = np.asarray(lq.Q)
@@ -414,8 +412,7 @@ def riccati_backward(lq: LQSpec, grid: TimeGrid) -> tuple[Array, Array]:
 
 def riccati_cost(lq: LQSpec, K: Array, c: Array) -> float:
     """Optimal full-observation cost: E[ K_{alpha_0}(0) x0^2 / 2 + c_{alpha_0}(0) ]."""
-    pi0 = np.array([lq.pi0, 1.0 - lq.pi0])
-    return float(np.sum(pi0 * (0.5 * K[0] * lq.x0**2 + c[0])))
+    return float(np.sum(lq.prior * (0.5 * K[0] * lq.x0**2 + c[0])))
 
 
 def full_observation_baseline(
@@ -435,19 +432,18 @@ def full_observation_baseline(
     analytic value is also the natural lower bound for any
     observation-feedback cost.
     """
-    spec = lq.to_problem_spec()
     K, c = riccati_backward(lq, grid)
     analytic = riccati_cost(lq, K, c)
     gain = K * np.asarray(lq.b)[None, :] / np.asarray(lq.R)[None, :]
 
     def path_costs(offset: int, count: int) -> Array:
-        alpha = simulate_chain(spec.generator, grid, count, seed, spec.pi0, offset)
+        alpha = simulate_chain(lq.generator, grid, count, seed, lq.pi0, offset)
 
         def feedback(t, x, pi):
             k = round(t / grid.dt)
             return -gain[k, alpha[:, k] - 1] * x
 
-        bundle = simulate_state(spec, grid, count, seed, feedback, offset, alpha=alpha)
-        return cost_from_paths(spec, bundle)
+        bundle = simulate_state(lq, grid, count, seed, feedback, offset, alpha=alpha)
+        return cost_from_paths(lq, bundle)
 
     return blocked_cost(path_costs, n_paths), analytic

@@ -90,14 +90,9 @@ class GeneratorSpec:
             ]
         )
 
-    def marginal(self, p0, t: float) -> Array:
-        """Chain marginal law at time t from the initial distribution ``p0``."""
-        p0 = np.asarray(p0, dtype=np.float64)
-        return p0 @ self.transition_matrix(t)
-
 
 # ---------------------------------------------------------------------------
-# Linear-quadratic tag
+# The control problem: its linear-quadratic constants
 # ---------------------------------------------------------------------------
 
 # ``required`` and ``properties`` of ``$defs.lq_spec`` in
@@ -109,12 +104,13 @@ LQ_SPEC_KEYS = LQ_SPEC_REQUIRED | {"u_lo", "u_hi"}
 
 @dataclass(frozen=True)
 class LQSpec:
-    """Constants of the linear-quadratic special case.
+    """The control problem, held as its linear-quadratic constants.
 
     Dynamics dX = [a(alpha) X + b(alpha) v] dt + sigma dW with cost
     (1/2) E[ integral (Q(alpha) X^2 + R(alpha) v^2) dt + G(alpha_T) X_T^2 ].
     ``R > 0`` and ``sigma > 0`` are required; ``Q, G >= 0`` keep the cost
-    convex so the first-order condition locates a minimiser.
+    convex so the first-order condition locates a minimiser.  ``pi0`` is
+    P(alpha_0 = 1); ``control_domain`` is closed, infinite ends allowed.
     """
 
     a: tuple[float, float]
@@ -153,11 +149,27 @@ class LQSpec:
         if not lo < hi:
             raise ConfigError("control_domain must be a non-degenerate interval")
 
+    n_regimes = 2  # the shape of every per-regime table
+
+    @property
     def generator(self) -> GeneratorSpec:
         return GeneratorSpec(self.lambda1, self.lambda2)
 
-    def to_problem_spec(self) -> "ProblemSpec":
-        return ProblemSpec(self)
+    @property
+    def prior(self) -> Array:
+        """The law (pi0, 1 - pi0) of alpha_0; a vertex is a known start."""
+        return np.array([self.pi0, 1.0 - self.pi0])  # p + (1 - p) rounds to 1 exactly
+
+    def volatility(self) -> float:
+        """sigma, which ``__post_init__`` keeps finite and positive;
+        ``DomainError`` below the floor ``SIGMA_MIN``.  Each pass reads it once."""
+        if self.sigma < SIGMA_MIN:
+            raise DomainError(f"volatility fell below the floor {SIGMA_MIN} "
+                              f"(min observed {self.sigma})")
+        return self.sigma
+
+    def to_problem_spec(self) -> "LQSpec":
+        return self  # the benchmark scripts still call it
 
     def to_json(self) -> dict:
         doc = {
@@ -210,79 +222,23 @@ class LQSpec:
 
 
 # ---------------------------------------------------------------------------
-# Problem spec
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Full control problem, held as its LQ constants ``lq``.
-
-    ``LQSpec.to_problem_spec`` builds it.  Every coefficient is read from
-    the constants (see ``drift_table``), and so are the properties below:
-    the horizon T, the initial state x0, the initial regime distribution
-    ``pi0`` as the pair (p, 1 - p) (a vertex encodes a known initial
-    regime), the chain's ``generator`` and the closed control interval
-    ``control_domain`` (infinite ends allowed).  Nothing here can disagree
-    with ``lq``, and all types here are immutable.
-    """
-
-    lq: LQSpec
-
-    @property
-    def horizon(self) -> float:
-        return self.lq.horizon
-
-    @property
-    def x0(self) -> float:
-        return self.lq.x0
-
-    @property
-    def pi0(self) -> tuple[float, float]:
-        return (self.lq.pi0, 1.0 - self.lq.pi0)  # p + (1 - p) rounds to 1 exactly
-
-    @property
-    def generator(self) -> GeneratorSpec:
-        return self.lq.generator()
-
-    @property
-    def control_domain(self) -> tuple[float, float]:
-        return self.lq.control_domain
-
-    n_regimes = 2  # the shape of every per-regime table
-
-    def clamp_control(self, u):
-        lo, hi = self.control_domain
-        return np.clip(u, lo, hi)
-
-    def volatility(self) -> float:
-        """sigma, which ``LQSpec`` keeps finite and positive; ``DomainError``
-        below the floor ``SIGMA_MIN``.  Each pass reads it once."""
-        sigma = self.lq.sigma
-        if sigma < SIGMA_MIN:
-            raise DomainError(f"volatility fell below the floor {SIGMA_MIN} "
-                              f"(min observed {sigma})")
-        return sigma
-
-
-# ---------------------------------------------------------------------------
 # Coefficient tables from the LQ constants
 # ---------------------------------------------------------------------------
 
 
-def drift_table(spec: ProblemSpec, x: Array, u: Array) -> Array:
+def drift_table(spec: LQSpec, x: Array, u: Array) -> Array:
     """b(x, i, u) = a_i x + b_i u for every regime i, regime-major: shape (d, n_paths)."""
-    return np.outer(spec.lq.a, x) + np.outer(spec.lq.b, u)
+    return np.outer(spec.a, x) + np.outer(spec.b, u)
 
 
-def running_cost_table(spec: ProblemSpec, x: Array, u: Array) -> Array:
+def running_cost_table(spec: LQSpec, x: Array, u: Array) -> Array:
     """f(x, i, u) = (Q_i x^2 + R_i u^2) / 2 for every regime i, shape (d, n_paths)."""
-    return 0.5 * (np.outer(spec.lq.Q, x**2) + np.outer(spec.lq.R, u**2))
+    return 0.5 * (np.outer(spec.Q, x**2) + np.outer(spec.R, u**2))
 
 
-def terminal_cost_table(spec: ProblemSpec, x: Array) -> Array:
+def terminal_cost_table(spec: LQSpec, x: Array) -> Array:
     """g(x, i) = G_i x^2 / 2 for every regime i, shape (d, n_paths)."""
-    return np.outer(0.5 * np.asarray(spec.lq.G), x**2)
+    return np.outer(0.5 * np.asarray(spec.G), x**2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +246,7 @@ def terminal_cost_table(spec: ProblemSpec, x: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def validate_spec(spec: ProblemSpec) -> list[str]:
+def validate_spec(spec: LQSpec) -> list[str]:
     """Evaluate the coefficients on a (t, x, v) lattice and report violations.
 
     Values come from the LQ constants on the lattice; derivatives are
@@ -311,7 +267,7 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
     Purely reporting; an empty list means no violation.
     """
     violations: list[str] = []
-    lq, K = spec.lq, GROWTH_CONSTANT
+    K = GROWTH_CONSTANT
     nt, nx, nv = LATTICE_SHAPE
     ts = np.linspace(0.0, spec.horizon, nt)
     xs = np.linspace(*X_RANGE, nx)
@@ -328,9 +284,9 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
                               f"{np.size(values)} lattice points")
         return not bad
 
-    if lq.sigma < SIGMA_MIN:  # sigma is constant: its minimum is at the first lattice point
+    if spec.sigma < SIGMA_MIN:  # sigma is constant: its minimum is at the first lattice point
         violations.append(
-            f"A4: sigma={lq.sigma:.3g} at (t={ts[0]:.3g}, x={xs[0]:.3g}, "
+            f"A4: sigma={spec.sigma:.3g} at (t={ts[0]:.3g}, x={xs[0]:.3g}, "
             f"v={vs[0]:.3g}) is below the floor {SIGMA_MIN:.3g}"
         )
 
@@ -339,7 +295,7 @@ def validate_spec(spec: ProblemSpec) -> list[str]:
         terminals = terminal_cost_table(spec, xs)
 
     for i, drift, cost, terminal in zip((1, 2), drifts, costs, terminals):
-        a, b, Q, R, G = (c[i - 1] for c in (lq.a, lq.b, lq.Q, lq.R, lq.G))
+        a, b, Q, R, G = (c[i - 1] for c in (spec.a, spec.b, spec.Q, spec.R, spec.G))
         if finite("A1", f"b(.,.,{i},.)", drift):
             for grad, name in ((a, f"b_x(i={i})"), (b, f"b_v(i={i})")):
                 if abs(grad) > DERIV_BOUND:
@@ -446,5 +402,5 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def load_spec(path: str) -> ProblemSpec:
-    return LQSpec.from_json(read_json_object(path, "spec file")).to_problem_spec()
+def load_spec(path: str) -> LQSpec:
+    return LQSpec.from_json(read_json_object(path, "spec file"))

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NumericalError
-from .model import GeneratorSpec, ProblemSpec, drift_table, running_cost_table, terminal_cost_table
+from .model import GeneratorSpec, LQSpec, drift_table, running_cost_table, terminal_cost_table
 from .parallel import DEFAULT_BLOCK_SIZE, RunningMoments, run_blocks
 
 Array = NDArray[np.float64]
@@ -154,21 +154,24 @@ def simulate_chain(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    pi0,
+    pi0: float,
     path_offset: int = 0,
 ) -> NDArray[np.int64]:
     """Sample the hidden chain at the grid nodes, shape (n_paths, N+1).
 
-    The initial regime is drawn from ``pi0``; a vertex of the simplex
-    fixes it.  Node-to-node moves use the exact transition kernel
-    exp(Q*dt), so the node marginals carry no discretization error.  The
-    step constraint dt * max(lambda1, lambda2) < 0.5 guards against grids
-    so coarse that multiple switches per step dominate.
+    The initial regime is 1 with probability ``pi0``, a number in [0, 1]
+    (``ConfigError`` otherwise), so 0 and 1 fix it.  Node-to-node moves
+    use the exact transition kernel exp(Q*dt), so the node marginals
+    carry no discretization error.  The step constraint
+    dt * max(lambda1, lambda2) < 0.5 guards against grids so coarse that
+    multiple switches per step dominate.
 
     One uniform per node is consumed from the path's chain stream, the
     first for the initial regime, so the transition draws do not depend
     on ``pi0``.
     """
+    if not (np.ndim(pi0) == 0 and 0.0 <= pi0 <= 1.0):
+        raise ConfigError(f"pi0 must be a probability in [0, 1], got {pi0!r}")
     rate = grid.dt * generator.max_exit_rate
     if rate >= 0.5:
         raise ConfigError(f"grid too coarse for the chain: dt*max_rate = {rate:.3g} >= 0.5")
@@ -179,16 +182,16 @@ def simulate_chain(
     u = draw_uniforms(seed, indices, TAG_CHAIN, grid.n_steps + 1)
 
     alpha = history(n_paths, grid.n_steps + 1, dtype=np.int64)
-    alpha[:, 0] = u[:, 0] >= pi0[0]
+    alpha[:, 0] = u[:, 0] >= pi0
     for k in range(grid.n_steps):
         alpha[:, k + 1] = u[:, k + 1] >= to_first[alpha[:, k]]
     alpha += 1
     return alpha
 
 
-def chain_marginal(spec: ProblemSpec, t: float) -> Array:
+def chain_marginal(spec: LQSpec, t: float) -> Array:
     """Law of the chain at time t (exact, via the transition kernel)."""
-    return spec.generator.marginal(np.asarray(spec.pi0), t)
+    return spec.prior @ spec.generator.transition_matrix(t)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ def brownian_increments(seed: int, grid: TimeGrid, n_paths: int, tag: int,
     return dW
 
 
-def draw_drivers(spec: ProblemSpec, grid: TimeGrid, n_paths: int, seed: int,
+def draw_drivers(spec: LQSpec, grid: TimeGrid, n_paths: int, seed: int,
                  path_offset: int = 0, alpha=None, dW=None):
     """Hidden chain (n_paths, N+1) and Brownian increments (n_paths, N).
 
@@ -242,7 +245,7 @@ def check_controls(policy, controls, n_paths: int, grid: TimeGrid):
     return check_override("controls", controls, (n_paths, grid.n_steps))
 
 
-def control_at(spec: ProblemSpec, t: float, x: Array, pi, policy=None, control=None) -> Array:
+def control_at(spec: LQSpec, t: float, x: Array, pi, policy=None, control=None) -> Array:
     """Control of the step at t, clamped to the control domain.
 
     An explicit ``control`` row wins, then ``policy(t, x, pi)``, then zero.
@@ -255,7 +258,7 @@ def control_at(spec: ProblemSpec, t: float, x: Array, pi, policy=None, control=N
         u = policy(t, x, pi)
     else:
         u = np.zeros(x.shape[0])
-    u = spec.clamp_control(np.asarray(u, dtype=np.float64))
+    u = np.clip(np.asarray(u, dtype=np.float64), *spec.control_domain)
     if u.shape != x.shape:
         raise ConfigError(f"control at t={t:.4g} has shape {u.shape}, expected {x.shape}")
     if not np.all(np.isfinite(u)):
@@ -280,7 +283,7 @@ def euler_step(x: Array, drift: Array, sig, dw: Array, dt: float, t_next: float)
 
 
 def simulate_state(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
@@ -325,7 +328,7 @@ def simulate_state(
 # ---------------------------------------------------------------------------
 
 
-def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
+def _cost_quadrature(spec: LQSpec, grid: TimeGrid, states: Array,
                      controls: Array, weights) -> Array:
     """Per-path sum_k sum_i w_{k,i} f(X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i).
 
@@ -343,7 +346,7 @@ def _cost_quadrature(spec: ProblemSpec, grid: TimeGrid, states: Array,
     return total
 
 
-def cost_from_paths(spec: ProblemSpec, bundle: PathBundle) -> Array:
+def cost_from_paths(spec: LQSpec, bundle: PathBundle) -> Array:
     """Per-path realized cost, left-endpoint quadrature for the running part."""
     labels = np.arange(1, spec.n_regimes + 1)
     return _cost_quadrature(spec, bundle.grid, bundle.states, bundle.controls,
@@ -367,7 +370,7 @@ def blocked_cost(path_costs, n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE,
 
 
 def estimate_cost(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     n_paths: int,
     seed: int,

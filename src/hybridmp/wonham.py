@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, NumericalError
-from .model import ProblemSpec, drift_table
+from .model import LQSpec, drift_table
 from .parallel import RunningMoments
 from .pathsim import (
     TAG_INNOVATION,
@@ -77,7 +77,7 @@ class FilterPath:
         return np.sum(np.square(sq, out=sq), axis=1)
 
 
-def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
+def _replay(spec: LQSpec, grid: TimeGrid, states, controls):
     """Read a given path for a filter replay: ``(n_paths, sigma, steps)``.
 
     ``states`` must have shape (n_paths, N+1) and ``controls`` (n_paths,
@@ -102,9 +102,9 @@ def _replay(spec: ProblemSpec, grid: TimeGrid, states, controls):
     return states.shape[0], spec.volatility(), steps()
 
 
-def _prior(spec: ProblemSpec, n_paths: int) -> Array:
+def _prior(spec: LQSpec, n_paths: int) -> Array:
     """pi0 per path, regime-major (d, n_paths) as every filter state here."""
-    return np.repeat(np.asarray(spec.pi0, dtype=np.float64)[:, None], n_paths, axis=1)
+    return np.repeat(spec.prior[:, None], n_paths, axis=1)
 
 
 def _project_simplex(p: Array, excursion_tol: float, breakdown_tol: float):
@@ -153,7 +153,7 @@ def _wonham_step(p: Array, h: Array, hbar: Array, dnu: Array, Q: Array, dt: floa
 
 
 def run_normalized_filter(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     states: Array,
     controls: Array,
@@ -199,7 +199,7 @@ def run_normalized_filter(
 
 
 def run_zakai_filter(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     states: Array,
     controls: Array,
@@ -303,7 +303,7 @@ class InnovationPath:
         return self.states.shape[0]
 
 
-def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, policy, controls,
+def _observer_pass(spec: LQSpec, grid: TimeGrid, seed: int, policy, controls,
                    noise: Array, alpha=None) -> InnovationPath:
     """Euler and Wonham steps of (X, p) under feedback on (t, X, p_1).
 
@@ -356,7 +356,7 @@ def _observer_pass(spec: ProblemSpec, grid: TimeGrid, seed: int, policy, control
 
 
 def coupled_forward(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
@@ -384,7 +384,7 @@ def coupled_forward(
 
 
 def innovation_forward(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     n_paths: int,
     seed: int,
@@ -411,7 +411,7 @@ def innovation_forward(
 
 
 def discrete_bayes_oracle(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     states: Array,
     controls: Array,
@@ -453,7 +453,7 @@ def discrete_bayes_oracle(
 
 
 def transformed_cost_paths(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     states: Array,
     probs: Array,
@@ -468,7 +468,7 @@ def transformed_cost_paths(
 
 
 def transformed_cost(
-    spec: ProblemSpec,
+    spec: LQSpec,
     grid: TimeGrid,
     states: Array,
     probs: Array,

@@ -17,12 +17,12 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def lq() -> LQSpec:
     """The package's reference problem, as its spec file states it."""
-    return load_spec(Path(__file__).resolve().parents[1] / "specs" / "default_lq.json").lq
+    return load_spec(Path(__file__).resolve().parents[1] / "specs" / "default_lq.json")
 
 
 @pytest.fixture(scope="session")
 def spec(lq):
-    return lq.to_problem_spec()
+    return lq
 
 
 @pytest.fixture(scope="session")

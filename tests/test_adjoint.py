@@ -133,7 +133,7 @@ class TestCompactCoeffs:
 
     def test_regime_free_state_drift_ignores_belief(self, regime_free,
                                                     points):
-        cf = CompactCoeffs(regime_free.to_problem_spec())
+        cf = CompactCoeffs(regime_free)
         t, x, p, u = points
         Bt = _jacobians(cf.at(t, x, p, u), len(x))["B_theta"]
         assert np.allclose(Bt[:, 0, 1], 0.0, atol=1e-12)
@@ -171,7 +171,7 @@ class TestHamiltonian:
         assert np.allclose(hv, rbar * u, atol=1e-12)
 
     def test_regime_free_gradient_form(self, regime_free, points):
-        cf = CompactCoeffs(regime_free.to_problem_spec())
+        cf = CompactCoeffs(regime_free)
         t, x, p, u = points
         phi = np.stack([x * 0.0 + 0.7, x * 0.0 - 0.2], axis=1)
         hv = cf.at(t, x, p, u).H_v(phi, np.zeros((len(x), 2)))
@@ -298,6 +298,20 @@ class TestAdjointBsde:
             assert together.shape == (5,)
             assert np.array_equal(together, alone), fn.__name__
 
+    @pytest.mark.parametrize("fn", [gateaux_derivative, hamiltonian_direction_value],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("extra", [(0, 1), (1, 0), None],
+                             ids=["one-step-too-many", "one-path-too-many", "one-path-axis"])
+    def test_rejects_a_direction_of_the_wrong_shape(self, spec, ensemble, fn, extra):
+        # a step beyond the grid must not be dropped, whatever its value
+        grid, path, adj = ensemble
+        n, N = path.n_paths, grid.n_steps
+        w = np.zeros(N) if extra is None else np.zeros((n + extra[0], N + extra[1]))
+        w[..., N:] = 1e6
+        args = (adj,) if fn is hamiltonian_direction_value else ()
+        with pytest.raises(ConfigError, match="direction must have shape"):
+            fn(spec, path, *args, w)
+
     def test_direction_set_does_not_depend_on_the_probs_layout(self):
         grid, n = TimeGrid(1.0, 200), 2048
         pi = np.random.default_rng(7).uniform(0.0, 1.0, (n, grid.n_steps + 1))
@@ -326,7 +340,7 @@ class TestAdjointBsde:
         # the per-step loop the report ran before the sweep stored dH/dv,
         # kept as the reference; with a bounded domain the projected
         # residual differs from the plain one
-        spec = dataclasses.replace(lq, control_domain=domain).to_problem_spec()
+        spec = dataclasses.replace(lq, control_domain=domain)
         grid = TimeGrid(1.0, 50)
         path = innovation_forward(spec, grid, 600, 8, policy=zero_policy(domain))
         adj = solve_adjoint_bsde(spec, path)
@@ -359,13 +373,12 @@ class TestAdjointBsde:
         flat = LQSpec(a=(0.5, -0.5), b=(1.0, 0.5), sigma=0.3, Q=(0.0, 0.0),
                       R=(1.0, 2.0), G=(0.0, 0.0), lambda1=1.0, lambda2=1.0,
                       horizon=1.0, x0=1.0, pi0=0.5)
-        spec = flat.to_problem_spec()
         grid = TimeGrid(1.0, 50)
-        path = innovation_forward(spec, grid, 256, 2, policy=zero_policy())
-        adj = solve_adjoint_bsde(spec, path)
+        path = innovation_forward(flat, grid, 256, 2, policy=zero_policy())
+        adj = solve_adjoint_bsde(flat, path)
         assert np.max(np.abs(adj.phi)) <= 1e-12
         assert np.max(np.abs(adj.lam)) <= 1e-12
-        rep = stationarity_report(spec, path, adj)
+        rep = stationarity_report(flat, path, adj)
         assert rep["residual"] <= 1e-12
 
     def test_path_order_invariance(self, spec, ensemble):
@@ -387,7 +400,7 @@ class TestAdjointBsde:
         cheap = dataclasses.replace(lq, Q=tuple(c * q for q in lq.Q),
                                     R=tuple(c * r for r in lq.R),
                                     G=tuple(c * g for g in lq.G))
-        scaled = solve_adjoint_bsde(cheap.to_problem_spec(), path)
+        scaled = solve_adjoint_bsde(cheap, path)
         assert adj.r_squared.min() < 0.99
         assert np.max(np.abs(scaled.r_squared - adj.r_squared)) <= 1e-9
         assert np.array_equal(scaled.svd_fallback, adj.svd_fallback)

@@ -271,7 +271,7 @@ class TestRunSuite:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"paths.csv", "filter.csv"} <= set(manifest)
         # the run writes the first CSV_PATHS paths of its 100-path check ensemble
-        cp = coupled_forward(cfg.problem, cfg.grid, 100, cfg.seed)
+        cp = coupled_forward(cfg.spec, cfg.grid, 100, cfg.seed)
         n, nodes = CSV_PATHS, cfg.n_steps + 1
 
         def columns(name):

@@ -53,7 +53,7 @@ def _update_from_zero(lq: LQSpec, x, p, phi_x, lam_pi):
     # the solver's update u - dH/dv / Rbar at u = 0, with dH/dv read off
     # the coefficient table
     x, p, u = np.array([x]), np.array([p]), np.zeros(1)
-    hv = CompactCoeffs(lq.to_problem_spec()).at(0.0, x, p, u).H_v(
+    hv = CompactCoeffs(lq).at(0.0, x, p, u).H_v(
         np.array([[phi_x, 0.0]]), np.array([[0.0, lam_pi]]))
     return stationary_control(lq, p, u, hv)[0]
 
@@ -151,8 +151,7 @@ class TestPiecewisePolicy:
         # for bit; the cubic fit of a step target overshoots the widened
         # target range, so the u_range clip acts
         grid = TimeGrid(1.0, 50)
-        spec = lq.to_problem_spec()
-        path = innovation_forward(spec, grid, 300, 3, policy=zero_policy(spec.control_domain))
+        path = innovation_forward(lq, grid, 300, 3, policy=zero_policy(lq.control_domain))
         policy = PiecewisePolyPolicy._blank(grid, 3, domain)
         clipped = 0
         for k in range(grid.n_steps):
@@ -525,8 +524,7 @@ class TestSolveLq:
         # fit peaks
         with pytest.raises(NonConvergence) as first:
             solve_lq(lq, grid, n_paths=200, seed=5, tol=0.0, max_iter=1)
-        spec = lq.to_problem_spec()
-        path = innovation_forward(spec, grid, 200, 5, policy=zero_policy(spec.control_domain))
+        path = innovation_forward(lq, grid, 200, 5, policy=zero_policy(lq.control_domain))
         X, P = _quantile_lattice(path.states, path.probs, grid.n_steps)
         U = np.abs(first.value.solution.policy.on_lattice(grid.times[:-1], X, P))
         assert first.value.solution.final_sup_change["k"] == int(np.argmax(np.max(U, axis=1)))
@@ -546,8 +544,7 @@ class TestSolveLq:
         with pytest.raises(NonConvergence) as exc:
             solve_lq(lq, grid, n_paths=256, seed=3, max_iter=final.iterations - 1)
         before = exc.value.solution.policy
-        spec = lq.to_problem_spec()
-        path = innovation_forward(spec, grid, 256, 3, policy=before)
+        path = innovation_forward(lq, grid, 256, 3, policy=before)
         value, k = _policy_sup_change(grid, before, final.policy, path.states, path.probs)
         assert got == {"value": value, "k": k, "t": grid.times[k]} == final.final_sup_change
 
@@ -558,17 +555,16 @@ class TestSolveLq:
             solve_lq(lq, grid, n_paths=n_paths, seed=seed, damping=damping, max_iter=1)
         got = exc.value.solution.policy
 
-        spec = lq.to_problem_spec()
-        path = innovation_forward(spec, grid, n_paths, seed,
-                                  policy=zero_policy(spec.control_domain))
-        adj = solve_adjoint_bsde(spec, path)
+        path = innovation_forward(lq, grid, n_paths, seed,
+                                  policy=zero_policy(lq.control_domain))
+        adj = solve_adjoint_bsde(lq, path)
         u_star = np.column_stack([
             _control_oracle(lq, path.probs[:, k, 0], adj.phi_pred[:, k, 0], adj.lam[:, k, 1])
             for k in range(grid.n_steps)
         ])
         targets = (1.0 - damping) * path.controls + damping * u_star
         want = PiecewisePolyPolicy.fit(grid, path.states, path.probs, targets,
-                                       control_domain=spec.control_domain)
+                                       control_domain=lq.control_domain)
         for name in ("coeffs", "locs", "scales", "x_range", "p_range", "u_range"):
             assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
         assert abs(got.fit_max_residual - want.fit_max_residual) <= 1e-12
@@ -580,10 +576,9 @@ class TestSolveLq:
         grid = TimeGrid(1.0, 40)
         with pytest.raises(NonConvergence) as exc:
             solve_lq(bounded, grid, n_paths=1000, seed=3, max_iter=1)
-        spec = bounded.to_problem_spec()
-        path = innovation_forward(spec, grid, 1000, 3,
-                                  policy=zero_policy(spec.control_domain))
-        report = stationarity_report(spec, path, solve_adjoint_bsde(spec, path))
+        path = innovation_forward(bounded, grid, 1000, 3,
+                                  policy=zero_policy(bounded.control_domain))
+        report = stationarity_report(bounded, path, solve_adjoint_bsde(bounded, path))
         assert exc.value.solution.trace[0]["residual"] == pytest.approx(
             report["residual"], rel=1e-12)
 

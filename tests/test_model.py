@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -35,6 +34,7 @@ from hybridmp import (
 )
 from hybridmp.errors import DomainError
 from hybridmp.model import drift_table, running_cost_table, terminal_cost_table
+from hybridmp.pathsim import control_at
 
 rates = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
@@ -71,11 +71,11 @@ class TestGeneratorSpec:
         assert np.all(P >= -1e-15)
         assert np.allclose(P.sum(axis=1), 1.0)
 
-    def test_marginal_solves_forward_equation(self):
-        g = GeneratorSpec(1.5, 0.7)
+    def test_marginal_solves_forward_equation(self, lq):
+        spec = LQSpec(**{**_fields(lq), "lambda1": 1.5, "lambda2": 0.7, "pi0": 0.3})
         p0 = np.array([0.3, 0.7])
         t = 0.9
-        assert np.allclose(g.marginal(p0, t), p0 @ expm(g.matrix * t))
+        assert np.allclose(chain_marginal(spec, t), p0 @ expm(spec.generator.matrix * t))
 
 
 @pytest.mark.parametrize("module", ["hybridmp", "hybridmp.cli"])
@@ -151,32 +151,23 @@ class TestLQSpec:
             assert terminal_cost_table(spec, x)[i - 1] == pytest.approx(
                 0.5 * lq.G[i - 1] * x * x)
         assert spec.volatility() == lq.sigma
-        assert spec.lq is lq
-        assert spec.pi0 == (0.5, 0.5)
+        assert spec.prior.tolist() == [0.5, 0.5]
 
     def test_generator_matches_rates(self, lq):
-        g = lq.generator()
+        g = lq.generator
         assert g.lambda1 == lq.lambda1 and g.lambda2 == lq.lambda2
 
 
-class TestProblemSpec:
+class TestProblem:
     @pytest.mark.parametrize("pi0", [0.0, 0.1, 0.3, 0.5, 1.0, 5e-324, math.nextafter(1.0, 0.0)])
     def test_pi0_pair_sums_to_one(self, lq, pi0):
-        p = LQSpec(**{**_fields(lq), "pi0": pi0}).to_problem_spec()
-        assert p.pi0[0] == pi0 and sum(p.pi0) == 1.0
-
-    def test_reads_every_field_from_the_constants(self, lq):
-        bounded = LQSpec(**{**_fields(lq), "control_domain": (-2.0, 3.0)})
-        p = bounded.to_problem_spec()
-        assert (p.horizon, p.x0, p.control_domain) == (lq.horizon, lq.x0, (-2.0, 3.0))
-        assert p.generator == lq.generator()
-        assert [f.name for f in dataclasses.fields(p)] == ["lq"]
+        prior = LQSpec(**{**_fields(lq), "pi0": pi0}).prior
+        assert prior[0] == pi0 and sum(prior) == 1.0
 
     def test_clamp_control(self, lq):
         bounded = LQSpec(**{**_fields(lq), "control_domain": (-1.0, 1.0)})
-        p = bounded.to_problem_spec()
-        assert p.clamp_control(5.0) == 1.0
-        assert p.clamp_control(-5.0) == -1.0
+        u = control_at(bounded, 0.0, np.zeros(2), None, control=np.array([5.0, -5.0]))
+        assert u.tolist() == [1.0, -1.0]
 
     @pytest.mark.parametrize("run", [
         lambda s, g, x, u: simulate_state(s, g, 4, 1),
@@ -190,7 +181,7 @@ class TestProblemSpec:
             "run_normalized_filter", "run_zakai_filter", "discrete_bayes_oracle",
             "CompactCoeffs.at"])
     def test_every_pass_names_a_volatility_below_the_floor(self, lq, run):
-        low = LQSpec(**{**_fields(lq), "sigma": 1e-9}).to_problem_spec()
+        low = LQSpec(**{**_fields(lq), "sigma": 1e-9})
         grid = TimeGrid(1.0, 100)  # the oracle wants dt <= 1e-2
         states, controls = np.ones((4, 101)), np.zeros((4, 100))
         with pytest.raises(DomainError, match="below the floor 1e-08"):
@@ -201,7 +192,7 @@ class TestProblemSpec:
 
     def test_validate_flags_steep_drift(self, lq):
         steep = LQSpec(**{**_fields(lq), "a": (1e9, -1e9)})
-        problems = validate_spec(steep.to_problem_spec())
+        problems = validate_spec(steep)
         assert problems and any("b_x" in msg for msg in problems)
 
     def test_validate_reports_a_non_finite_drift(self, lq):
@@ -209,13 +200,13 @@ class TestProblemSpec:
         # drift is NaN where they meet; NaN fails every comparison, so it must
         # be looked for (1320 points: 770 infinite and 550 NaN)
         wild = LQSpec(**{**_fields(lq), "a": (1e308, lq.a[1]), "b": (-1e308, lq.b[1])})
-        assert validate_spec(wild.to_problem_spec()) == [
+        assert validate_spec(wild) == [
             "A1: b(.,.,1,.) is non-finite at 1320 of 1331 lattice points"]
 
     def test_chain_marginal_closed_form(self, spec):
         # two-state occupation probability from the forward equation
         lam = 2.0
-        p1 = 0.5 + (spec.pi0[0] - 0.5) * math.exp(-lam * 0.7)
+        p1 = 0.5 + (spec.pi0 - 0.5) * math.exp(-lam * 0.7)
         assert chain_marginal(spec, 0.7)[0] == pytest.approx(p1)
 
 
@@ -237,15 +228,15 @@ class TestPolicies:
 
 class TestSerialization:
     def test_spec_json_round_trip(self, spec):
-        doc = spec.lq.to_json()
-        again = LQSpec.from_json(doc).to_problem_spec()
-        assert again.lq == spec.lq
+        doc = spec.to_json()
+        again = LQSpec.from_json(doc)
+        assert again == spec
         assert again.horizon == spec.horizon
 
     def test_load_spec_file(self, tmp_path, lq):
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(lq.to_json()))
-        assert load_spec(str(path)).lq == lq
+        assert load_spec(str(path)) == lq
 
 
 def _fields(lq: LQSpec) -> dict:

@@ -53,7 +53,7 @@ def bm_spec():
     """Driftless unit-volatility state with an inert chain."""
     return LQSpec(a=(0.0, 0.0), b=(0.0, 0.0), sigma=1.0, Q=(0.0, 0.0),
                   R=(1.0, 1.0), G=(1.0, 1.0), lambda1=1.0, lambda2=1.0,
-                  horizon=1.0, x0=0.0, pi0=0.5).to_problem_spec()
+                  horizon=1.0, x0=0.0, pi0=0.5)
 
 
 class TestTimeGrid:
@@ -78,11 +78,18 @@ class TestSimulateChain:
     def test_rejects_coarse_grid_for_fast_chain(self):
         g = GeneratorSpec(100.0, 100.0)
         with pytest.raises(ConfigError):
-            simulate_chain(g, TimeGrid(1.0, 50), 10, 0, pi0=(1.0, 0.0))
+            simulate_chain(g, TimeGrid(1.0, 50), 10, 0, pi0=1.0)
+
+    @pytest.mark.parametrize("pi0", [(0.3, 0.7), [0.5], np.array([1.0, 0.0]), -5e-324,
+                                     math.nextafter(1.0, 2.0), math.nan, math.inf])
+    def test_rejects_a_pi0_that_is_not_a_probability(self, pi0):
+        # a pair in the old style would compare path by path when n_paths == 2
+        with pytest.raises(ConfigError, match="pi0 must be a probability"):
+            simulate_chain(GeneratorSpec(1.0, 2.0), TimeGrid(1.0, 50), 2, 0, pi0=pi0)
 
     def test_shapes_and_values(self):
         g = GeneratorSpec(1.0, 2.0)
-        alpha = simulate_chain(g, TimeGrid(1.0, 50), 32, 0, pi0=(0.0, 1.0))
+        alpha = simulate_chain(g, TimeGrid(1.0, 50), 32, 0, pi0=0.0)
         assert alpha.shape == (32, 51)
         assert set(np.unique(alpha)) <= {1, 2}
         assert np.all(alpha[:, 0] == 2)
@@ -90,9 +97,9 @@ class TestSimulateChain:
     def test_deterministic_in_seed_and_offset(self):
         g = GeneratorSpec(1.0, 2.0)
         grid = TimeGrid(1.0, 50)
-        whole = simulate_chain(g, grid, 8, 7, pi0=(0.3, 0.7))
-        head = simulate_chain(g, grid, 4, 7, pi0=(0.3, 0.7))
-        tail = simulate_chain(g, grid, 4, 7, pi0=(0.3, 0.7), path_offset=4)
+        whole = simulate_chain(g, grid, 8, 7, pi0=0.3)
+        head = simulate_chain(g, grid, 4, 7, pi0=0.3)
+        tail = simulate_chain(g, grid, 4, 7, pi0=0.3, path_offset=4)
         assert np.array_equal(whole, np.vstack([head, tail]))
 
     def test_mean_holding_time(self):
@@ -100,7 +107,7 @@ class TestSimulateChain:
         # time is Exp(2); grid censoring adds ~dt/2
         g = GeneratorSpec(2.0, 0.0)
         grid = TimeGrid(4.0, 2000)
-        alpha = simulate_chain(g, grid, 10_000, 11, pi0=(1.0, 0.0))
+        alpha = simulate_chain(g, grid, 10_000, 11, pi0=1.0)
         exit_steps = np.argmax(alpha == 2, axis=1)
         exit_steps[exit_steps == 0] = grid.n_steps
         holding = exit_steps * grid.dt
@@ -111,7 +118,7 @@ class TestSimulateChain:
         # P(state 1 at t=1 | start in 1) = 0.5 + 0.5 e^{-2} for unit rates
         g = GeneratorSpec(1.0, 1.0)
         grid = TimeGrid(1.0, 50)
-        alpha = simulate_chain(g, grid, 20_000, 5, pi0=(1.0, 0.0))
+        alpha = simulate_chain(g, grid, 20_000, 5, pi0=1.0)
         occ = (alpha[:, -1] == 1).astype(float)
         se = occ.std(ddof=1) / math.sqrt(len(occ))
         assert abs(occ.mean() - (0.5 + 0.5 * math.exp(-2.0))) <= 3.0 * se
@@ -159,7 +166,7 @@ class TestSimulateState:
     def test_blow_up_guard(self):
         wild = LQSpec(a=(40.0, 40.0), b=(0.0, 0.0), sigma=1.0, Q=(0.0, 0.0),
                       R=(1.0, 1.0), G=(1.0, 1.0), lambda1=0.0, lambda2=0.0,
-                      horizon=10.0, x0=1e7, pi0=1.0).to_problem_spec()
+                      horizon=10.0, x0=1e7, pi0=1.0)
         with pytest.raises(NumericalError):
             simulate_state(wild, TimeGrid(10.0, 100), 4, 0,
                            policy=zero_policy())
@@ -176,10 +183,9 @@ class TestCost:
 
     def test_left_endpoint_quadrature(self, lq):
         # controls enter the running cost at the left node only
-        spec = lq.to_problem_spec()
         grid = TimeGrid(1.0, 4)
-        bundle = simulate_state(spec, grid, 2, 0, policy=zero_policy())
-        cost = cost_from_paths(spec, bundle)
+        bundle = simulate_state(lq, grid, 2, 0, policy=zero_policy())
+        cost = cost_from_paths(lq, bundle)
         by_hand = np.zeros(2)
         for k in range(grid.n_steps):
             x = bundle.states[:, k]
@@ -229,7 +235,7 @@ def _chain_by_fresh_streams(generator, grid, n_paths, seed, alpha0=None, pi0=Non
     if alpha0 is not None:
         alpha[:, 0] = alpha0 - 1
     else:
-        alpha[:, 0] = np.searchsorted(np.cumsum(pi0), u[:, 0], side="right")
+        alpha[:, 0] = np.searchsorted(np.cumsum([pi0, 1.0 - pi0]), u[:, 0], side="right")
         np.clip(alpha[:, 0], 0, d - 1, out=alpha[:, 0])
     for k in range(grid.n_steps):
         row_cdf = cdf[alpha[:, k]]
@@ -342,11 +348,10 @@ class TestKernelExactness:
         # exactly 0; the frozen chain's thresholds are 1 and 0
         grid = TimeGrid(1.0, 100)
         d = 2
-        pi0 = np.full(d, 1.0 / d)
-        last = np.eye(d)[d - 1]  # the start in regime d, as the reference's alpha0=d
-        for kwargs, ref in (({"pi0": last}, {"alpha0": d}), ({"pi0": pi0}, None),
-                            ({"pi0": (0.3, 0.7)}, None),
-                            ({"pi0": pi0, "path_offset": 17}, None)):
+        # pi0 = 0 starts in regime d, as the reference's alpha0=d
+        for kwargs, ref in (({"pi0": 0.0}, {"alpha0": d}), ({"pi0": 0.5}, None),
+                            ({"pi0": 0.3}, None),
+                            ({"pi0": 0.5, "path_offset": 17}, None)):
             got = simulate_chain(generator, grid, 300, 11, **kwargs)
             want = _chain_by_fresh_streams(generator, grid, 300, 11, **(ref or kwargs))
             assert got.dtype == np.int64 and _rows_are_contiguous(got)
@@ -357,10 +362,10 @@ class TestKernelExactness:
     @pytest.mark.parametrize("rates", [(1.0, 2.0), (2.0, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("seed", [0, 5, 11, 2**63])
     def test_vertex_pi0_is_a_known_start(self, rates, seed):
-        # the chain of a fixed start regime, drawn from a vertex of pi0
+        # the chain of a fixed start regime, drawn from pi0 = 1 or pi0 = 0
         g = GeneratorSpec(*rates)
         grid = TimeGrid(1.0, 200)
-        for alpha0, vertex in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
+        for alpha0, vertex in ((1, 1.0), (2, 0.0)):
             assert np.array_equal(simulate_chain(g, grid, 500, seed, pi0=vertex),
                                   _chain_by_fresh_streams(g, grid, 500, seed, alpha0=alpha0))
 
@@ -397,21 +402,21 @@ def _simulate_state_per_column(spec, grid, n_paths, seed, policy=None, controls=
         u = used[:, k] = control_at(spec, t, x, None, policy,
                                     None if controls is None else controls[:, k])
         b = drift_table(spec, x, u)[alpha[:, k] - 1, rows]
-        x = euler_step(x, b, spec.lq.sigma, dW[:, k], grid.dt, times[k + 1])
+        x = euler_step(x, b, spec.sigma, dW[:, k], grid.dt, times[k + 1])
         states[:, k + 1] = x
     return states, used
 
 
 def _cost_per_column(spec, grid, states, controls, weights):
     """_cost_quadrature's loop on path-major weights."""
-    lq, total = spec.lq, np.zeros(states.shape[0])
+    total = np.zeros(states.shape[0])
     for k in range(grid.n_steps):
         x, u = states[:, k], controls[:, k]
         for i in range(spec.n_regimes):
-            f = 0.5 * (lq.Q[i] * x**2 + lq.R[i] * u**2)
+            f = 0.5 * (spec.Q[i] * x**2 + spec.R[i] * u**2)
             total += grid.dt * weights[:, k, i] * f
     for i in range(spec.n_regimes):
-        total += weights[:, -1, i] * (0.5 * lq.G[i] * states[:, -1]**2)
+        total += weights[:, -1, i] * (0.5 * spec.G[i] * states[:, -1]**2)
     return total
 
 

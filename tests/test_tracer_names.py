@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps package names by string; each must exist."""
+"""What the benchmark reads of the package: the names its tracer wraps by
+string, and the calls its scripts make."""
 
 from __future__ import annotations
 
@@ -7,14 +8,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from hybridmp.pathsim import TimeGrid, draw_drivers, simulate_chain
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name: str):
+    """The bench script ``name``.py, loaded by path as ``bench_<name>`` while the fixture lives."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
@@ -22,6 +26,16 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load("workloads")
 
 
 def _module(name: str):
@@ -38,3 +52,23 @@ def test_every_method_span_is_defined_on_its_class(tracer):
     missing = [f"{module}.{cls}.{attr}" for module, cls, attr, _ in tracer.METHOD_SPANS
                if attr not in vars(getattr(_module(module), cls))]
     assert missing == []
+
+
+def test_to_problem_spec_is_the_spec_itself(lq):
+    # bench/workloads.py, bench/selftest.py and bench/baseline.py call it
+    assert lq.to_problem_spec() is lq
+
+
+def test_forward_values_passes_every_check_at_the_toy_size(workloads, lq):
+    checks, digests = workloads.forward_values(workloads.TOY["filter"][0], lq, 42, 1)
+    assert [name for name, check in checks.items() if not check["pass"]] == []
+    assert list(digests) == ["values.json"]
+
+
+def test_simulate_chain_runs_as_the_baseline_script_calls_it(lq):
+    # bench/baseline.py: simulate_chain(problem.generator, grid, n, seed, pi0=problem.pi0)
+    problem = lq.to_problem_spec()
+    grid = TimeGrid(problem.horizon, 40)
+    alpha = simulate_chain(problem.generator, grid, 64, 42, pi0=problem.pi0)
+    assert np.array_equal(alpha, draw_drivers(lq, grid, 64, 42)[0])
+    assert set(np.unique(alpha)) == {1, 2}

@@ -62,7 +62,7 @@ class TestNormalizedFilter:
 
     def test_reruns_match_coupled_output(self, spec, coupled):
         grid, cp = coupled
-        dY = np.diff(cp.bundle.states, axis=1) / spec.lq.sigma
+        dY = np.diff(cp.bundle.states, axis=1) / spec.sigma
         again = run_normalized_filter(spec, grid, cp.bundle.states,
                                       cp.bundle.controls, dY=dY)
         assert np.array_equal(again.probs, cp.filter_path.probs)
@@ -79,9 +79,9 @@ class TestNormalizedFilter:
         for k in range(grid.n_steps):
             x = states[:, k]
             u = cp.bundle.controls[:, k]
-            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1)
+            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.a, spec.b)], axis=1)
             bbar = np.sum(probs[:, k] * b, axis=1)
-            sig = spec.lq.sigma
+            sig = spec.sigma
             dx = states[:, k + 1] - x
             resid = max(resid, np.max(np.abs(
                 dx - bbar * grid.dt - sig * dnu[:, k])))
@@ -92,7 +92,7 @@ class TestNormalizedFilter:
         # 0.5 + 0.5 exp(-2 t) regardless of the observation path
         ni = LQSpec(a=(0.4, 0.4), b=(1.0, 1.0), sigma=0.3, Q=(1.0, 1.0),
                     R=(1.0, 1.0), G=(1.0, 1.0), lambda1=1.0, lambda2=1.0,
-                    horizon=1.0, x0=1.0, pi0=1.0).to_problem_spec()
+                    horizon=1.0, x0=1.0, pi0=1.0)
         grid = TimeGrid(1.0, 1000)
         cp = coupled_forward(ni, grid, 64, 3, policy=zero_policy())
         pi_half = cp.filter_path.probs[:, grid.n_steps // 2, 0]
@@ -149,11 +149,10 @@ class TestNormalizedFilter:
         lq = LQSpec(a=(0.5, -0.5), b=(1.0, 0.5), sigma=0.3, Q=(1.0, 2.0),
                     R=(1.0, 2.0), G=(1.0, 1.0), lambda1=1.0, lambda2=1.0,
                     horizon=1.0, x0=1.0, pi0=0.5)
-        spec = lq.to_problem_spec()
         grid = TimeGrid(1.0, 40)
         states = np.ones((3, grid.n_steps + 1))
         controls = np.zeros((3, grid.n_steps))
-        fp = run_normalized_filter(spec, grid, states, controls, dY=dY,
+        fp = run_normalized_filter(lq, grid, states, controls, dY=dY,
                                    breakdown_tol=np.inf)
         assert np.all(fp.probs >= 0.0)
         assert np.all(fp.probs <= 1.0)
@@ -184,7 +183,7 @@ class TestReplayShapes:
 class TestZakaiFilter:
     def test_normalization_matches_mass_ratio(self, spec, coupled):
         grid, cp = coupled
-        dY = np.diff(cp.bundle.states, axis=1) / spec.lq.sigma
+        dY = np.diff(cp.bundle.states, axis=1) / spec.sigma
         zk = run_zakai_filter(spec, grid, cp.bundle.states,
                               cp.bundle.controls, dY=dY)
         assert zk.V is not None
@@ -194,7 +193,7 @@ class TestZakaiFilter:
     def test_gap_to_normalized_filter_is_discretization_sized(self, spec):
         grid = TimeGrid(1.0, 500)
         cp = coupled_forward(spec, grid, 64, 5, policy=zero_policy())
-        dY = np.diff(cp.bundle.states, axis=1) / spec.lq.sigma
+        dY = np.diff(cp.bundle.states, axis=1) / spec.sigma
         zk = run_zakai_filter(spec, grid, cp.bundle.states,
                               cp.bundle.controls, dY=dY)
         gap = np.max(np.abs(zk.probs[:, :, 0] - cp.filter_path.probs[..., 0]))
@@ -221,7 +220,7 @@ class TestZakaiFilter:
         # a frozen chain started at a vertex keeps the other mass at exactly 0
         frozen = LQSpec(a=(0.5, -0.5), b=(1.0, 0.5), sigma=0.3, Q=(1.0, 1.0),
                         R=(1.0, 2.0), G=(1.0, 1.0), lambda1=0.0, lambda2=0.0,
-                        horizon=1.0, x0=1.0, pi0=1.0).to_problem_spec()
+                        horizon=1.0, x0=1.0, pi0=1.0)
         grid = TimeGrid(1.0, 50)
         cp = coupled_forward(frozen, grid, 8, 3)
         zk = run_zakai_filter(frozen, grid, cp.bundle.states, cp.bundle.controls)
@@ -305,9 +304,9 @@ class TestInnovationForward:
         for k in range(grid.n_steps):
             x = ip.states[:, k]
             u = ip.controls[:, k]
-            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1)
+            b = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.a, spec.b)], axis=1)
             bbar = np.sum(ip.probs[:, k] * b, axis=1)
-            sig = spec.lq.sigma
+            sig = spec.sigma
             dx = ip.states[:, k + 1] - x
             resid = max(resid, np.max(np.abs(
                 dx - bbar * grid.dt - sig * ip.dnu[:, k])))
@@ -382,11 +381,11 @@ def _normalized_filter_path_major(spec, grid, states, controls):
     p (n_paths, d), p @ Q, and sums over the last axis."""
     Q = spec.generator.matrix
     dt = grid.dt
-    p = np.tile(np.asarray(spec.pi0, dtype=np.float64), (states.shape[0], 1))
+    p = np.tile([spec.pi0, 1.0 - spec.pi0], (states.shape[0], 1))
     probs = [p]
     for k in range(grid.n_steps):
-        x, u, sig = states[:, k], controls[:, k], spec.lq.sigma
-        h = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.lq.a, spec.lq.b)], axis=1) / sig
+        x, u, sig = states[:, k], controls[:, k], spec.sigma
+        h = np.stack([a_i * x + b_i * u for a_i, b_i in zip(spec.a, spec.b)], axis=1) / sig
         hbar = np.sum(p * h, axis=1)
         dnu = (states[:, k + 1] - x) / sig - hbar * dt
         p = p + (p @ Q) * dt + p * (h - hbar[:, None]) * dnu[:, None]
@@ -485,7 +484,7 @@ def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
     dt, times, Q = grid.dt, grid.times, spec.generator.matrix
     rows = np.arange(n_paths)
     x = np.full(n_paths, spec.x0)
-    p = np.repeat(np.asarray(spec.pi0, dtype=np.float64)[:, None], n_paths, axis=1)
+    p = np.repeat(np.array([spec.pi0, 1.0 - spec.pi0])[:, None], n_paths, axis=1)
     states = np.empty((n_paths, grid.n_steps + 1))
     probs = np.empty((n_paths, grid.n_steps + 1, spec.n_regimes))
     used = np.empty((n_paths, grid.n_steps))
@@ -497,7 +496,7 @@ def _observer_pass_per_column(spec, grid, policy, controls, noise, alpha=None):
         t = times[k]
         u = used[:, k] = control_at(spec, t, x, p[0], policy,
                                     None if controls is None else controls[:, k])
-        sig = spec.lq.sigma
+        sig = spec.sigma
         table = drift_table(spec, x, u)
         h = table / sig
         hbar = np.sum(p * h, axis=0)
