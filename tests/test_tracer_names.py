@@ -66,9 +66,9 @@ def test_forward_values_passes_every_check_at_the_toy_size(workloads, lq):
 
 
 def test_simulate_chain_runs_as_the_baseline_script_calls_it(lq):
-    # bench/baseline.py: simulate_chain(problem.generator, grid, n, seed, pi0=problem.pi0)
-    problem = lq.to_problem_spec()
-    grid = TimeGrid(problem.horizon, 40)
-    alpha = simulate_chain(problem.generator, grid, 64, 42, pi0=problem.pi0)
+    # bench/baseline.py: simulate_chain(problem.generator, grid, n, seed, pi0=problem.pi0),
+    # where problem is the spec itself (see above)
+    grid = TimeGrid(lq.horizon, 40)
+    alpha = simulate_chain(lq.generator, grid, 64, 42, pi0=lq.pi0)
     assert np.array_equal(alpha, draw_drivers(lq, grid, 64, 42)[0])
     assert set(np.unique(alpha)) == {1, 2}
