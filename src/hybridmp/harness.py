@@ -317,24 +317,33 @@ DIRECTION_NORM = 0.15
 def _direction_set(grid: TimeGrid, base) -> np.ndarray:
     """Perturbation directions scaled to ``DIRECTION_NORM``, stacked as
     (5, n_paths, n_steps) and stored step-major, so that each step's
-    ``[..., k]`` is a contiguous (5, n_paths) row."""
+    ``[..., k]`` is a contiguous (5, n_paths) row.  Each is written
+    straight into the stack: four shapes in time only, then the filter."""
     times = grid.times[:-1]
+    n = base.n_paths
+    stack = np.moveaxis(np.empty((grid.n_steps, 5, n)), 0, -1)
     shapes = [
         np.ones_like(times),
         np.sin(2.0 * np.pi * times / grid.horizon),
         np.exp(-times),
         np.cos(np.pi * times / grid.horizon),
+        base.probs[:, :-1, 0],
     ]
-    n = base.n_paths
-    directions = [np.tile(s, (n, 1)) for s in shapes]
-    # path-major, so the per-path sums below add in one order whatever the
-    # layout of base.probs (forward passes store it step-major)
-    directions.append(np.ascontiguousarray(base.probs[:, :-1, 0]))
-    stack = np.empty((grid.n_steps, len(directions), n))
-    for j, w in enumerate(directions):
-        rms = math.sqrt(float(np.mean(np.sum(w * w, axis=1) * grid.dt)))
-        stack[:, j] = (w * (DIRECTION_NORM / max(rms, 1e-300))).T
-    return np.moveaxis(stack, 0, -1)
+    for j, w in enumerate(shapes):
+        # per-path sums of squares, each added in time order along a
+        # contiguous row whatever the layout of base.probs (forward passes
+        # store it step-major); a time-only shape's sum is every path's
+        sq = np.sum(np.square(w, order="C"), axis=-1)
+        rms = math.sqrt(float(np.mean(np.broadcast_to(sq * grid.dt, n))))
+        np.multiply(w, DIRECTION_NORM / max(rms, 1e-300), out=stack[j])
+    return stack
+
+
+def _pass_cost(cfg: ExperimentConfig, controls: np.ndarray, dnu: np.ndarray) -> np.ndarray:
+    """Per-path transformed cost of one innovation pass, freed before the next starts."""
+    path = innovation_forward(cfg.spec, cfg.grid, cfg.n_paths, cfg.seed,
+                              controls=controls, dnu=dnu)
+    return transformed_cost_paths(cfg.spec, cfg.grid, path.states, path.probs, path.controls)
 
 
 def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]:
@@ -356,12 +365,8 @@ def _mp_check(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[Path], dict]
     gateaux_ratio = 0.0
     duality_ratio = 0.0
     for w, lin, dual in zip(directions, lins.tolist(), duals.tolist()):
-        pert = innovation_forward(spec, grid, cfg.n_paths, cfg.seed,
-                                  controls=base.controls + eps * w,
-                                  dnu=base.dnu)
-        pert_cost = transformed_cost_paths(spec, grid, pert.states, pert.probs,
-                                           pert.controls)
-        fd = RunningMoments().add((pert_cost - base_cost) / eps)
+        fd = RunningMoments().add((_pass_cost(cfg, base.controls + eps * w, base.dnu)
+                                   - base_cost) / eps)
         allowance = 3.0 * fd.std_error + 0.1 * eps
         gateaux_ratio = max(gateaux_ratio, abs(fd.mean - lin) / allowance)
         scale = max(abs(lin), abs(dual), 1e-12)

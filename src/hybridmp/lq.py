@@ -32,8 +32,7 @@ from .adjoint import (
 )
 from .errors import ConfigError, NonConvergence, NumericalError
 from .model import LQSpec, zero_policy
-from .pathsim import (CostEstimate, TimeGrid, blocked_cost, cost_from_paths, simulate_chain,
-                      simulate_state)
+from .pathsim import CostEstimate, TimeGrid, blocked_cost, realized_cost_paths, simulate_chain
 from .wonham import InnovationPath, innovation_forward, transformed_cost
 
 Array = NDArray[np.float64]
@@ -425,9 +424,9 @@ def full_observation_baseline(
     analytic value it should match.
 
     The policy u = -b_i K_i(t) X / R_i needs the realized regime, so each
-    block draws the chain first and steps the paths through
-    ``simulate_state`` with the feedback reading that chain; no filter
-    runs.  Agreement of the two returned numbers validates simulation,
+    block draws the chain first and streams the paths' cost through
+    ``realized_cost_paths`` with the feedback reading that chain; no
+    filter runs.  Agreement of the two returned numbers validates simulation,
     cost quadrature and the Riccati integration against each other; the
     analytic value is also the natural lower bound for any
     observation-feedback cost.
@@ -443,7 +442,6 @@ def full_observation_baseline(
             k = round(t / grid.dt)
             return -gain[k, alpha[:, k] - 1] * x
 
-        bundle = simulate_state(lq, grid, count, seed, feedback, offset, alpha=alpha)
-        return cost_from_paths(lq, bundle)
+        return realized_cost_paths(lq, grid, count, seed, feedback, offset, alpha)
 
     return blocked_cost(path_costs, n_paths), analytic

@@ -282,6 +282,23 @@ def euler_step(x: Array, drift: Array, sig, dw: Array, dt: float, t_next: float)
 # ---------------------------------------------------------------------------
 
 
+def euler_steps(spec: LQSpec, grid: TimeGrid, alpha: NDArray[np.int64], dW: Array,
+                policy=None, controls: Array | None = None):
+    """X_{k+1} = X_k + b(X_k, alpha_k, u_k) dt + sigma dW_k from X_0 = x0,
+    yielded as (X_k, u_k, X_{k+1}) for k < N: ``simulate_state`` keeps
+    every step, ``realized_cost_paths`` only a per-path sum."""
+    x = np.full(alpha.shape[0], spec.x0)
+    times = grid.times
+    sig = spec.volatility()
+    for k in range(grid.n_steps):
+        u = control_at(spec, times[k], x, None, policy,
+                       None if controls is None else controls[:, k])
+        b = np.where(alpha[:, k] == 1, *drift_table(spec, x, u))
+        x_next = euler_step(x, b, sig, dW[:, k], grid.dt, times[k + 1])
+        yield x, u, x_next
+        x = x_next
+
+
 def simulate_state(
     spec: LQSpec,
     grid: TimeGrid,
@@ -293,9 +310,7 @@ def simulate_state(
     dW: Array | None = None,
     controls: Array | None = None,
 ) -> PathBundle:
-    """Euler scheme with left-endpoint coefficients.
-
-    X_{k+1} = X_k + b(X_k, alpha_k, u_k) dt + sigma dW_k.
+    """Euler scheme with left-endpoint coefficients (``euler_steps``).
 
     No filter runs here, so ``policy`` is evaluated as policy(t_k, X_k,
     None): a policy that reads ``pi`` fails (``TypeError``, or a NaN
@@ -308,17 +323,9 @@ def simulate_state(
     alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha, dW)
     states = history(n_paths, grid.n_steps + 1)
     used = history(n_paths, grid.n_steps)
-    x = states[:, 0] = np.full(n_paths, spec.x0)
-    times = grid.times
-    sig = spec.volatility()
-
-    for k in range(grid.n_steps):
-        t = times[k]
-        u = used[:, k] = control_at(spec, t, x, None, policy,
-                                    None if controls is None else controls[:, k])
-        b = np.where(alpha[:, k] == 1, *drift_table(spec, x, u))
-        x = states[:, k + 1] = euler_step(x, b, sig, dW[:, k], grid.dt, times[k + 1])
-
+    states[:, 0] = spec.x0
+    for k, (_, u, x) in enumerate(euler_steps(spec, grid, alpha, dW, policy, controls)):
+        used[:, k], states[:, k + 1] = u, x
     return PathBundle(grid=grid, states=states, regimes=alpha, controls=used,
                       noise=dW, seed=seed)
 
@@ -328,21 +335,25 @@ def simulate_state(
 # ---------------------------------------------------------------------------
 
 
+def _add_cost(total: Array, spec: LQSpec, weights, x: Array, u=None, dt: float = 1.0):
+    """total += sum_i w_i f(X, i, u) dt at a step's left node, or sum_i w_i
+    g(X, i) at the last (``u`` None), regime by regime: the one place the
+    cost formula lives.  ``weights`` (n_paths, d): the realized regime's
+    indicator gives the realized cost, the filter the regime-averaged one."""
+    table = terminal_cost_table(spec, x) if u is None else running_cost_table(spec, x, u)
+    for i, f in enumerate(table):
+        total += dt * weights[:, i] * f
+
+
 def _cost_quadrature(spec: LQSpec, grid: TimeGrid, states: Array,
                      controls: Array, weights) -> Array:
-    """Per-path sum_k sum_i w_{k,i} f(X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i).
-
-    ``weights`` (n_paths, N+1, d) weight each regime at each node: the
-    realized regime's indicator gives the realized cost, the filter the
-    cost with the regime integrated out.
-    """
-    dt = grid.dt
+    """Per-path sum_k sum_i w_{k,i} f(X_k, i, u_k) dt + sum_i w_{N,i} g(X_N, i)
+    from stored histories, ``weights`` (n_paths, N+1, d); the streamed
+    ``realized_cost_paths`` makes the same additions in the same order."""
     total = np.zeros(states.shape[0])
     for k in range(grid.n_steps):
-        for i, f in enumerate(running_cost_table(spec, states[:, k], controls[:, k])):
-            total += dt * weights[:, k, i] * f
-    for i, g in enumerate(terminal_cost_table(spec, states[:, -1])):
-        total += weights[:, -1, i] * g
+        _add_cost(total, spec, weights[:, k], states[:, k], controls[:, k], grid.dt)
+    _add_cost(total, spec, weights[:, -1], states[:, -1])
     return total
 
 
@@ -353,12 +364,27 @@ def cost_from_paths(spec: LQSpec, bundle: PathBundle) -> Array:
                             bundle.regimes[..., None] == labels)
 
 
+def realized_cost_paths(spec: LQSpec, grid: TimeGrid, n_paths: int, seed: int, policy=None,
+                        path_offset: int = 0, alpha: NDArray[np.int64] | None = None) -> Array:
+    """``cost_from_paths`` of ``simulate_state``'s paths, bit for bit, but
+    streamed: each step's cost is added as ``euler_steps`` yields it, so
+    no state, control or regime history is stored."""
+    alpha, dW = draw_drivers(spec, grid, n_paths, seed, path_offset, alpha)
+    labels = np.arange(1, spec.n_regimes + 1)
+    total = np.zeros(n_paths)
+    for k, (x, u, x_next) in enumerate(euler_steps(spec, grid, alpha, dW, policy)):
+        _add_cost(total, spec, alpha[:, k, None] == labels, x, u, grid.dt)
+    _add_cost(total, spec, alpha[:, -1, None] == labels, x_next)
+    return total
+
+
 def blocked_cost(path_costs, n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE,
                  workers: int = 1) -> CostEstimate:
     """Mean and standard error of ``path_costs(offset, count)`` (per-path
-    costs of one block of paths), merged in block order.  With ``workers``
-    >= 2 large blocks run on forked worker processes (see ``run_blocks``);
-    the estimate does not depend on ``workers``."""
+    costs of one block of paths, which its callers stream, so a block
+    holds its drivers and O(count) state), merged in block order.  With
+    ``workers`` >= 2 large blocks run on forked worker processes (see
+    ``run_blocks``); the estimate does not depend on ``workers``."""
 
     def run_block(offset: int, count: int) -> RunningMoments:
         return RunningMoments().add(path_costs(offset, count))
@@ -380,13 +406,9 @@ def estimate_cost(
 ) -> CostEstimate:
     """Monte Carlo cost of a policy, blocked so memory stays flat.
 
-    Paths come from ``simulate_state``, so the policy is called with
-    ``pi=None`` and must not read the filtered state.
+    Each block's cost is streamed (``realized_cost_paths``): the paths
+    are ``simulate_state``'s, so the policy is called with ``pi=None`` and
+    must not read the filtered state.
     """
-
-    def path_costs(offset: int, count: int) -> Array:
-        bundle = simulate_state(spec, grid, count, seed, policy=policy,
-                                path_offset=offset)
-        return cost_from_paths(spec, bundle)
-
-    return blocked_cost(path_costs, n_paths, block_size, workers)
+    return blocked_cost(lambda offset, count: realized_cost_paths(
+        spec, grid, count, seed, policy, offset), n_paths, block_size, workers)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from hybridmp.harness import (
     validate_spec_file,
     write_error,
 )
-from hybridmp.model import LQ_SPEC_KEYS, LQ_SPEC_REQUIRED
-from hybridmp.wonham import coupled_forward
+from hybridmp.model import LQ_SPEC_KEYS, LQ_SPEC_REQUIRED, zero_policy
+from hybridmp.pathsim import TimeGrid
+from hybridmp.wonham import coupled_forward, innovation_forward
 
 DEFAULT_SPEC = {
     "a1": 0.5, "a2": -0.5, "b1": 1.0, "b2": 0.5, "sigma": 0.3,
@@ -248,6 +250,40 @@ class TestRunSuite:
         assert all(m["pass"] for m in results["metrics"].values())
         # the deterministic start makes the first designs collinear
         assert 0 < results["svd_fallback_steps"] < 20
+
+    def test_mp_check_peak_memory(self, tmp_path):
+        # Units of one (n_paths, n_steps) float64 array.  mp-check peaks at
+        # 22.8 units here.  Holding the previous perturbed pass while the
+        # next one runs adds about 4 units (26.9).
+        def config(n_paths):
+            return ExperimentConfig.from_file(str(_write_config(
+                tmp_path, suite="mp-check", n_steps=40, n_paths=n_paths)))
+
+        run_suite(config(100))  # makes the one-time allocations (imports, caches) untraced
+        cfg = config(1024)
+        tracemalloc.start()
+        try:
+            assert run_suite(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1024 * 40 * 8) < 24.0
+
+    def test_direction_set_is_built_in_place(self, lq):
+        # The five directions fill a 5-unit stack, in units of one
+        # (n_paths, n_steps) float64 array, plus one unit of squares for
+        # the filter direction's sums: 6.4 units here.  Tiling the four
+        # time-only shapes and copying into the stack peaks at 11.1.
+        grid = TimeGrid(1.0, 40)
+        base = innovation_forward(lq, grid, 512, 3, policy=zero_policy())
+        tracemalloc.start()
+        try:
+            directions = harness._direction_set(grid, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert directions.shape == (5, 512, 40)
+        assert peak / (512 * 40 * 8) < 8.0
 
     def test_tolerance_for_an_unknown_metric_exits_2(self, tmp_path):
         # a misspelled key would otherwise leave duality_rel_gap at its default

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from hybridmp.pathsim import (
     euler_step,
     history,
     path_rng,
+    realized_cost_paths,
 )
+from hybridmp.lq import full_observation_baseline, riccati_backward, riccati_cost
 from hybridmp.wonham import coupled_forward, transformed_cost_paths
 
 # Step counts of the per-column reference comparisons: one step, odd and
@@ -208,9 +211,10 @@ class TestCost:
         grid = TimeGrid(1.0, 50)
         serial = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
                                block_size=256, workers=1)
-        threaded = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
+        # 256-path blocks are below POOL_MIN_PATHS, so workers=3 runs them serially too
+        unpooled = estimate_cost(bm_spec, grid, 1000, 13, policy=zero_policy(),
                                  block_size=256, workers=3)
-        assert serial == threaded
+        assert serial == unpooled
 
     def test_pooled_block_merge_is_order_deterministic(self, bm_spec):
         grid = TimeGrid(1.0, 50)
@@ -220,6 +224,69 @@ class TestCost:
         pooled = estimate_cost(bm_spec, grid, n_paths, 13, policy=zero_policy(),
                                block_size=POOL_MIN_PATHS, workers=2)
         assert serial == pooled
+
+
+class TestStreamedCost:
+    """``estimate_cost`` and ``full_observation_baseline`` stream each
+    step's cost instead of storing the paths; every figure is the history
+    route's (``cost_from_paths`` of ``simulate_state``), bit for bit."""
+
+    POLICIES = [zero_policy(), FeedbackPolicy(lambda t, x, pi: -0.8 * x + 0.3 * t)]
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["zero", "feedback"])
+    @pytest.mark.parametrize("n_paths, offset, n_steps", [(1, 0, 1), (37, 5, 17), (300, 900, 40)])
+    def test_path_costs_are_the_history_route(self, spec, policy, n_paths, offset, n_steps):
+        grid = _step_grid(n_steps)
+        bundle = simulate_state(spec, grid, n_paths, 4, policy, offset)
+        assert np.array_equal(realized_cost_paths(spec, grid, n_paths, 4, policy, offset),
+                              cost_from_paths(spec, bundle))
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=["zero", "feedback"])
+    @pytest.mark.parametrize("block_size, workers", [
+        (256, 1), (POOL_MIN_PATHS, 1), (POOL_MIN_PATHS, 2)])
+    def test_estimate_is_the_history_route(self, spec, policy, block_size, workers):
+        grid = _step_grid(30)
+        n_paths = 2 * POOL_MIN_PATHS + 100  # with POOL_MIN_PATHS blocks, two pooled and a short one
+
+        def history_route(offset, count):
+            return cost_from_paths(spec, simulate_state(spec, grid, count, 8, policy, offset))
+
+        want = pathsim.blocked_cost(history_route, n_paths, block_size, workers)
+        assert estimate_cost(spec, grid, n_paths, 8, policy, block_size, workers) == want
+
+    def test_full_observation_baseline_is_the_history_route(self, spec):
+        grid = _step_grid(40)
+        K, c = riccati_backward(spec, grid)
+        gain = K * np.asarray(spec.b) / np.asarray(spec.R)
+
+        def history_route(offset, count):
+            alpha = simulate_chain(spec.generator, grid, count, 6, spec.pi0, offset)
+
+            def feedback(t, x, pi):
+                k = round(t / grid.dt)
+                return -gain[k, alpha[:, k] - 1] * x
+
+            bundle = simulate_state(spec, grid, count, 6, feedback, offset, alpha=alpha)
+            return cost_from_paths(spec, bundle)
+
+        est, analytic = full_observation_baseline(spec, grid, 5000, 6)
+        assert est == pathsim.blocked_cost(history_route, 5000)
+        assert analytic == riccati_cost(spec, K, c)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(512, 400), (1000, 200)])
+    def test_peak_memory_holds_no_path_history(self, spec, n_paths, n_steps):
+        # Units of one (n_paths, N+1) float64 history.  The streamed route
+        # peaks at 2.9 and 2.3 units here, while simulate_chain holds its
+        # uniforms and labels; storing the states, controls and regime
+        # mask as well (the history route) peaks at 4.8 and 4.3.
+        grid = TimeGrid(1.0, n_steps)
+        tracemalloc.start()
+        try:
+            estimate_cost(spec, grid, n_paths, 42, policy=zero_policy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n_paths * (n_steps + 1) * 8) < 3.5
 
 
 def _chain_by_fresh_streams(generator, grid, n_paths, seed, alpha0=None, pi0=None,
